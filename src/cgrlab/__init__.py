@@ -11,16 +11,10 @@ from cgrlab.contactplan import (
     parse_contact_plan,
     serialize_contact_plan,
     total_transit_time,
+    with_transit_margin,
 )
-from cgrlab.contactgraph import ContactGraph, build_contact_graph, successors
-from cgrlab.routesearch import (
-    Route,
-    compare_routes,
-    dijkstra_bdt,
-    edt_scalar,
-    route_volume,
-    yen_plus,
-)
+from cgrlab.contactgraph import ContactGraph, build_contact_graph
+from cgrlab.routesearch import Route, dijkstra_bdt, yen_plus
 from cgrlab.forwarding import (
     Booking,
     Bundle,
@@ -32,15 +26,8 @@ from cgrlab.forwarding import (
     find_rollback_contact,
     forward_critical,
     handle_overbooking,
-    select_route,
 )
-from cgrlab.traffic import (
-    ScenarioSpec,
-    generate_data,
-    generate_expedited,
-    generate_scenario,
-    generate_streaming,
-)
+from cgrlab.traffic import ScenarioSpec, generate_scenario
 from cgrlab.constellation import (
     IslConstraints,
     WalkerParams,

@@ -51,27 +51,36 @@ def _parse_seeds(value: str) -> list[int]:
     return seeds
 
 
+def _walker_plan(
+    args: argparse.Namespace,
+) -> tuple[constellation.WalkerParams, ContactPlan]:
+    """The Walker parameters given by the walker flags and their contact plan."""
+    if args.alt is None:
+        raise SystemExit2("--alt is required")
+    sats, planes = args.walker
+    params = constellation.WalkerParams(
+        sats_per_plane=sats,
+        planes=planes,
+        phase_factor=args.phase,
+        altitude_km=args.alt,
+        inclination_deg=args.inc,
+    )
+    constraints = constellation.IslConstraints(
+        max_interorbit_km=args.max_interorbit, terminals_per_sat=args.terminals
+    )
+    plan = constellation.generate_contact_plan(
+        params, constraints, horizon=args.horizon, step=args.step, rate=args.rate
+    )
+    return params, plan
+
+
 def _load_plan(args: argparse.Namespace) -> ContactPlan:
     if getattr(args, "demo_plan", False):
         return make_demo_plan()
     if getattr(args, "plan", None):
         return parse_contact_plan(Path(args.plan).read_text())
     if getattr(args, "walker", None):
-        sats, planes = args.walker
-        params = constellation.WalkerParams(
-            sats_per_plane=sats,
-            planes=planes,
-            phase_factor=args.phase,
-            altitude_km=args.alt,
-            inclination_deg=args.inc,
-        )
-        constraints = constellation.IslConstraints(
-            max_interorbit_km=args.max_interorbit,
-            terminals_per_sat=args.terminals,
-        )
-        return constellation.generate_contact_plan(
-            params, constraints, horizon=args.horizon, step=args.step, rate=args.rate
-        )
+        return _walker_plan(args)[1]
     raise SystemExit2("one plan source is required: --plan, --walker or --demo-plan")
 
 
@@ -90,22 +99,7 @@ def _add_walker_flags(parser: argparse.ArgumentParser, require: bool = False) ->
 
 
 def _cmd_gen_plan(args: argparse.Namespace) -> int:
-    if args.alt is None:
-        raise SystemExit2("--alt is required")
-    sats, planes = args.walker
-    params = constellation.WalkerParams(
-        sats_per_plane=sats,
-        planes=planes,
-        phase_factor=args.phase,
-        altitude_km=args.alt,
-        inclination_deg=args.inc,
-    )
-    constraints = constellation.IslConstraints(
-        max_interorbit_km=args.max_interorbit, terminals_per_sat=args.terminals
-    )
-    plan = constellation.generate_contact_plan(
-        params, constraints, horizon=args.horizon, step=args.step, rate=args.rate
-    )
+    params, plan = _walker_plan(args)
     text = serialize_contact_plan(plan)
     if args.out:
         Path(args.out).write_text(text)

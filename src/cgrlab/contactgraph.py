@@ -1,38 +1,19 @@
-"""Time-ordered contact graph with resource counters.
+"""Time-ordered contact graph with a computing-resource counter.
 
-Vertices are contacts, plus a notional root contact (source to itself) and
-terminal contact (destination to itself).  An edge u -> v means data received
-through contact u can be cached at the shared node and transmitted later
-through contact v; edges therefore encode storage opportunities, not links.
+Vertices are the contacts reachable from the source.  An edge u -> v means
+data received through contact u can be cached at the shared node and
+transmitted later through contact v; edges therefore encode storage
+opportunities, not links.
 
-The graph carries two resource tallies: ``computing_counter``, fed by route
-search iterations and candidate-route construction, and ``storage_index``,
-a per-node map of cached bundle ids maintained by the simulation engine.
+The graph carries the computing-resource tally ``computing_counter``, fed by
+route search iterations and by the engine's candidate-route reviews.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from cgrlab.contactplan import Contact, ContactPlan
-
-ROOT_ID = -1
-TERMINAL_ID = -2
-
-
-def _notional(contact_id: int, node: str) -> Contact:
-    # Zero-cost, infinite-volume placeholder: departs instantly, never closes.
-    return Contact(
-        id=contact_id,
-        from_node=node,
-        to_node=node,
-        t_start=0,
-        t_end=math.inf,
-        rate=math.inf,
-        owlt=0.0,
-        residual_volume=math.inf,
-    )
+from cgrlab.contactplan import ContactPlan
 
 
 @dataclass
@@ -43,17 +24,7 @@ class ContactGraph:
     source: str
     dest: str
     vertices: frozenset[int]
-    root: Contact
-    terminal: Contact
     computing_counter: int = 0
-    storage_index: dict[str, set[int]] = field(default_factory=dict)
-
-    def contact(self, contact_id: int) -> Contact:
-        if contact_id == ROOT_ID:
-            return self.root
-        if contact_id == TERMINAL_ID:
-            return self.terminal
-        return self.plan.contact(contact_id)
 
 
 def build_contact_graph(plan: ContactPlan, source: str, dest: str) -> ContactGraph:
@@ -81,57 +52,10 @@ def build_contact_graph(plan: ContactPlan, source: str, dest: str) -> ContactGra
         for c in plan.contacts_from(node):
             if c.t_end < bound:
                 continue
-            if c.id not in reachable:
-                reachable.add(c.id)
+            reachable.add(c.id)
             nxt = min_ts.get(c.to_node)
             if nxt is None or c.t_start < nxt:
                 min_ts[c.to_node] = c.t_start
                 frontier.append(c.to_node)
 
-    return ContactGraph(
-        plan=plan,
-        source=source,
-        dest=dest,
-        vertices=frozenset(reachable) | {ROOT_ID, TERMINAL_ID},
-        root=_notional(ROOT_ID, source),
-        terminal=_notional(TERMINAL_ID, dest),
-    )
-
-
-def successors(graph: ContactGraph, contact_id: int, arrival: float) -> set[int]:
-    """Contacts that can follow ``contact_id`` for data arriving at ``arrival``.
-
-    These are the contacts transmitting from the receiving node whose window
-    has not closed by the arrival time.  Each invocation counts one unit of
-    routing computation.
-    """
-    graph.computing_counter += 1
-    if contact_id == TERMINAL_ID:
-        return set()
-    v = graph.contact(contact_id)
-    out = {
-        w.id
-        for w in graph.plan.contacts_from(v.to_node)
-        if w.id in graph.vertices and w.t_end > arrival
-    }
-    if v.to_node == graph.dest:
-        out.add(TERMINAL_ID)
-    return out
-
-
-def dump_edges(graph: ContactGraph) -> str:
-    """Debug dump of the static edge list, one ``u -> v`` pair per line."""
-    lines = []
-    real = sorted(v for v in graph.vertices if v > 0)
-    for cid in real:
-        c = graph.plan.contact(cid)
-        if c.from_node == graph.source:
-            lines.append(f"{ROOT_ID} -> {cid}")
-    for cid in real:
-        c = graph.plan.contact(cid)
-        for w in graph.plan.contacts_from(c.to_node):
-            if w.id in graph.vertices and w.t_end >= c.t_start:
-                lines.append(f"{cid} -> {w.id}")
-        if c.to_node == graph.dest:
-            lines.append(f"{cid} -> {TERMINAL_ID}")
-    return "\n".join(lines) + "\n"
+    return ContactGraph(plan=plan, source=source, dest=dest, vertices=frozenset(reachable))

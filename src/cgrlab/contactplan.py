@@ -19,7 +19,7 @@ directions of the node pair unless a direction-exact line exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 LIGHT_SPEED_KM_S = 299792.458
 
@@ -131,6 +131,16 @@ class ContactPlan:
     def contacts_from(self, node: str) -> tuple[Contact, ...]:
         """All contacts transmitting from ``node``, ordered by id."""
         return self._by_from.get(node, ())
+
+
+def with_transit_margin(plan: ContactPlan) -> ContactPlan:
+    """A fresh plan whose light times carry the pessimistic range margin.
+
+    Each contact's ``owlt`` becomes ``total_transit_time(owlt)``; routes
+    searched over the result are planned against the padded transit time.
+    """
+    contacts = tuple(replace(c, owlt=total_transit_time(c.owlt)) for c in plan.contacts)
+    return ContactPlan(contacts=contacts, horizon=plan.horizon, node_ids=plan.node_ids)
 
 
 def available_contacts(plan: ContactPlan, t: float) -> set[int]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from cgrlab.contactplan import Contact, ContactPlan, total_transit_time
+from cgrlab.contactplan import Contact, ContactPlan
 from cgrlab.routesearch import Route
 
 POLICY_STANDARD = "standard"
@@ -105,13 +105,7 @@ def compute_eto(plan: ContactPlan, route: Route, ahead_mb: float, now: float) ->
     return start + ahead_mb / first.rate
 
 
-def compute_pat(
-    plan: ContactPlan,
-    route: Route,
-    eto: float,
-    size: float,
-    use_margin: bool = False,
-) -> float:
+def compute_pat(plan: ContactPlan, route: Route, eto: float, size: float) -> float:
     """Projected last-byte arrival at the destination.
 
     Store-and-forward recurrence: each hop departs at max(previous arrival,
@@ -130,8 +124,7 @@ def compute_pat(
                     f"transmission start {dep} + {tx}s exceeds first hop end {c.t_end}"
                 )
             return math.inf
-        owlt = total_transit_time(c.owlt) if use_margin else c.owlt
-        arrival = dep + tx + owlt
+        arrival = dep + tx + c.owlt
     return arrival
 
 
@@ -155,20 +148,6 @@ def compute_evl(
         )
         evl = min(evl, max(0.0, c.residual_volume - booked))
     return evl
-
-
-def select_route(
-    candidates: list[CandidateRoute], bundle: Bundle
-) -> CandidateRoute | None:
-    """Best admissible candidate under the route ordering, or None.
-
-    Bundle-level processing order (priority descending, expiry ascending, id
-    ascending) is applied by the engine before calling this per bundle.
-    """
-    admissible = [c for c in candidates if c.admissible]
-    if not admissible:
-        return None
-    return min(admissible, key=lambda c: c.route.sort_key)
 
 
 def forward_critical(

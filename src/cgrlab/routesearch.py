@@ -20,21 +20,18 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from cgrlab.contactgraph import ROOT_ID, TERMINAL_ID, ContactGraph
-from cgrlab.contactplan import Contact, ContactPlan, total_transit_time
-
-_OMEGA_DEFAULT = 999999999
+from cgrlab.contactgraph import ContactGraph
+from cgrlab.contactplan import ContactPlan
 
 
 @dataclass(frozen=True)
 class Route:
     """An ordered contact sequence with its delivery-time cost terms.
 
-    ``hops`` lists real contact ids only; ``hops_with_notional`` adds the
-    root/terminal placeholders.  ``vti`` is the closed interval of feasible
-    first-byte departure seconds at the source; ``volume`` is the largest
-    transferable amount in megabits given every hop's usable window and
-    residual volume.
+    ``vti`` is the closed interval of feasible first-byte departure seconds
+    at the source; ``volume`` is the largest transferable amount in megabits
+    given every hop's usable window and residual volume.  ``sort_key`` is the
+    total order on routes: smaller keys rank first.
     """
 
     hops: tuple[int, ...]
@@ -43,7 +40,6 @@ class Route:
     volume: float
     hop_cnt: int
     first_hop: int
-    horizon: float
 
     @property
     def sort_key(self) -> tuple:
@@ -56,29 +52,11 @@ class Route:
             self.first_hop,
         )
 
-    def hops_with_notional(self) -> tuple[int, ...]:
-        return (ROOT_ID,) + self.hops + (TERMINAL_ID,)
-
-
-def compare_routes(a: Route, b: Route) -> int:
-    """Total order on routes: negative when ``a`` ranks before ``b``."""
-    ka, kb = a.sort_key, b.sort_key
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
-def _eff_owlt(contact: Contact, use_margin: bool) -> float:
-    return total_transit_time(contact.owlt) if use_margin else contact.owlt
-
 
 def evaluate_route(
     plan: ContactPlan,
     hops: tuple[int, ...] | list[int],
     depart: float,
-    use_margin: bool = False,
 ) -> Route | None:
     """Compute BDT, VTI and volume for a contact sequence, or None if infeasible.
 
@@ -98,13 +76,13 @@ def evaluate_route(
         if dep > c.t_end - 1:
             return None
         departures.append(dep)
-        arrival = dep + _eff_owlt(c, use_margin)
+        arrival = dep + c.owlt
 
     last_deps = [0.0] * len(contacts)
     nxt = math.inf
     for i in range(len(contacts) - 1, -1, -1):
         c = contacts[i]
-        ld = min(c.t_end - 1, nxt - _eff_owlt(c, use_margin))
+        ld = min(c.t_end - 1, nxt - c.owlt)
         last_deps[i] = ld
         nxt = ld
     volume = math.inf
@@ -118,7 +96,6 @@ def evaluate_route(
         volume=volume,
         hop_cnt=len(contacts),
         first_hop=contacts[0].id,
-        horizon=plan.horizon,
     )
 
 
@@ -128,7 +105,6 @@ def _search(
     start_time: float,
     banned_nodes: frozenset[str],
     banned_first: frozenset[int],
-    use_margin: bool,
 ) -> tuple[list[int], float] | None:
     """Earliest-arrival search from a node; returns (hops, arrival) or None."""
     plan = graph.plan
@@ -162,7 +138,7 @@ def _search(
             dep = arrival if arrival > c.t_start else c.t_start
             if dep > c.t_end - 1:
                 continue
-            reach = dep + _eff_owlt(c, use_margin)
+            reach = dep + c.owlt
             if reach < best.get(to, math.inf):
                 best[to] = reach
                 parent[to] = (c.id, node)
@@ -173,7 +149,6 @@ def _search(
 def dijkstra_bdt(
     graph: ContactGraph,
     depart: float = 0.0,
-    use_margin: bool = False,
     via_first_hops: frozenset[int] | None = None,
 ) -> Route | None:
     """Route minimizing the best delivery time from the graph's source.
@@ -189,21 +164,20 @@ def dijkstra_bdt(
             for c in graph.plan.contacts_from(graph.source)
             if c.id not in via_first_hops
         )
-    found = _search(graph, graph.source, depart, frozenset(), banned_first, use_margin)
+    found = _search(graph, graph.source, depart, frozenset(), banned_first)
     if found is None:
         return None
     hops, _ = found
-    return evaluate_route(graph.plan, hops, depart, use_margin)
+    return evaluate_route(graph.plan, hops, depart)
 
 
 def yen_plus(
     graph: ContactGraph,
     k: int,
     depart: float = 0.0,
-    use_margin: bool = False,
     confirm: bool = True,
 ) -> list[Route]:
-    """K best loop-free routes, ordered by ``compare_routes``.
+    """K best loop-free routes, ordered by ``Route.sort_key``.
 
     With ``confirm`` (the default) the search keeps extracting candidates
     until a popped route's BDT strictly exceeds the K-th best found, which
@@ -218,7 +192,7 @@ def yen_plus(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    first = dijkstra_bdt(graph, depart, use_margin)
+    first = dijkstra_bdt(graph, depart)
     graph.computing_counter += 1
     if first is None:
         return []
@@ -228,14 +202,6 @@ def yen_plus(
     pool: list[tuple[tuple, int, Route]] = []
     seq = 0
     plan = graph.plan
-
-    def prefix_arrival(hops: tuple[int, ...], count: int) -> float:
-        arrival = depart
-        for cid in hops[:count]:
-            c = plan.contact(cid)
-            dep = arrival if arrival > c.t_start else c.t_start
-            arrival = dep + _eff_owlt(c, use_margin)
-        return arrival
 
     # once the K-th best BDT is certain, `boundary` holds the BDT class of the
     # first route beyond it; that whole class is still confirmed before
@@ -251,31 +217,33 @@ def yen_plus(
             if len(accepted) >= k:
                 break
 
-        # deviate from the most recently accepted route at every spur point
+        # deviate from the most recently accepted route at every spur point,
+        # walking its root path one hop per spur index
         graph.computing_counter += 1
         base = accepted[-1].hops
+        spur_node = graph.source
+        start_time = depart
+        root_nodes: list[str] = []
         for j in range(len(base)):
+            if j:
+                c = plan.contact(base[j - 1])
+                root_nodes.append(spur_node)
+                spur_node = c.to_node
+                dep = start_time if start_time > c.t_start else c.t_start
+                start_time = dep + c.owlt
             root_hops = base[:j]
-            if j == 0:
-                spur_node = graph.source
-                banned_nodes: frozenset[str] = frozenset()
-            else:
-                spur_node = plan.contact(base[j - 1]).to_node
-                nodes = [graph.source] + [plan.contact(h).to_node for h in root_hops]
-                banned_nodes = frozenset(nodes[:-1])
             banned_first = frozenset(
                 r.hops[j] for r in accepted if len(r.hops) > j and r.hops[:j] == root_hops
             )
-            start_time = depart if j == 0 else prefix_arrival(base, j)
             found = _search(
-                graph, spur_node, start_time, banned_nodes, banned_first, use_margin
+                graph, spur_node, start_time, frozenset(root_nodes), banned_first
             )
             if found is None:
                 continue
             total = root_hops + tuple(found[0])
             if total in seen:
                 continue
-            route = evaluate_route(plan, total, depart, use_margin)
+            route = evaluate_route(plan, total, depart)
             if route is None:
                 continue
             seen.add(total)
@@ -291,47 +259,6 @@ def yen_plus(
 
     accepted.sort(key=lambda r: r.sort_key)
     return accepted
-
-
-def route_volume(route: Route, plan: ContactPlan) -> float:
-    """Largest amount transferable along the route, in megabits.
-
-    The minimum over hops of the usable transmission window times the rate,
-    capped by each hop's residual volume.
-    """
-    fresh = evaluate_route(plan, route.hops, route.vti[0])
-    if fresh is None:
-        return 0.0
-    return fresh.volume
-
-
-def pack_rank_components(components: list[int] | tuple[int, ...], omega: int) -> int:
-    """Positional packing of ordering components into one wide integer."""
-    value = 0
-    for comp in components:
-        if not 0 <= comp < omega:
-            raise ValueError(f"component {comp} outside [0, {omega})")
-        value = value * omega + comp
-    return value
-
-
-def edt_scalar(route: Route, omega: int = _OMEGA_DEFAULT) -> int:
-    """Route ordering collapsed into a single wide integer.
-
-    Packs the comparator terms positionally with weight ``omega``; descending
-    terms (volume, VTI end) are complemented against ``omega``/the plan
-    horizon so that smaller scalars always mean better routes.  Python ints
-    are arbitrary precision, so the omega**5 weight cannot overflow.
-    """
-    components = (
-        int(route.bdt),
-        route.hop_cnt,
-        omega - 1 - int(route.volume),
-        int(route.vti[0]),
-        int(route.horizon - route.vti[1]),
-        route.first_hop,
-    )
-    return pack_rank_components(components, omega)
 
 
 def routes_to_csv(routes: list[Route]) -> str:

@@ -229,7 +229,11 @@ class _Engine:
             raise ValueError(f"unknown policy {policy!r}")
         if owlt_mode not in ("uniform", "file"):
             raise ValueError(f"unknown owlt mode {owlt_mode!r}")
+        ids: set[int] = set()
         for b in bundles:
+            if b.id in ids:
+                raise ValueError(f"duplicate bundle id {b.id}")
+            ids.add(b.id)
             for node in (b.source, b.dest):
                 if node not in plan.node_ids:
                     raise ValueError(f"bundle {b.id} references unknown node {node!r}")
@@ -257,13 +261,11 @@ class _Engine:
         self.sc = {c.id: _SimContact(c) for c in self.plan.contacts}
         self.nodes = {n: NodeState(n) for n in sorted(self.plan.node_ids)}
         self.records = {b.id: BundleRecord(b) for b in self.bundles}
-        self.copies: list[_Copy] = []
         self.alive: dict[int, _Copy] = {}
         self.bundle_copies: dict[int, list[_Copy]] = {b.id: [] for b in self.bundles}
 
         self.graphs: dict[tuple[str, str], ContactGraph] = {}
         self.route_cache: dict[tuple[str, str], tuple[float, list[Route]]] = {}
-        self.crc_count = 0
         self.booking_seq = 0
         self.copy_seq = 0
 
@@ -296,8 +298,15 @@ class _Engine:
 
     # -- route computation -----------------------------------------------
 
-    def _routes(self, node: str, dest: str, now: float, force: bool = False) -> list[Route]:
+    def _graph(self, node: str, dest: str) -> ContactGraph:
         key = (node, dest)
+        graph = self.graphs.get(key)
+        if graph is None:
+            graph = self.graphs[key] = build_contact_graph(self.plan, node, dest)
+        return graph
+
+    def _routes(self, graph: ContactGraph, now: float, force: bool = False) -> list[Route]:
+        key = (graph.source, graph.dest)
         cached = self.route_cache.get(key)
         if cached is not None and not (force and cached[0] < now):
             live = [
@@ -308,10 +317,6 @@ class _Engine:
             if live:
                 self.route_cache[key] = (cached[0], live)
                 return live
-        graph = self.graphs.get(key)
-        if graph is None:
-            graph = build_contact_graph(self.plan, node, dest)
-            self.graphs[key] = graph
         routes = yen_plus(graph, self.k, depart=now, confirm=False)
         self.route_cache[key] = (now, routes)
         return routes
@@ -319,13 +324,16 @@ class _Engine:
     def _route_bookings(self, hops: tuple[int, ...]) -> dict[int, list[Booking]]:
         return {cid: [item.booking for item in self.sc[cid].queue] for cid in hops}
 
-    def _review_route(self, route: Route, bundle: Bundle, now: float) -> CandidateRoute | None:
+    def _review_route(
+        self, graph: ContactGraph, route: Route, bundle: Bundle, now: float
+    ) -> CandidateRoute | None:
         """Apply the four forwarding gates to one route for one bundle.
 
+        Each review counts one computation on the graph the route came from.
         Critical reservations oversubscribe: their volume gate is waived and
         overbooked contacts displace lower priorities at enqueue instead.
         """
-        self.crc_count += 1
+        graph.computing_counter += 1
         if not basic_checks(self.plan, route, bundle, now):
             return None
         first = self.plan.contact(route.first_hop)
@@ -349,15 +357,15 @@ class _Engine:
 
     def _candidates(self, copy: _Copy, now: float) -> list[CandidateRoute]:
         bundle = copy.bundle
-        node = copy.at_node
+        graph = self._graph(copy.at_node, bundle.dest)
         for attempt in (0, 1):
-            routes = self._routes(node, bundle.dest, now, force=attempt == 1)
+            routes = self._routes(graph, now, force=attempt == 1)
             cands: list[CandidateRoute] = []
             for route in routes:
                 fresh = evaluate_route(self.plan, route.hops, now)
                 if fresh is None:
                     continue
-                cand = self._review_route(fresh, bundle, now)
+                cand = self._review_route(graph, fresh, bundle, now)
                 if cand is not None:
                     cands.append(cand)
             if cands or attempt == 1:
@@ -373,11 +381,7 @@ class _Engine:
         """
         bundle = copy.bundle
         node = copy.at_node
-        key = (node, bundle.dest)
-        graph = self.graphs.get(key)
-        if graph is None:
-            graph = build_contact_graph(self.plan, node, bundle.dest)
-            self.graphs[key] = graph
+        graph = self._graph(node, bundle.dest)
         by_neighbor: dict[str, list[int]] = {}
         for c in self.plan.contacts_from(node):
             if c.t_end - 1 >= now and c.to_node not in bundle.hop_trace:
@@ -390,7 +394,7 @@ class _Engine:
             )
             if route is None:
                 continue
-            cand = self._review_route(route, bundle, now)
+            cand = self._review_route(graph, route, bundle, now)
             if cand is not None:
                 cands.append(cand)
         return cands
@@ -404,7 +408,6 @@ class _Engine:
         copy = _Copy(
             copy_id=self.copy_seq, bundle=bundle, at_node=at_node, first_tx_at=first_tx_at
         )
-        self.copies.append(copy)
         self.alive[copy.copy_id] = copy
         self.bundle_copies[bundle.id].append(copy)
         return copy
@@ -548,15 +551,6 @@ class _Engine:
             for c in self.plan.contacts_from(node)
         }
 
-    def storage_snapshot(self) -> dict[str, set[int]]:
-        """Bundle ids cached per node right now (stored plus queued copies)."""
-        index: dict[str, set[int]] = {}
-        for copy in self.alive.values():
-            if copy.in_flight:
-                continue
-            index.setdefault(copy.at_node, set()).add(copy.bundle.id)
-        return index
-
     # -- event handlers ----------------------------------------------------
 
     def _attempt_forward(self, copy: _Copy, now: float) -> None:
@@ -635,7 +629,7 @@ class _Engine:
             if sc.busy_until > t and sc.contact.t_start <= t <= sc.contact.t_end
         }
         r_o = occupancy_rate(self.plan, t, active)
-        computing = sum(g.computing_counter for g in self.graphs.values()) + self.crc_count
+        computing = sum(g.computing_counter for g in self.graphs.values())
         storage = 0
         mb_to_send = 0.0
         mb_at_sending = 0.0
@@ -768,20 +762,3 @@ def run_simulation(
     engine = _Engine(plan, bundles, policy, seed, k, owlt_mode, uniform_owlt)
     return engine.run()
 
-
-def new_engine(
-    plan: ContactPlan,
-    bundles: list[Bundle],
-    policy: str,
-    seed: int = 0,
-    k: int = 4,
-    owlt_mode: str = "uniform",
-    uniform_owlt: float = 1.0,
-) -> _Engine:
-    """Construct an engine without running it (state inspection and tests)."""
-    return _Engine(plan, bundles, policy, seed, k, owlt_mode, uniform_owlt)
-
-
-def sample_metrics(engine: _Engine, t: float) -> MetricsRow:
-    """Compute the engine's metrics row at ``t`` without recording it."""
-    return engine._sample(t)

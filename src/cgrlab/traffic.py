@@ -92,30 +92,12 @@ def _data_raw(spec: ScenarioSpec, bursts: int = 1) -> list[tuple[float, float, i
     return raw
 
 
-def generate_streaming(spec: ScenarioSpec) -> list[Bundle]:
-    """Periodic 1 Mb critical bundles, one every 5 seconds."""
-    if not spec.with_critical:
-        raise ValueError("streaming traffic requires with_critical=True")
-    return _finish(spec, _streaming_raw(spec))
-
-
-def generate_expedited(spec: ScenarioSpec) -> list[Bundle]:
-    """Up to three 1-5 Mb priority-1 bundles per 10-second window."""
-    return _finish(spec, _expedited_raw(spec))
-
-
-def generate_data(spec: ScenarioSpec) -> list[Bundle]:
-    """A burst of twenty 1-5 Mb priority-0 bundles within 25 seconds."""
-    return _finish(spec, _data_raw(spec))
-
-
-def generate_scenario(spec: ScenarioSpec, weight_by_megabits: bool = False) -> list[Bundle]:
+def generate_scenario(spec: ScenarioSpec) -> list[Bundle]:
     """Composite scenario with the 25/75 priority split.
 
     Streaming is omitted when ``with_critical`` is false.  The number of
-    priority-0 bundles is scaled to three times the higher-priority pool
-    (or, with ``weight_by_megabits``, until their megabits reach three times
-    the pool's megabits), trimming data bursts in generation order.
+    priority-0 bundles is scaled to three times the higher-priority pool,
+    trimming data bursts in generation order.
     """
     if not spec.dest_pool:
         raise ValueError("dest_pool must not be empty")
@@ -124,37 +106,36 @@ def generate_scenario(spec: ScenarioSpec, weight_by_megabits: bool = False) -> l
         pool += _streaming_raw(spec)
     if not pool:
         pool = [(0.0, 1.0, 1, False)]  # degenerate seed draw: keep one bundle
-    if weight_by_megabits:
-        target_mb = 3.0 * sum(size for _, size, _, _ in pool)
-        data: list[tuple[float, float, int, bool]] = []
-        bursts = 1
-        while sum(size for _, size, _, _ in data) < target_mb:
-            data = _data_raw(spec, bursts=bursts)
-            bursts += 1
-        data.sort(key=lambda r: r[0])
-        total = 0.0
-        kept = []
-        for row in data:
-            if total >= target_mb:
-                break
-            kept.append(row)
-            total += row[1]
-        data = kept
-    else:
-        n_data = 3 * len(pool)
-        bursts = (n_data + 19) // 20
-        data = sorted(_data_raw(spec, bursts=bursts), key=lambda r: r[0])[:n_data]
+    n_data = 3 * len(pool)
+    bursts = (n_data + 19) // 20
+    data = sorted(_data_raw(spec, bursts=bursts), key=lambda r: r[0])[:n_data]
     return _finish(spec, pool + data)
 
 
-_TASK_FIELDS = ("bundle_id", "source", "dest", "size_mb", "priority", "critical", "t_gen", "t_exp")
+def _node_id(raw: str) -> str:
+    if not raw:
+        raise ValueError("empty node id")
+    return raw
+
+
+# task CSV columns, in file order, with the parser of each field
+_TASK_COLUMNS = (
+    ("bundle_id", int),
+    ("source", _node_id),
+    ("dest", _node_id),
+    ("size_mb", float),
+    ("priority", int),
+    ("critical", int),
+    ("t_gen", float),
+    ("t_exp", float),
+)
 
 
 def write_tasks(bundles: list[Bundle]) -> str:
     """Serialize bundles to the task CSV format."""
     out = io.StringIO()
     writer = csv.writer(out)
-    writer.writerow(_TASK_FIELDS)
+    writer.writerow(name for name, _ in _TASK_COLUMNS)
     for b in bundles:
         writer.writerow(
             [b.id, b.source, b.dest, f"{b.size:g}", b.priority, int(b.critical), f"{b.t_gen:g}", f"{b.t_exp:g}"]
@@ -163,20 +144,34 @@ def write_tasks(bundles: list[Bundle]) -> str:
 
 
 def read_tasks(text: str) -> list[Bundle]:
-    """Parse the task CSV format back into bundles."""
+    """Parse the task CSV format back into bundles.
+
+    Raises ValueError naming the line and the field when a row lacks a
+    field or a field does not parse.
+    """
     reader = csv.DictReader(io.StringIO(text))
     bundles = []
     for row in reader:
+        values = {}
+        for name, parse in _TASK_COLUMNS:
+            raw = row.get(name)
+            try:
+                values[name] = parse(raw)
+            except (TypeError, ValueError):
+                problem = "missing" if raw in (None, "") else f"unparsable ({raw!r})"
+                raise ValueError(
+                    f"tasks line {reader.line_num}: field {name!r} {problem}"
+                ) from None
         bundles.append(
             Bundle(
-                id=int(row["bundle_id"]),
-                source=row["source"],
-                dest=row["dest"],
-                size=float(row["size_mb"]),
-                priority=int(row["priority"]),
-                critical=bool(int(row["critical"])),
-                t_gen=float(row["t_gen"]),
-                t_exp=float(row["t_exp"]),
+                id=values["bundle_id"],
+                source=values["source"],
+                dest=values["dest"],
+                size=values["size_mb"],
+                priority=values["priority"],
+                critical=bool(values["critical"]),
+                t_gen=values["t_gen"],
+                t_exp=values["t_exp"],
             )
         )
     return bundles

@@ -10,6 +10,9 @@ from cgrlab.cli import main
 from cgrlab.contactplan import parse_contact_plan
 
 
+TASK_HEADER = "bundle_id,source,dest,size_mb,priority,critical,t_gen,t_exp\n"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -29,10 +32,19 @@ class TestGenPlan:
         assert len(plan.node_ids) == 120
         assert plan.horizon == 120
 
-    def test_missing_altitude_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "gen-plan", "--walker", "12x10")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen-plan", "--walker", "12x10"),
+            ("route", "--walker", "3x3", "--from", "1", "--to", "2"),
+            ("simulate", "--walker", "3x3", "--policy", "rmdg"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_missing_altitude_is_usage_error(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
         assert code == 2
-        assert "--alt" in err
+        assert err == "error: --alt is required\n"
 
     def test_zero_interorbit_gives_intraorbit_only(self, tmp_path, capsys):
         out = tmp_path / "plan.txt"
@@ -177,10 +189,7 @@ class TestSimulateAndCompare:
     def test_tasks_file_input(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("CGRLAB_OUT", raising=False)
         tasks = tmp_path / "tasks.csv"
-        tasks.write_text(
-            "bundle_id,source,dest,size_mb,priority,critical,t_gen,t_exp\n"
-            "1,A,F,1,1,0,0,40\n"
-        )
+        tasks.write_text(TASK_HEADER + "1,A,F,1,1,0,0,40\n")
         outdir = tmp_path / "run"
         code, _, _ = run_cli(
             capsys,
@@ -190,3 +199,33 @@ class TestSimulateAndCompare:
         assert code == 0
         rows = list(csv.DictReader((outdir / "bundles_standard_1.csv").open()))
         assert rows[0]["outcome"] == "delivered"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                TASK_HEADER.replace("dest,", "") + "1,A,1,1,0,0,40\n",
+                "error: tasks line 2: field 'dest' missing\n",
+            ),
+            (
+                TASK_HEADER + "1,A,F,x,1,0,0,40\n",
+                "error: tasks line 2: field 'size_mb' unparsable ('x')\n",
+            ),
+            (
+                TASK_HEADER + "1,A,F,1,1,0,0,40\n1,A,E,1,1,0,0,40\n",
+                "error: duplicate bundle id 1\n",
+            ),
+        ],
+        ids=["missing-field", "unparsable-field", "duplicate-id"],
+    )
+    def test_bad_tasks_file_is_runtime_error(self, tmp_path, capsys, monkeypatch, text, message):
+        monkeypatch.delenv("CGRLAB_OUT", raising=False)
+        tasks = tmp_path / "tasks.csv"
+        tasks.write_text(text)
+        code, _, err = run_cli(
+            capsys,
+            "simulate", "--demo-plan", "--policy", "standard",
+            "--tasks", str(tasks), "--source", "A", "--out", str(tmp_path / "run"),
+        )
+        assert code == 1
+        assert err == message

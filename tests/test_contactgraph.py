@@ -1,16 +1,10 @@
-"""Contact graph construction, successor queries and resource counters."""
+"""Contact graph construction, storage edges and the computing-resource counter."""
 
 import pytest
 
-from cgrlab.contactgraph import (
-    ROOT_ID,
-    TERMINAL_ID,
-    build_contact_graph,
-    dump_edges,
-    successors,
-)
+from cgrlab.contactgraph import build_contact_graph
 from cgrlab.contactplan import Contact, ContactPlan, make_demo_plan
-from cgrlab.routesearch import yen_plus
+from cgrlab.routesearch import dijkstra_bdt, evaluate_route, yen_plus
 
 
 def _single_contact_plan():
@@ -20,9 +14,9 @@ def _single_contact_plan():
 
 
 class TestBuild:
-    def test_minimal_graph_has_three_vertices(self):
+    def test_minimal_graph_has_one_vertex(self):
         g = build_contact_graph(_single_contact_plan(), "S", "D")
-        assert g.vertices == {1, ROOT_ID, TERMINAL_ID}
+        assert g.vertices == {1}
 
     def test_unknown_node_rejected(self):
         with pytest.raises(ValueError, match="unknown node"):
@@ -68,10 +62,11 @@ class TestBuild:
         a = build_contact_graph(plan, "A", "F")
         b = build_contact_graph(plan, "A", "F")
         assert a.vertices == b.vertices
-        assert dump_edges(a) == dump_edges(b)
 
 
 class TestSuccessors:
+    """Storage edges between contacts, as the route search follows them."""
+
     def test_wait_edge_reaches_later_contact(self):
         plan = make_demo_plan()
         g = build_contact_graph(plan, "A", "F")
@@ -79,17 +74,20 @@ class TestSuccessors:
                   if (c.from_node, c.to_node, c.t_start) == ("A", "C", 0))
         ce = next(c for c in plan.contacts
                   if (c.from_node, c.to_node, c.t_start) == ("C", "E", 30))
-        assert ce.id in successors(g, ac.id, arrival=1)
+        hops = dijkstra_bdt(g, depart=0).hops
+        assert hops[:2] == (ac.id, ce.id)  # data waits at C from t=1 until t=30
 
     def test_expired_successors_excluded(self):
-        plan = make_demo_plan()
-        g = build_contact_graph(plan, "A", "F")
-        ce = next(c for c in plan.contacts
-                  if (c.from_node, c.to_node, c.t_start) == ("C", "E", 30))
-        ef = next(c for c in plan.contacts
-                  if (c.from_node, c.to_node, c.t_start) == ("E", "F", 0))
-        # arriving after every E-outbound window has closed
-        assert ef.id not in successors(g, ce.id, arrival=61)
+        # arriving at M at t=6, after the only M-outbound window has closed
+        plan = ContactPlan.build(
+            [
+                Contact(id=1, from_node="S", to_node="M", t_start=5, t_end=10, rate=1, owlt=1),
+                Contact(id=2, from_node="M", to_node="D", t_start=0, t_end=3, rate=1, owlt=1),
+            ]
+        )
+        g = build_contact_graph(plan, "S", "D")
+        assert evaluate_route(plan, (1, 2), depart=0) is None
+        assert yen_plus(g, 3) == []
 
     def test_parallel_successors_both_returned(self):
         plan = ContactPlan.build(
@@ -100,19 +98,7 @@ class TestSuccessors:
             ]
         )
         g = build_contact_graph(plan, "S", "D")
-        assert {2, 3} <= successors(g, 1, arrival=1)
-
-    def test_terminal_offered_at_destination_contacts(self):
-        g = build_contact_graph(_single_contact_plan(), "S", "D")
-        assert TERMINAL_ID in successors(g, 1, arrival=1)
-        assert successors(g, TERMINAL_ID, arrival=0) == set()
-
-    def test_each_query_counts_computation(self):
-        g = build_contact_graph(_single_contact_plan(), "S", "D")
-        before = g.computing_counter
-        successors(g, 1, arrival=1)
-        successors(g, 1, arrival=2)
-        assert g.computing_counter == before + 2
+        assert {r.hops for r in yen_plus(g, 2)} == {(1, 2), (1, 3)}
 
     def test_counter_monotone_through_search(self):
         plan = make_demo_plan()

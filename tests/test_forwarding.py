@@ -1,4 +1,4 @@
-"""Candidate review gates, selection, critical replication, overbooking, rollback."""
+"""Candidate review gates, critical replication, overbooking, rollback."""
 
 import math
 
@@ -19,7 +19,6 @@ from cgrlab.forwarding import (
     find_rollback_contact,
     forward_critical,
     handle_overbooking,
-    select_route,
 )
 from cgrlab.routesearch import dijkstra_bdt, evaluate_route, yen_plus
 
@@ -163,26 +162,6 @@ class TestEvl:
 
 def _cand(route, admissible=True, pat=10.0):
     return CandidateRoute(route=route, eto=0.0, pat=pat, evl=route.volume, admissible=admissible)
-
-
-class TestSelectRoute:
-    def test_singleton(self):
-        _, route = _demo_route()
-        cand = _cand(route)
-        assert select_route([cand], _bundle()) is cand
-
-    def test_smaller_bdt_wins(self):
-        plan = make_demo_plan()
-        g = build_contact_graph(plan, "A", "F")
-        routes = yen_plus(g, 7)
-        fast = next(r for r in routes if r.bdt == 32)
-        slow = next(r for r in routes if r.bdt == 36)
-        chosen = select_route([_cand(slow), _cand(fast)], _bundle())
-        assert chosen.route.bdt == 32
-
-    def test_none_admissible(self):
-        _, route = _demo_route()
-        assert select_route([_cand(route, admissible=False)], _bundle()) is None
 
 
 class TestForwardCritical:

@@ -5,15 +5,11 @@ import random
 import pytest
 
 from cgrlab.contactgraph import build_contact_graph
-from cgrlab.contactplan import Contact, ContactPlan, make_demo_plan
+from cgrlab.contactplan import Contact, ContactPlan, make_demo_plan, with_transit_margin
 from cgrlab.routesearch import (
     Route,
-    compare_routes,
     dijkstra_bdt,
-    edt_scalar,
     evaluate_route,
-    pack_rank_components,
-    route_volume,
     routes_to_csv,
     yen_plus,
 )
@@ -26,7 +22,7 @@ def _demo_graph():
     return plan, build_contact_graph(plan, "A", "F")
 
 
-def _route(bdt=0.0, hops=(1,), vti=(0.0, 10.0), volume=10.0, horizon=60.0):
+def _route(bdt=0.0, hops=(1,), vti=(0.0, 10.0), volume=10.0):
     return Route(
         hops=tuple(hops),
         bdt=bdt,
@@ -34,7 +30,6 @@ def _route(bdt=0.0, hops=(1,), vti=(0.0, 10.0), volume=10.0, horizon=60.0):
         volume=volume,
         hop_cnt=len(hops),
         first_hop=hops[0],
-        horizon=horizon,
     )
 
 
@@ -123,7 +118,7 @@ class TestYenPlus:
         _, g = _demo_graph()
         routes = yen_plus(g, 9)
         for a, b in zip(routes, routes[1:]):
-            assert compare_routes(a, b) <= 0
+            assert a.sort_key <= b.sort_key
         assert len({r.hops for r in routes}) == len(routes)
 
     def test_first_route_bdt_is_lower_bound(self):
@@ -156,70 +151,40 @@ class TestCompareRoutes:
     def test_bdt_dominates(self):
         a = _route(bdt=32, hops=(1, 2, 3))
         b = _route(bdt=36, hops=(4, 5, 6))
-        assert compare_routes(a, b) < 0
+        assert a.sort_key < b.sort_key
 
     def test_fewer_hops_wins_at_equal_bdt(self):
         a = _route(bdt=32, hops=(1, 2, 3))
         b = _route(bdt=32, hops=(4, 5, 6, 7, 8))
-        assert compare_routes(a, b) < 0
+        assert a.sort_key < b.sort_key
 
     def test_later_vti_end_wins_at_equal_shape(self):
         a = _route(bdt=32, hops=(1, 2, 3), vti=(0, 33))
         b = _route(bdt=32, hops=(4, 5, 6), vti=(0, 8))
-        assert compare_routes(a, b) < 0
+        assert a.sort_key < b.sort_key
 
     def test_larger_volume_wins_before_vti(self):
         a = _route(bdt=32, hops=(1, 2, 3), volume=10, vti=(0, 8))
         b = _route(bdt=32, hops=(4, 5, 6), volume=9, vti=(0, 33))
-        assert compare_routes(a, b) < 0
+        assert a.sort_key < b.sort_key
 
     def test_earlier_vti_start_wins(self):
         a = _route(bdt=32, hops=(1, 2, 3), vti=(0, 9))
         b = _route(bdt=32, hops=(4, 5, 6), vti=(20, 29))
-        assert compare_routes(a, b) < 0
+        assert a.sort_key < b.sort_key
 
     def test_first_hop_id_is_final_tiebreak(self):
         a = _route(bdt=32, hops=(1, 2, 3))
         b = _route(bdt=32, hops=(2, 2, 3))
-        assert compare_routes(a, b) < 0
-        assert compare_routes(a, a) == 0
-
-
-class TestEdtScalar:
-    def test_minimal_route_packs_hop_count_only(self):
-        # bdt 0, one hop of contact 0, full-horizon vti, volume omega-1:
-        # every packed term is zero except the single hop
-        r = _route(bdt=0, hops=(0,), vti=(0, 60), volume=9, horizon=60)
-        omega = 10
-        assert edt_scalar(r, omega) == omega**4
-
-    def test_hand_packed_example(self):
-        assert pack_rank_components((3, 2, 5, 1), 10) == 3251
-
-    def test_component_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            pack_rank_components((11,), 10)
-
-    def test_scalar_order_agrees_with_comparator_on_golden_routes(self):
-        _, g = _demo_graph()
-        routes = yen_plus(g, 9)
-        scalars = [edt_scalar(r) for r in routes]
-        assert scalars == sorted(scalars)
-        for a, b in zip(routes, routes[1:]):
-            if compare_routes(a, b) < 0:
-                assert edt_scalar(a) < edt_scalar(b)
-
-    def test_default_omega_needs_wide_integers(self):
-        _, g = _demo_graph()
-        r = yen_plus(g, 1)[0]
-        assert edt_scalar(r) > 2**63
+        assert a.sort_key < b.sort_key
+        assert a.sort_key == _route(bdt=32, hops=(1, 2, 3)).sort_key
 
 
 class TestRouteVolume:
     def test_demo_fastest_route_volume(self):
         plan, g = _demo_graph()
         r = dijkstra_bdt(g, depart=0)
-        assert route_volume(r, plan) == 10
+        assert evaluate_route(plan, r.hops, r.vti[0]).volume == 10
 
     def test_symmetric_hops(self):
         plan = ContactPlan.build(
@@ -230,7 +195,7 @@ class TestRouteVolume:
         )
         g = build_contact_graph(plan, "S", "D")
         r = dijkstra_bdt(g, depart=0)
-        assert route_volume(r, plan) == 20
+        assert evaluate_route(plan, r.hops, r.vti[0]).volume == 20
 
     def test_residual_volume_caps(self):
         contacts = [
@@ -241,7 +206,7 @@ class TestRouteVolume:
         plan = ContactPlan.build(contacts)
         g = build_contact_graph(plan, "S", "D")
         r = dijkstra_bdt(g, depart=0)
-        assert route_volume(r, plan) == 3
+        assert evaluate_route(plan, r.hops, r.vti[0]).volume == 3
 
 
 class TestEvaluateRoute:
@@ -257,7 +222,7 @@ class TestEvaluateRoute:
             [Contact(id=1, from_node="S", to_node="D", t_start=0, t_end=100, rate=1, owlt=10)]
         )
         plain = evaluate_route(plan, (1,), depart=0)
-        padded = evaluate_route(plan, (1,), depart=0, use_margin=True)
+        padded = evaluate_route(with_transit_margin(plan), (1,), depart=0)
         assert padded.bdt > plain.bdt
         assert padded.bdt == 10 + 2 * (40 * 10 / 18600)
 

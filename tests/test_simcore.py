@@ -8,9 +8,7 @@ from cgrlab.simcore import (
     OUTCOME_DELIVERED,
     OUTCOME_EXPIRED,
     OUTCOME_NEVER_ROUTED,
-    new_engine,
     run_simulation,
-    sample_metrics,
 )
 
 
@@ -47,6 +45,11 @@ class TestSingleBundle:
     def test_unknown_node_rejected_before_start(self):
         with pytest.raises(ValueError, match="unknown node"):
             run_simulation(_one_hop_plan(), [_bundle(dst="Z")], POLICY_STANDARD)
+
+    def test_duplicate_bundle_id_rejected_before_start(self):
+        bundles = [_bundle(bid=7), _bundle(bid=7, t_gen=2.0)]
+        with pytest.raises(ValueError, match="duplicate bundle id 7"):
+            run_simulation(_one_hop_plan(), bundles, POLICY_STANDARD)
 
     def test_generation_outside_horizon_rejected(self):
         with pytest.raises(ValueError, match="horizon"):
@@ -226,8 +229,9 @@ class TestCriticalReplication:
 
 class TestMetricsSeries:
     def test_fresh_engine_samples_zero(self):
-        engine = new_engine(_one_hop_plan(), [_bundle(t_gen=5.0)], POLICY_STANDARD)
-        row = sample_metrics(engine, 0.0)
+        metrics = run_simulation(_one_hop_plan(), [_bundle(t_gen=5.0)], POLICY_STANDARD)
+        row = metrics.rows[0]
+        assert row.t == 0 and row.computing_cum == 0
         assert row.r_o == 0 and row.storage_bundles == 0
         assert row.mb_to_send == 0 and row.mb_at_sending == 0 and row.mb_sent == 0
 
@@ -272,7 +276,7 @@ class TestMetricsSeries:
         assert sent == sorted(sent)
 
     def test_storage_snapshot_matches_cached_copy_count(self):
-        engine = new_engine(
+        metrics = run_simulation(
             make_demo_plan(),
             [
                 Bundle(id=i, source="A", dest="F", size=1.0, priority=0, critical=False,
@@ -282,9 +286,9 @@ class TestMetricsSeries:
             POLICY_STANDARD,
             owlt_mode="file",
         )
-        engine.run()
+        assert max(row.storage_bundles for row in metrics.rows) > 0
         # drained run: nothing cached anywhere
-        assert engine.storage_snapshot() == {}
+        assert metrics.rows[-1].storage_bundles == 0
 
     def test_computing_counter_monotone(self):
         plan = make_demo_plan()

@@ -1,16 +1,10 @@
 """Traffic class generators and composite scenarios."""
 
+from collections import Counter
+
 import pytest
 
-from cgrlab.traffic import (
-    ScenarioSpec,
-    generate_data,
-    generate_expedited,
-    generate_scenario,
-    generate_streaming,
-    read_tasks,
-    write_tasks,
-)
+from cgrlab.traffic import ScenarioSpec, generate_scenario, read_tasks, write_tasks
 
 
 def _spec(**overrides):
@@ -25,6 +19,10 @@ def _spec(**overrides):
     return ScenarioSpec(**kwargs)
 
 
+def _of_priority(spec, priority):
+    return [b for b in generate_scenario(spec) if b.priority == priority]
+
+
 class TestSpec:
     def test_source_excluded_from_pool(self):
         with pytest.raises(ValueError):
@@ -37,53 +35,60 @@ class TestSpec:
 
 class TestStreaming:
     def test_count_one_per_five_seconds(self):
-        bundles = generate_streaming(_spec(duration=60))
+        bundles = _of_priority(_spec(duration=60), 2)
         assert len(bundles) == 12
         assert sorted(b.t_gen for b in bundles) == [float(t) for t in range(0, 60, 5)]
 
     def test_all_critical_one_megabit(self):
-        for b in generate_streaming(_spec()):
-            assert b.priority == 2 and b.critical and b.size == 1.0
+        bundles = _of_priority(_spec(), 2)
+        assert bundles
+        for b in bundles:
+            assert b.critical and b.size == 1.0
 
     def test_requires_critical_class(self):
-        with pytest.raises(ValueError):
-            generate_streaming(_spec(with_critical=False))
+        assert _of_priority(_spec(with_critical=False), 2) == []
 
 
 class TestExpedited:
     def test_window_bounds(self):
-        bundles = generate_expedited(_spec(duration=100))
+        bundles = _of_priority(_spec(duration=100), 1)
         by_window = {}
         for b in bundles:
             assert 1 <= b.size <= 5
-            assert b.priority == 1 and not b.critical
+            assert not b.critical
             by_window.setdefault(int(b.t_gen) // 10, []).append(b)
         assert all(len(v) <= 3 for v in by_window.values())
 
     def test_seed_determinism(self):
-        a = generate_expedited(_spec())
-        b = generate_expedited(_spec())
+        a = _of_priority(_spec(), 1)
+        b = _of_priority(_spec(), 1)
         assert [(x.t_gen, x.size, x.dest) for x in a] == [(x.t_gen, x.size, x.dest) for x in b]
 
     def test_different_seeds_differ(self):
-        a = generate_expedited(_spec(seed=1, duration=200))
-        b = generate_expedited(_spec(seed=2, duration=200))
+        a = _of_priority(_spec(seed=1, duration=200), 1)
+        b = _of_priority(_spec(seed=2, duration=200), 1)
         assert [(x.t_gen, x.size) for x in a] != [(x.t_gen, x.size) for x in b]
 
 
 class TestData:
     def test_burst_of_twenty_within_window(self):
-        bundles = generate_data(_spec())
-        assert len(bundles) == 20
-        assert all(0 <= b.t_gen < 25 for b in bundles)
+        bundles = _of_priority(_spec(), 0)
+        per_burst = Counter(int(b.t_gen) // 25 for b in bundles)
+        counts = [per_burst[w] for w in range(len(per_burst))]
+        # bursts fill consecutive 25 s windows; only the last one is trimmed
+        assert len(counts) > 1
+        assert all(n == 20 for n in counts[:-1])
+        assert 1 <= counts[-1] <= 20
         assert all(1 <= b.size <= 5 for b in bundles)
 
     def test_lowest_priority(self):
-        assert all(b.priority == 0 and not b.critical for b in generate_data(_spec()))
+        bundles = _of_priority(_spec(), 0)
+        assert bundles
+        assert not any(b.critical for b in bundles)
 
     def test_seed_determinism(self):
-        a = generate_data(_spec())
-        b = generate_data(_spec())
+        a = _of_priority(_spec(), 0)
+        b = _of_priority(_spec(), 0)
         assert [(x.t_gen, x.size, x.dest, x.t_exp) for x in a] == [
             (x.t_gen, x.size, x.dest, x.t_exp) for x in b
         ]
@@ -128,13 +133,6 @@ class TestScenario:
         with pytest.raises(ValueError):
             generate_scenario(spec)
 
-    def test_megabit_weighted_split(self):
-        bundles = generate_scenario(_spec(duration=25), weight_by_megabits=True)
-        high_mb = sum(b.size for b in bundles if b.priority in (1, 2))
-        low_mb = sum(b.size for b in bundles if b.priority == 0)
-        assert low_mb >= 3 * high_mb
-        assert low_mb - 3 * high_mb <= 5  # at most one trailing bundle of slack
-
     def test_roughly_forty_bundles_for_short_window(self):
         sizes = [len(generate_scenario(_spec(seed=s, duration=25))) for s in range(1, 21)]
         assert all(20 <= n <= 60 for n in sizes)
@@ -150,3 +148,17 @@ class TestTaskCsv:
             (b.id, b.source, b.dest, b.size, b.priority, b.critical, b.t_gen, b.t_exp)
             for b in again
         ]
+
+    def test_missing_field_names_line_and_field(self):
+        text = "bundle_id,source,size_mb,priority,critical,t_gen,t_exp\n1,A,1,1,0,0,40\n"
+        with pytest.raises(ValueError, match="tasks line 2: field 'dest' missing"):
+            read_tasks(text)
+
+    def test_unparsable_field_names_line_and_field(self):
+        text = write_tasks(generate_scenario(_spec(duration=25)))
+        lines = text.splitlines()
+        fields = lines[3].split(",")
+        fields[6] = "soon"
+        lines[3] = ",".join(fields)
+        with pytest.raises(ValueError, match="tasks line 4: field 't_gen' unparsable"):
+            read_tasks("\n".join(lines) + "\n")
