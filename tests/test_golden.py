@@ -3,12 +3,14 @@
 ``golden_runs.json`` maps a run name to the run's ``fingerprint()``,
 ``computing_total`` and ``delivered_count``.  The runs cover the acceptance
 NELS plan (plain traffic under both policies, critical traffic under
-``rmdg``), and runs that keep each plan's own light times
-(``owlt_mode="file"``): a few NELS seeds, whose ranges are fractions of a
-light-second, and the six-node demonstration plan with critical and plain
-traffic under both policies.
+``rmdg`` and, for two seeds, under ``standard``), and runs that keep each
+plan's own light times (``owlt_mode="file"``): a few NELS seeds, whose
+ranges are fractions of a light-second, the six-node demonstration plan
+with critical and plain traffic under both policies, and that plan with its
+light times padded by ``with_transit_margin`` under ``standard`` critical
+traffic.
 Standard-policy critical NELS runs take seconds each; ``bench/golden.json``
-covers a sample of them.
+covers a further sample of them.
 
 Run ``python tests/test_golden.py`` to record the file again.
 """
@@ -20,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from cgrlab.constellation import IslConstraints, WalkerParams, generate_contact_plan
-from cgrlab.contactplan import make_demo_plan
+from cgrlab.contactplan import make_demo_plan, with_transit_margin
 from cgrlab.simcore import run_simulation
 from cgrlab.traffic import ScenarioSpec, generate_scenario
 
@@ -39,6 +41,8 @@ for _seed in range(1, 11):
         RUNS[f"nels-plain-{_policy}-{_seed}"] = ("nels", "1", _seed, False, _policy, "uniform")
 for _seed in range(1, 21):
     RUNS[f"nels-critical-rmdg-{_seed}"] = ("nels", "1", _seed, True, "rmdg", "uniform")
+for _seed in (4, 5):
+    RUNS[f"nels-critical-standard-{_seed}"] = ("nels", "1", _seed, True, "standard", "uniform")
 for _seed in range(1, 4):
     for _policy in ("standard", "rmdg"):
         RUNS[f"nels-file-plain-{_policy}-{_seed}"] = ("nels", "1", _seed, False, _policy, "file")
@@ -50,12 +54,18 @@ for _seed in range(1, 6):
             RUNS[f"demo-file-{_kind}-{_policy}-{_seed}"] = (
                 "demo", "A", _seed, _critical, _policy, "file"
             )
+for _seed in range(1, 4):
+    RUNS[f"demo-margin-critical-standard-{_seed}"] = (
+        "demo-margin", "A", _seed, True, "standard", "file"
+    )
 
 
 @lru_cache(maxsize=None)
 def _plan(name: str):
     if name == "demo":
         return make_demo_plan()
+    if name == "demo-margin":
+        return with_transit_margin(make_demo_plan())
     return generate_contact_plan(NELS, NELS_ISL, horizon=130.0, step=5.0)
 
 
