@@ -37,6 +37,16 @@ def _parse_walker(value: str) -> tuple[int, int]:
         ) from None
 
 
+def _positive_int(value: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not an integer") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {number}")
+    return number
+
+
 def _parse_seeds(value: str) -> list[int]:
     seeds: list[int] = []
     for part in value.split(","):
@@ -177,6 +187,8 @@ def _write_summary(path: Path, rows: list[dict]) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.tasks and len(args.seeds) > 1:
+        raise SystemExit2("--tasks runs one fixed task list: give at most one --seed")
     plan = _load_plan(args)
     if args.source not in plan.node_ids:
         raise SystemExit2(f"source node {args.source!r} not in plan")
@@ -250,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_walker_flags(route)
     route.add_argument("--from", dest="src", required=True)
     route.add_argument("--to", dest="dst", required=True)
-    route.add_argument("--k", type=int, default=7)
+    route.add_argument("--k", type=_positive_int, default=7)
     route.add_argument("--depart", type=float, default=0.0)
     route.set_defaults(func=_cmd_route)
 
@@ -258,9 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--plan", help="contact plan file")
     sim.add_argument("--demo-plan", action="store_true")
     _add_walker_flags(sim)
-    sim.add_argument("--tasks", help="task CSV file instead of a generated scenario")
+    sim.add_argument("--tasks", help="task CSV file instead of a generated scenario "
+                     "(one run: at most one --seed)")
     sim.add_argument("--policy", choices=simcore.POLICIES, required=True)
-    sim.add_argument("--k", type=int, default=4)
+    sim.add_argument("--k", type=_positive_int, default=4)
     sim.add_argument("--seed", dest="seeds", type=_parse_seeds, default=[1],
                      help="seed list: 1,2,3 or 1..20")
     sim.add_argument("--source", default="1", help="traffic source node")

@@ -88,6 +88,9 @@ class Contact:
         return (self.t_end - self.t_start) * self.rate
 
 
+Edge = tuple[int, float, float, float, str]
+
+
 @dataclass
 class ContactPlan:
     """An immutable schedule of contacts over a topology horizon."""
@@ -97,6 +100,7 @@ class ContactPlan:
     node_ids: frozenset[str]
     _by_id: dict[int, Contact] = field(init=False, repr=False)
     _by_from: dict[str, tuple[Contact, ...]] = field(init=False, repr=False)
+    _edges_from: dict[str, tuple[Edge, ...]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         by_id: dict[int, Contact] = {}
@@ -113,6 +117,10 @@ class ContactPlan:
         for c in sorted(self.contacts, key=lambda c: c.id):
             by_from.setdefault(c.from_node, []).append(c)
         self._by_from = {n: tuple(cs) for n, cs in by_from.items()}
+        self._edges_from = {
+            n: tuple((c.id, c.t_start, c.t_end - 1, c.owlt, c.to_node) for c in cs)
+            for n, cs in self._by_from.items()
+        }
 
     @classmethod
     def build(
@@ -131,6 +139,11 @@ class ContactPlan:
     def contacts_from(self, node: str) -> tuple[Contact, ...]:
         """All contacts transmitting from ``node``, ordered by id."""
         return self._by_from.get(node, ())
+
+    def edges_from(self, node: str) -> tuple[Edge, ...]:
+        """``contacts_from(node)`` as flat ``(id, t_start, t_end - 1, owlt, to_node)``
+        tuples: the fields route search reads, without attribute lookups."""
+        return self._edges_from.get(node, ())
 
 
 def with_transit_margin(plan: ContactPlan) -> ContactPlan:
@@ -182,7 +195,8 @@ def parse_contact_plan(text: str) -> ContactPlan:
     reversed pair).
     """
     raw_contacts: list[tuple[int, int, int, str, str, float, float | None]] = []
-    ranges: list[tuple[int, int, str, str, float]] = []
+    # range lines per (from, to) pair, in file order
+    ranges: dict[tuple[str, str], list[tuple[int, int, float]]] = {}
     horizon_override: int | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -218,7 +232,7 @@ def parse_contact_plan(text: str) -> ContactPlan:
         if kind == "range":
             if value < 0:
                 raise ContactPlanError(f"line {lineno}: negative owlt")
-            ranges.append((t_start, t_end, from_node, to_node, value))
+            ranges.setdefault((from_node, to_node), []).append((t_start, t_end, value))
         else:
             owlt: float | None = None
             if len(tokens) == 8:
@@ -231,10 +245,9 @@ def parse_contact_plan(text: str) -> ContactPlan:
             raw_contacts.append((lineno, t_start, t_end, from_node, to_node, value, owlt))
 
     def lookup_owlt(t_start: int, t_end: int, frm: str, to: str) -> float:
-        for exact in (True, False):
-            for rs, re, rf, rt, owlt in ranges:
-                pair_ok = (rf, rt) == (frm, to) if exact else (rf, rt) == (to, frm)
-                if pair_ok and rs <= t_end and re >= t_start:
+        for pair in ((frm, to), (to, frm)):
+            for rs, re, owlt in ranges.get(pair, ()):
+                if rs <= t_end and re >= t_start:
                     return owlt
         return 0.0
 

@@ -106,15 +106,23 @@ def _search(
     banned_nodes: frozenset[str],
     banned_first: frozenset[int],
 ) -> tuple[list[int], float] | None:
-    """Earliest-arrival search from a node; returns (hops, arrival) or None."""
-    plan = graph.plan
+    """Earliest-arrival search from a node; returns (hops, arrival) or None.
+
+    Every contact the search can take is one of ``graph.vertices``, so
+    membership is not tested per edge: a usable contact ends after the search
+    reaches its sending node, which is no earlier than the first start of a
+    kept contact into that node (plan times are non-negative), and
+    ``build_contact_graph`` keeps every contact that ends that late.
+    """
+    edges_from = graph.plan.edges_from
     dest = graph.dest
     best: dict[str, float] = {start_node: start_time}
     parent: dict[str, tuple[int, str]] = {}
     done: set[str] = set()
     heap: list[tuple[float, str]] = [(start_time, start_node)]
+    heappop, heappush, best_get, inf = heapq.heappop, heapq.heappush, best.get, math.inf
     while heap:
-        arrival, node = heapq.heappop(heap)
+        arrival, node = heappop(heap)
         if node in done:
             continue
         done.add(node)
@@ -127,22 +135,20 @@ def _search(
                 n = prev
             hops.reverse()
             return hops, arrival
-        for c in plan.contacts_from(node):
-            if c.id not in graph.vertices:
+        at_start = node == start_node
+        for cid, t_start, last, owlt, to in edges_from(node):
+            if at_start and cid in banned_first:
                 continue
-            if node == start_node and c.id in banned_first:
-                continue
-            to = c.to_node
             if to in done or to in banned_nodes:
                 continue
-            dep = arrival if arrival > c.t_start else c.t_start
-            if dep > c.t_end - 1:
+            dep = arrival if arrival > t_start else t_start
+            if dep > last:
                 continue
-            reach = dep + c.owlt
-            if reach < best.get(to, math.inf):
+            reach = dep + owlt
+            if reach < best_get(to, inf):
                 best[to] = reach
-                parent[to] = (c.id, node)
-                heapq.heappush(heap, (reach, to))
+                parent[to] = (cid, node)
+                heappush(heap, (reach, to))
     return None
 
 

@@ -266,6 +266,10 @@ class _Engine:
 
         self.graphs: dict[tuple[str, str], ContactGraph] = {}
         self.route_cache: dict[tuple[str, str], tuple[float, list[Route]]] = {}
+        # (node, dest, neighbour) -> hops of the best route through that
+        # neighbour, valid for the instant hop_memo_t only
+        self.hop_memo: dict[tuple[str, str, str], tuple[int, ...] | None] = {}
+        self.hop_memo_t: float | None = None
         self.booking_seq = 0
         self.copy_seq = 0
 
@@ -378,10 +382,19 @@ class _Engine:
         Mirrors the baseline's critical handling: a route is computed per
         proximate node rather than taken from the K-route list, so a copy can
         be launched through each neighbour that still has a path.
+
+        The search reads only the static plan, so its hops are the same for
+        every copy reviewed at one node for one destination and instant; they
+        are searched once per instant and re-evaluated against the current
+        residual volumes on every later use.  Each use still counts one
+        computation.
         """
         bundle = copy.bundle
         node = copy.at_node
         graph = self._graph(node, bundle.dest)
+        if self.hop_memo_t != now:
+            self.hop_memo.clear()
+            self.hop_memo_t = now
         by_neighbor: dict[str, list[int]] = {}
         for c in self.plan.contacts_from(node):
             if c.t_end - 1 >= now and c.to_node not in bundle.hop_trace:
@@ -389,9 +402,15 @@ class _Engine:
         cands: list[CandidateRoute] = []
         for neighbor in sorted(by_neighbor):
             graph.computing_counter += 1
-            route = dijkstra_bdt(
-                graph, depart=now, via_first_hops=frozenset(by_neighbor[neighbor])
-            )
+            key = (node, bundle.dest, neighbor)
+            if key in self.hop_memo:
+                hops = self.hop_memo[key]
+                route = None if hops is None else evaluate_route(self.plan, hops, now)
+            else:
+                route = dijkstra_bdt(
+                    graph, depart=now, via_first_hops=frozenset(by_neighbor[neighbor])
+                )
+                self.hop_memo[key] = None if route is None else route.hops
             if route is None:
                 continue
             cand = self._review_route(graph, route, bundle, now)

@@ -115,6 +115,23 @@ class TestRoute:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("route", "--demo-plan", "--from", "A", "--to", "F"),
+        ("simulate", "--demo-plan", "--policy", "standard", "--source", "A"),
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("k", ["0", "-3", "two"])
+def test_bad_k_is_usage_error(capsys, argv, k):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--k", k])
+    assert exc.value.code == 2
+    err_lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(err_lines) == 1 and "--k" in err_lines[0]
+
+
 class TestSimulateAndCompare:
     def _simulate(self, capsys, tmp_path, policy, extra=()):
         outdir = tmp_path / policy
@@ -199,6 +216,20 @@ class TestSimulateAndCompare:
         assert code == 0
         rows = list(csv.DictReader((outdir / "bundles_standard_1.csv").open()))
         assert rows[0]["outcome"] == "delivered"
+
+    def test_tasks_with_seed_list_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("CGRLAB_OUT", raising=False)
+        tasks = tmp_path / "tasks.csv"
+        tasks.write_text(TASK_HEADER + "1,A,F,1,1,0,0,40\n")
+        outdir = tmp_path / "run"
+        code, _, err = run_cli(
+            capsys,
+            "simulate", "--demo-plan", "--policy", "standard", "--tasks", str(tasks),
+            "--seed", "1..3", "--source", "A", "--out", str(outdir),
+        )
+        assert code == 2
+        assert err == "error: --tasks runs one fixed task list: give at most one --seed\n"
+        assert not outdir.exists()
 
     @pytest.mark.parametrize(
         "text, message",

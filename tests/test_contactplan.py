@@ -13,6 +13,7 @@ from cgrlab.contactplan import (
     parse_contact_plan,
     serialize_contact_plan,
     total_transit_time,
+    with_transit_margin,
 )
 
 
@@ -82,6 +83,23 @@ class TestParsing:
         assert plan.contacts[0].owlt == 3
         assert plan.contacts[1].owlt == 3
 
+    def test_range_lookup_exact_pair_first_then_reversed_in_file_order(self):
+        text = (
+            "a contact +0 +10 A B 1\n"
+            "a contact +20 +30 B A 1\n"
+            "a contact +0 +10 C D 1\n"
+            "a contact +0 +10 E F 1\n"
+            "a range +40 +50 A B 9\n"  # A B, overlaps neither A B window
+            "a range +0 +5 B A 4\n"  # overlaps A->B, but A->B has exact ranges
+            "a range +5 +25 A B 2\n"  # first overlapping A B line
+            "a range +0 +10 A B 3\n"  # also overlaps A->B, later in the file
+            "a range +20 +30 D C 7\n"
+            "a range +0 +10 D C 6\n"  # C D has only reversed lines
+        )
+        plan = parse_contact_plan(text)
+        # B->A: its exact line misses [20, 30], so the first overlapping A B line
+        assert [c.owlt for c in plan.contacts] == [2, 2, 6, 0.0]
+
     def test_explicit_owlt_field_wins(self):
         text = "a contact +0 +10 A B 1 7\na range +0 +10 A B 3\n"
         plan = parse_contact_plan(text)
@@ -130,6 +148,19 @@ class TestParsing:
         assert {(c.from_node, c.to_node) for c in perms} == {
             ("A", "B"), ("B", "A"), ("C", "D"), ("D", "C"), ("E", "F"), ("F", "E"),
         }
+
+
+class TestEdges:
+    @pytest.mark.parametrize("margin", [False, True], ids=["demo", "with-margin"])
+    def test_edges_match_contacts_from(self, margin):
+        plan = make_demo_plan()
+        if margin:
+            plan = with_transit_margin(plan)
+        for node in sorted(plan.node_ids | {"Z"}):
+            assert plan.edges_from(node) == tuple(
+                (c.id, c.t_start, c.t_end - 1, c.owlt, c.to_node)
+                for c in plan.contacts_from(node)
+            )
 
 
 def _interval_plan():

@@ -280,3 +280,14 @@ class TestOracleEquivalence:
                 assert sigs == [signature(e) for e in expected[: len(sigs)]]
                 checked += 1
         assert checked == 1500
+
+    def test_feasible_routes_use_only_graph_vertices(self):
+        # route search does not test graph.vertices membership per edge
+        rng = random.Random(31337)
+        for _ in range(1000):
+            plan = _random_plan(rng)
+            depart = rng.choice([0, rng.randint(0, 40)])
+            for dest in sorted(plan.node_ids - {"N0"}):
+                graph = build_contact_graph(plan, "N0", dest)
+                for route in enumerate_routes(plan, "N0", dest, depart):
+                    assert set(route["hops"]) <= graph.vertices

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cgrlab import simcore
 from cgrlab.contactplan import Contact, ContactPlan, make_demo_plan
 from cgrlab.forwarding import POLICY_RMDG, POLICY_STANDARD, Bundle
 from cgrlab.simcore import (
@@ -219,6 +220,31 @@ class TestCriticalReplication:
             if reason == "critical_copy":
                 assert to not in sent_to.get(frm, set())
                 sent_to.setdefault(frm, set()).add(to)
+
+    def test_same_instant_reviews_see_current_volume(self, monkeypatch):
+        # two critical bundles reviewed at S at t=0: the first starts
+        # transmitting on the only contact, so the second must be reviewed
+        # against the contact's reduced residual volume, from one search
+        searches, reviews = [], []
+        real_search = simcore.dijkstra_bdt
+        real_review = simcore._Engine._review_route
+
+        def search(graph, depart, via_first_hops):
+            searches.append((graph.source, depart))
+            return real_search(graph, depart=depart, via_first_hops=via_first_hops)
+
+        def review(engine, graph, route, bundle, now):
+            cand = real_review(engine, graph, route, bundle, now)
+            reviews.append((bundle.id, now, route.volume, cand.evl))
+            return cand
+
+        monkeypatch.setattr(simcore, "dijkstra_bdt", search)
+        monkeypatch.setattr(simcore._Engine, "_review_route", review)
+        bundles = [_bundle(bid=i, size=2.0, priority=2, critical=True) for i in (1, 2)]
+        metrics = run_simulation(_one_hop_plan(te=10), bundles, POLICY_STANDARD)
+        assert reviews[:2] == [(1, 0.0, 10.0, 10.0), (2, 0.0, 8.0, 8.0)]
+        assert searches.count(("S", 0.0)) == 1
+        assert metrics.rows[1].computing_cum == 4  # two searches, two reviews
 
     def test_standard_uses_more_transmissions(self):
         plan = make_demo_plan()
