@@ -141,8 +141,11 @@ class ContactPlan:
         return self._by_from.get(node, ())
 
     def edges_from(self, node: str) -> tuple[Edge, ...]:
-        """``contacts_from(node)`` as flat ``(id, t_start, t_end - 1, owlt, to_node)``
-        tuples: the fields route search reads, without attribute lookups."""
+        """``contacts_from(node)`` as ``(id, t_start, t_end - 1, owlt, to_node)`` tuples.
+
+        These are the fields route search reads per edge; flat tuples spare
+        it the attribute lookups.
+        """
         return self._edges_from.get(node, ())
 
 
