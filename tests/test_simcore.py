@@ -3,7 +3,7 @@
 import pytest
 
 from cgrlab import simcore
-from cgrlab.contactplan import Contact, ContactPlan, make_demo_plan
+from cgrlab.contactplan import Contact, ContactPlan, make_demo_plan, with_transit_margin
 from cgrlab.forwarding import POLICY_RMDG, POLICY_STANDARD, Bundle
 from cgrlab.simcore import (
     OUTCOME_DELIVERED,
@@ -11,6 +11,7 @@ from cgrlab.simcore import (
     OUTCOME_NEVER_ROUTED,
     run_simulation,
 )
+from cgrlab.traffic import ScenarioSpec, generate_scenario
 
 
 def _one_hop_plan(ts=0, te=60, rate=1.0):
@@ -260,6 +261,24 @@ class TestMetricsSeries:
         assert row.t == 0 and row.computing_cum == 0
         assert row.r_o == 0 and row.storage_bundles == 0
         assert row.mb_to_send == 0 and row.mb_at_sending == 0 and row.mb_sent == 0
+
+    def test_idle_run_samples_every_second_to_last_contact_end(self):
+        metrics = run_simulation(_one_hop_plan(), [], POLICY_STANDARD)
+        assert [r.t for r in metrics.rows] == [float(s) for s in range(61)]
+
+    def test_rows_cover_fractional_light_times(self):
+        # padded light times put arrivals between whole seconds; sampling
+        # still ticks once per whole second until nothing is left to happen
+        plan = with_transit_margin(make_demo_plan())
+        spec = ScenarioSpec(seed=1, duration=25, source="A",
+                            dest_pool=tuple(sorted(plan.node_ids - {"A"})),
+                            with_critical=True)
+        bundles = generate_scenario(spec)
+        metrics = run_simulation(plan, bundles, POLICY_STANDARD, owlt_mode="file")
+        times = [r.t for r in metrics.rows]
+        assert times == [float(s) for s in range(len(times))]
+        assert times[-1] >= max(c.t_end for c in plan.contacts)
+        assert times[-1] >= max(b.t_exp for b in bundles)
 
     def test_mid_transmission_counts_at_sending(self):
         metrics = run_simulation(_one_hop_plan(), [_bundle(size=5.0)], POLICY_STANDARD)
