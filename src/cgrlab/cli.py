@@ -64,23 +64,29 @@ def _parse_seeds(value: str) -> list[int]:
 def _walker_plan(
     args: argparse.Namespace,
 ) -> tuple[constellation.WalkerParams, ContactPlan]:
-    """The Walker parameters given by the walker flags and their contact plan."""
+    """The Walker parameters given by the walker flags and their contact plan.
+
+    The library validates the flag values; what it rejects is a usage error.
+    """
     if args.alt is None:
         raise SystemExit2("--alt is required")
     sats, planes = args.walker
-    params = constellation.WalkerParams(
-        sats_per_plane=sats,
-        planes=planes,
-        phase_factor=args.phase,
-        altitude_km=args.alt,
-        inclination_deg=args.inc,
-    )
-    constraints = constellation.IslConstraints(
-        max_interorbit_km=args.max_interorbit, terminals_per_sat=args.terminals
-    )
-    plan = constellation.generate_contact_plan(
-        params, constraints, horizon=args.horizon, step=args.step, rate=args.rate
-    )
+    try:
+        params = constellation.WalkerParams(
+            sats_per_plane=sats,
+            planes=planes,
+            phase_factor=args.phase,
+            altitude_km=args.alt,
+            inclination_deg=args.inc,
+        )
+        constraints = constellation.IslConstraints(
+            max_interorbit_km=args.max_interorbit, terminals_per_sat=args.terminals
+        )
+        plan = constellation.generate_contact_plan(
+            params, constraints, horizon=args.horizon, step=args.step, rate=args.rate
+        )
+    except ValueError as exc:
+        raise SystemExit2(str(exc)) from None
     return params, plan
 
 
@@ -277,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", dest="seeds", type=_parse_seeds, default=[1],
                      help="seed list: 1,2,3 or 1..20")
     sim.add_argument("--source", default="1", help="traffic source node")
-    sim.add_argument("--duration", type=int, default=25, help="traffic generation window (s)")
+    sim.add_argument("--duration", type=_positive_int, default=25,
+                     help="traffic generation window (s)")
     sim.add_argument("--no-critical", action="store_true", help="omit the critical traffic class")
     sim.add_argument("--out", default="out", help="output directory")
     sim.set_defaults(func=_cmd_simulate)

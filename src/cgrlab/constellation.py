@@ -51,7 +51,6 @@ class IslConstraints:
 
     max_interorbit_km: float
     terminals_per_sat: int
-    intraorbit_permanent: bool = True
 
     def __post_init__(self) -> None:
         if self.max_interorbit_km < 0:
@@ -166,7 +165,7 @@ def generate_contact_plan(
 
     intra_owlt = intraorbit_chord_km(params) / LIGHT_SPEED_KM_S
     link_count = {sat_node_id(params, p, s): 0 for p in range(P) for s in range(S)}
-    if constraints.intraorbit_permanent and S > 1:
+    if S > 1:
         for p in range(P):
             for s in range(S):
                 a = sat_node_id(params, p, s)

@@ -36,7 +36,6 @@ class Bundle:
     critical: bool
     t_gen: float
     t_exp: float
-    custodian: str = ""
     hop_trace: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -48,8 +47,6 @@ class Bundle:
             raise ValueError(f"bundle {self.id}: t_exp must exceed t_gen")
         if self.size <= 0:
             raise ValueError(f"bundle {self.id}: size must be positive")
-        if not self.custodian:
-            self.custodian = self.source
         if not self.hop_trace:
             self.hop_trace = (self.source,)
 

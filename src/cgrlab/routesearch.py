@@ -108,11 +108,8 @@ def _search(
 ) -> tuple[list[int], float] | None:
     """Earliest-arrival search from a node; returns (hops, arrival) or None.
 
-    Every contact the search can take is one of ``graph.vertices``, so
-    membership is not tested per edge: a usable contact ends after the search
-    reaches its sending node, which is no earlier than the first start of a
-    kept contact into that node (plan times are non-negative), and
-    ``build_contact_graph`` keeps every contact that ends that late.
+    The search walks ``graph.plan.edges_from`` and takes an edge when a
+    whole second of its window remains on arrival at its sending node.
     """
     edges_from = graph.plan.edges_from
     dest = graph.dest
@@ -155,20 +152,18 @@ def _search(
 def dijkstra_bdt(
     graph: ContactGraph,
     depart: float = 0.0,
-    via_first_hops: frozenset[int] | None = None,
+    via: str | None = None,
 ) -> Route | None:
     """Route minimizing the best delivery time from the graph's source.
 
-    ``via_first_hops`` restricts the first hop to the given contact ids,
-    which yields the best route through one chosen neighbour.  Returns None
-    when the destination is unreachable.
+    ``via`` restricts the first hop to contacts into that neighbour node,
+    which yields the best route through it.  Returns None when the
+    destination is unreachable.
     """
     banned_first: frozenset[int] = frozenset()
-    if via_first_hops is not None:
+    if via is not None:
         banned_first = frozenset(
-            c.id
-            for c in graph.plan.contacts_from(graph.source)
-            if c.id not in via_first_hops
+            c.id for c in graph.plan.contacts_from(graph.source) if c.to_node != via
         )
     found = _search(graph, graph.source, depart, frozenset(), banned_first)
     if found is None:

@@ -22,6 +22,7 @@ import csv
 import hashlib
 import heapq
 import io
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 from cgrlab.contactgraph import ContactGraph, build_contact_graph
@@ -51,7 +52,9 @@ _R_TX_COMPLETE = 2
 _R_ARRIVAL = 3
 _R_SELECT = 4
 _R_EXPIRE = 5
-_R_SAMPLE = 6
+
+# light time on every contact when the run does not keep the plan's own
+UNIFORM_OWLT = 1.0
 
 OUTCOME_DELIVERED = "delivered"
 OUTCOME_EXPIRED = "expired_in_transit"
@@ -76,7 +79,6 @@ class _Copy:
     at_node: str
     first_tx_at: float | None = None
     in_flight: bool = False
-    alive: bool = True
     queued_on: int | None = None
     no_rollback_to: str | None = None
 
@@ -85,7 +87,6 @@ class _Copy:
 class _QueueItem:
     copy: _Copy
     booking: Booking
-    enq_seq: int
 
 
 @dataclass
@@ -94,7 +95,6 @@ class _SimContact:
     queue: list[_QueueItem] = field(default_factory=list)
     busy_until: float = -1.0
     transmitted_mb: float = 0.0
-    events_scheduled: bool = False
 
 
 @dataclass(frozen=True)
@@ -223,7 +223,6 @@ class _Engine:
         seed: int,
         k: int,
         owlt_mode: str,
-        uniform_owlt: float,
     ) -> None:
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
@@ -248,7 +247,7 @@ class _Engine:
                 t_start=c.t_start,
                 t_end=c.t_end,
                 rate=c.rate,
-                owlt=uniform_owlt if owlt_mode == "uniform" else c.owlt,
+                owlt=UNIFORM_OWLT if owlt_mode == "uniform" else c.owlt,
             )
             for c in plan.contacts
         )
@@ -281,24 +280,12 @@ class _Engine:
 
         self.heap: list[tuple[float, int, int, str, object]] = []
         self.event_seq = 0
-        self.nonsample_pending = 0
 
     # -- event plumbing --------------------------------------------------
 
     def _push(self, t: float, rank: int, kind: str, payload: object) -> None:
         self.event_seq += 1
-        if rank != _R_SAMPLE:
-            self.nonsample_pending += 1
         heapq.heappush(self.heap, (t, rank, self.event_seq, kind, payload))
-
-    def _schedule_contact_events(self, sc: _SimContact) -> None:
-        if sc.events_scheduled:
-            return
-        sc.events_scheduled = True
-        c = sc.contact
-        if c.t_start > 0:
-            self._push(c.t_start, _R_CONTACT_START, "contact_start", c.id)
-        self._push(c.t_end, _R_CONTACT_END, "contact_end", c.id)
 
     # -- route computation -----------------------------------------------
 
@@ -325,8 +312,8 @@ class _Engine:
         self.route_cache[key] = (now, routes)
         return routes
 
-    def _route_bookings(self, hops: tuple[int, ...]) -> dict[int, list[Booking]]:
-        return {cid: [item.booking for item in self.sc[cid].queue] for cid in hops}
+    def _bookings(self, contact_ids: Iterable[int]) -> dict[int, list[Booking]]:
+        return {cid: [item.booking for item in self.sc[cid].queue] for cid in contact_ids}
 
     def _review_route(
         self, graph: ContactGraph, route: Route, bundle: Bundle, now: float
@@ -354,7 +341,7 @@ class _Engine:
         except ValueError:
             return None
         evl = compute_evl(
-            self.plan, route, self._route_bookings(route.hops), bundle.priority
+            self.plan, route, self._bookings(route.hops), bundle.priority
         )
         admissible = pat <= bundle.t_exp and (bundle.critical or evl >= bundle.size)
         return CandidateRoute(route, eto, pat, evl, admissible)
@@ -395,21 +382,20 @@ class _Engine:
         if self.hop_memo_t != now:
             self.hop_memo.clear()
             self.hop_memo_t = now
-        by_neighbor: dict[str, list[int]] = {}
-        for c in self.plan.contacts_from(node):
-            if c.t_end - 1 >= now and c.to_node not in bundle.hop_trace:
-                by_neighbor.setdefault(c.to_node, []).append(c.id)
+        neighbors = {
+            c.to_node
+            for c in self.plan.contacts_from(node)
+            if c.t_end - 1 >= now and c.to_node not in bundle.hop_trace
+        }
         cands: list[CandidateRoute] = []
-        for neighbor in sorted(by_neighbor):
+        for neighbor in sorted(neighbors):
             graph.computing_counter += 1
             key = (node, bundle.dest, neighbor)
             if key in self.hop_memo:
                 hops = self.hop_memo[key]
                 route = None if hops is None else evaluate_route(self.plan, hops, now)
             else:
-                route = dijkstra_bdt(
-                    graph, depart=now, via_first_hops=frozenset(by_neighbor[neighbor])
-                )
+                route = dijkstra_bdt(graph, depart=now, via=neighbor)
                 self.hop_memo[key] = None if route is None else route.hops
             if route is None:
                 continue
@@ -432,10 +418,8 @@ class _Engine:
         return copy
 
     def _retire(self, copy: _Copy) -> None:
-        if not copy.alive:
+        if self.alive.pop(copy.copy_id, None) is None:
             return
-        copy.alive = False
-        self.alive.pop(copy.copy_id, None)
         self.nodes[copy.at_node].stored.pop(copy.copy_id, None)
 
     def _store(self, copy: _Copy) -> None:
@@ -444,7 +428,7 @@ class _Engine:
     def _reattempt_stored(self, node: str, now: float) -> None:
         for copy_id in sorted(self.nodes[node].stored):
             copy = self.nodes[node].stored[copy_id]
-            if copy.alive and copy.queued_on is None and not copy.in_flight:
+            if copy.copy_id in self.alive and copy.queued_on is None and not copy.in_flight:
                 self._push(now, _R_SELECT, "select", copy)
 
     # -- dispatch ---------------------------------------------------------
@@ -474,8 +458,7 @@ class _Engine:
                 (now, victim.bundle_id, contact.from_node, contact.to_node, contact.id, self.policy, "overbook_displace")
             )
             self._push(now, _R_SELECT, "select", item.copy)
-        self.event_seq += 1
-        sc.queue.append(_QueueItem(copy=copy, booking=booking, enq_seq=self.event_seq))
+        sc.queue.append(_QueueItem(copy=copy, booking=booking))
         copy.queued_on = contact.id
         self.nodes[copy.at_node].stored.pop(copy.copy_id, None)
         if bundle.critical:
@@ -485,7 +468,6 @@ class _Engine:
         self.dispatch_log.append(
             (now, bundle.id, contact.from_node, contact.to_node, contact.id, self.policy, reason)
         )
-        self._schedule_contact_events(sc)
         self._try_start(sc, now)
         return True
 
@@ -496,7 +478,7 @@ class _Engine:
                 return
             if now < c.t_start or now >= c.t_end:
                 return
-            item = min(sc.queue, key=lambda it: (-it.booking.priority, it.enq_seq))
+            item = min(sc.queue, key=lambda it: (-it.booking.priority, it.booking.seq))
             duration = item.booking.mb / c.rate
             if now + duration > c.t_end:
                 # no longer fits in the remaining window: back to selection
@@ -553,9 +535,8 @@ class _Engine:
     def _rollback_or_store(self, copy: _Copy, now: float) -> None:
         bundle = copy.bundle
         node = copy.at_node
-        found = find_rollback_contact(
-            self.plan, bundle, node, now, self._node_bookings(node)
-        )
+        bookings = self._bookings(c.id for c in self.plan.contacts_from(node))
+        found = find_rollback_contact(self.plan, bundle, node, now, bookings)
         if found is not None:
             upstream, contact = found
             if upstream != copy.no_rollback_to:
@@ -564,16 +545,10 @@ class _Engine:
                     return
         self._store(copy)
 
-    def _node_bookings(self, node: str) -> dict[int, list[Booking]]:
-        return {
-            c.id: [item.booking for item in self.sc[c.id].queue]
-            for c in self.plan.contacts_from(node)
-        }
-
     # -- event handlers ----------------------------------------------------
 
     def _attempt_forward(self, copy: _Copy, now: float) -> None:
-        if not copy.alive or copy.queued_on is not None or copy.in_flight:
+        if copy.copy_id not in self.alive or copy.queued_on is not None or copy.in_flight:
             return
         bundle = copy.bundle
         if now > bundle.t_exp:
@@ -594,9 +569,7 @@ class _Engine:
     def _handle_arrival(self, copy: _Copy, from_node: str, to_node: str, now: float) -> None:
         copy.in_flight = False
         copy.at_node = to_node
-        copy.bundle = replace(
-            copy.bundle, custodian=to_node, hop_trace=copy.bundle.hop_trace + (to_node,)
-        )
+        copy.bundle = replace(copy.bundle, hop_trace=copy.bundle.hop_trace + (to_node,))
         bundle = copy.bundle
         if bundle.critical:
             holders = self.nodes[to_node].seen_critical.setdefault(bundle.id, set())
@@ -622,7 +595,7 @@ class _Engine:
             record.outcome = OUTCOME_EXPIRED if record.first_tx else OUTCOME_NEVER_ROUTED
             self.failed += 1
         for copy in self.bundle_copies[bundle_id]:
-            if not copy.alive:
+            if copy.copy_id not in self.alive:
                 continue
             if copy.in_flight:
                 continue  # retires on arrival
@@ -642,11 +615,9 @@ class _Engine:
             self._push(now, _R_SELECT, "select", item.copy)
 
     def _sample(self, t: float) -> MetricsRow:
-        active = {
-            cid
-            for cid, sc in self.sc.items()
-            if sc.busy_until > t and sc.contact.t_start <= t <= sc.contact.t_end
-        }
+        # a transfer in progress at t started no later than t and ends within
+        # its contact's window, so the window contains t
+        active = {cid for cid, sc in self.sc.items() if sc.busy_until > t}
         r_o = occupancy_rate(self.plan, t, active)
         computing = sum(g.computing_counter for g in self.graphs.values())
         storage = 0
@@ -687,22 +658,26 @@ class _Engine:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> SimulationMetrics:
-        for sc in self.sc.values():
-            self._schedule_contact_events(sc)
+        for c in self.plan.contacts:
+            if c.t_start > 0:
+                self._push(c.t_start, _R_CONTACT_START, "contact_start", c.id)
+            self._push(c.t_end, _R_CONTACT_END, "contact_end", c.id)
         for b in self.bundles:
             self._push(b.t_gen, _R_SELECT, "generate", b)
             self._push(b.t_exp, _R_EXPIRE, "expire", b.id)
-        self._push(0.0, _R_SAMPLE, "sample", None)
 
+        # second s is sampled once every event at or before s is handled;
+        # the last sample is the first whole second not before the last event
+        next_sample = 0.0
         while self.heap:
             t, rank, _, kind, payload = heapq.heappop(self.heap)
-            if rank != _R_SAMPLE:
-                self.nonsample_pending -= 1
+            while next_sample < t:
+                self.rows.append(self._sample(next_sample))
+                next_sample += 1.0
             if rank == _R_SELECT:
                 batch = [(kind, payload)]
                 while self.heap and self.heap[0][0] == t and self.heap[0][1] == _R_SELECT:
                     _, _, _, k2, p2 = heapq.heappop(self.heap)
-                    self.nonsample_pending -= 1
                     batch.append((k2, p2))
                 self._process_selection_batch(batch, t)
             elif kind == "contact_start":
@@ -723,10 +698,7 @@ class _Engine:
                 self._handle_arrival(copy, from_node, to_node, t)
             elif kind == "expire":
                 self._handle_expire(payload, t)
-            elif kind == "sample":
-                self.rows.append(self._sample(t))
-                if self.nonsample_pending > 0 or self.alive:
-                    self._push(t + 1.0, _R_SAMPLE, "sample", None)
+        self.rows.append(self._sample(next_sample))
 
         return SimulationMetrics(
             policy=self.policy,
@@ -735,7 +707,7 @@ class _Engine:
             rows=self.rows,
             records=self.records,
             dispatch_log=self.dispatch_log,
-            computing_total=self.rows[-1].computing_cum if self.rows else 0,
+            computing_total=self.rows[-1].computing_cum,
             contact_usage={cid: sc.transmitted_mb for cid, sc in self.sc.items()},
         )
 
@@ -770,14 +742,13 @@ def run_simulation(
     seed: int = 0,
     k: int = 4,
     owlt_mode: str = "uniform",
-    uniform_owlt: float = 1.0,
 ) -> SimulationMetrics:
     """Execute one deterministic simulation run and return its metrics.
 
     ``owlt_mode`` selects the propagation delay source: ``uniform`` applies
-    ``uniform_owlt`` seconds on every contact (the constellation-scale
+    ``UNIFORM_OWLT`` seconds on every contact (the constellation-scale
     default), ``file`` keeps each contact's own range value.
     """
-    engine = _Engine(plan, bundles, policy, seed, k, owlt_mode, uniform_owlt)
+    engine = _Engine(plan, bundles, policy, seed, k, owlt_mode)
     return engine.run()
 

@@ -132,6 +132,41 @@ def test_bad_k_is_usage_error(capsys, argv, k):
     assert len(err_lines) == 1 and "--k" in err_lines[0]
 
 
+@pytest.mark.parametrize("duration", ["0", "-5"])
+def test_bad_duration_is_usage_error(capsys, duration):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--demo-plan", "--policy", "standard", "--source", "A",
+              "--duration", duration])
+    assert exc.value.code == 2
+    err_lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(err_lines) == 1 and "--duration" in err_lines[0]
+
+
+@pytest.mark.parametrize("command", ["gen-plan", "route", "simulate"])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--phase", "9", "phase_factor must lie in [0, planes)"),
+        ("--terminals", "1", "at least 2 ISL terminals are required"),
+        ("--step", "0", "step must be at least 1 second"),
+        ("--alt", "-5", "constellation dimensions must be positive"),
+        ("--rate", "0", "contact 1: rate must be positive"),
+    ],
+    ids=["phase", "terminals", "step", "alt", "rate"],
+)
+def test_rejected_walker_flag_is_usage_error(tmp_path, capsys, command, flag, value, message):
+    argv = {
+        "gen-plan": ["gen-plan"],
+        "route": ["route", "--from", "1", "--to", "2"],
+        "simulate": ["simulate", "--policy", "rmdg", "--out", str(tmp_path / "run")],
+    }[command]
+    walker = ["--walker", "4x3", "--alt", "1200", "--horizon", "20", "--step", "10"]
+    code, out, err = run_cli(capsys, *argv, *walker, flag, value)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 class TestSimulateAndCompare:
     def _simulate(self, capsys, tmp_path, policy, extra=()):
         outdir = tmp_path / policy

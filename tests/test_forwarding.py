@@ -55,7 +55,6 @@ class TestBundleInvariants:
 
     def test_defaults(self):
         b = _bundle()
-        assert b.custodian == "A"
         assert b.hop_trace == ("A",)
 
 
@@ -79,7 +78,7 @@ class TestBasicChecks:
 
     def test_traversed_next_hop_fails(self):
         plan, route = _demo_route()
-        bundle = _bundle(hop_trace=("X", "C", "A"), custodian="A")
+        bundle = _bundle(hop_trace=("X", "C", "A"))
         assert not basic_checks(plan, route, bundle, now=0.0)
 
 
@@ -276,7 +275,7 @@ class TestRollback:
                 Contact(id=2, from_node="X", to_node="S", t_start=0, t_end=60, rate=1, owlt=1),
             ]
         )
-        bundle = _bundle(hop_trace=("S", "X"), custodian="X")
+        bundle = _bundle(hop_trace=("S", "X"))
         found = find_rollback_contact(plan, bundle, "X", now=5.0, bookings={})
         assert found is not None
         upstream, contact = found
@@ -284,7 +283,7 @@ class TestRollback:
 
     def test_no_upstream_at_source(self):
         plan = _one_hop_plan()
-        bundle = _bundle(hop_trace=("S",), custodian="S")
+        bundle = _bundle(hop_trace=("S",))
         assert find_rollback_contact(plan, bundle, "S", now=0.0, bookings={}) is None
 
     def test_expired_reverse_contact_unusable(self):
@@ -294,7 +293,7 @@ class TestRollback:
                 Contact(id=2, from_node="X", to_node="S", t_start=0, t_end=10, rate=1, owlt=1),
             ]
         )
-        bundle = _bundle(hop_trace=("S", "X"), custodian="X")
+        bundle = _bundle(hop_trace=("S", "X"))
         assert find_rollback_contact(plan, bundle, "X", now=20.0, bookings={}) is None
 
     def test_fully_booked_reverse_contact_unusable(self):
@@ -304,6 +303,6 @@ class TestRollback:
                 Contact(id=2, from_node="X", to_node="S", t_start=0, t_end=60, rate=1, owlt=1),
             ]
         )
-        bundle = _bundle(hop_trace=("S", "X"), custodian="X", size=5.0)
+        bundle = _bundle(hop_trace=("S", "X"), size=5.0)
         bookings = {2: [Booking(contact_id=2, bundle_id=7, mb=58.0, priority=2, seq=1)]}
         assert find_rollback_contact(plan, bundle, "X", now=0.0, bookings=bookings) is None

@@ -230,9 +230,9 @@ class TestCriticalReplication:
         real_search = simcore.dijkstra_bdt
         real_review = simcore._Engine._review_route
 
-        def search(graph, depart, via_first_hops):
+        def search(graph, depart, via):
             searches.append((graph.source, depart))
-            return real_search(graph, depart=depart, via_first_hops=via_first_hops)
+            return real_search(graph, depart=depart, via=via)
 
         def review(engine, graph, route, bundle, now):
             cand = real_review(engine, graph, route, bundle, now)
