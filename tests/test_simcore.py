@@ -146,6 +146,94 @@ class TestOverbooking:
         assert metrics.contact_usage[1] <= c.volume + 1e-9
 
 
+class TestQueuePaths:
+    """Queued copies leaving a contact's queue without being transmitted."""
+
+    def _two_window_plan(self):
+        # S->D twice: [0, 10] and a later [20, 30]; reverse links for rollback
+        return ContactPlan.build(
+            [
+                Contact(id=1, from_node="S", to_node="D", t_start=0, t_end=10, rate=1, owlt=1),
+                Contact(id=2, from_node="D", to_node="S", t_start=0, t_end=10, rate=1, owlt=1),
+                Contact(id=3, from_node="S", to_node="D", t_start=20, t_end=30, rate=1, owlt=1),
+                Contact(id=4, from_node="D", to_node="S", t_start=20, t_end=30, rate=1, owlt=1),
+            ]
+        )
+
+    def _dispatches(self, metrics):
+        return [(t, bid, cid, reason) for t, bid, _, _, cid, _, reason in metrics.dispatch_log]
+
+    @pytest.mark.parametrize("policy", [POLICY_STANDARD, POLICY_RMDG])
+    def test_contact_end_flushes_queued_copy_to_selection(self, policy):
+        # bundle 4 (priority 1) overtakes queued bundle 3 and transmits until
+        # the window closes at t=10; the contact end hands 3 back to
+        # selection, which books it on the later window
+        bundles = [
+            _bundle(bid=1, size=1.0),
+            _bundle(bid=2, size=2.0, t_gen=4.0),
+            _bundle(bid=3, size=1.0, t_gen=4.0),
+            _bundle(bid=4, size=4.0, priority=1, t_gen=5.0),
+        ]
+        metrics = run_simulation(self._two_window_plan(), bundles, policy)
+        assert self._dispatches(metrics) == [
+            (0.0, 1, 1, "select"),
+            (4.0, 2, 1, "select"),
+            (4.0, 3, 1, "select"),
+            (5.0, 4, 1, "select"),
+            (10.0, 3, 3, "select"),
+        ]
+        delivered = {bid: rec.t_delivered for bid, rec in metrics.records.items()}
+        assert delivered == {1: 2.0, 2: 7.0, 3: 22.0, 4: 11.0}
+        assert metrics.contact_usage[1] == 7.0 and metrics.contact_usage[3] == 1.0
+
+    @pytest.mark.parametrize("policy", [POLICY_STANDARD, POLICY_RMDG])
+    def test_expiry_removes_queued_copy(self, policy):
+        # bundle 4 (priority 1) overtakes queued bundle 3, which expires at
+        # t=8 while still queued; at t=9 the queue is empty, so 3 never
+        # transmits although it would still fit the window
+        bundles = [
+            _bundle(bid=1, size=1.0),
+            _bundle(bid=2, size=3.0, t_gen=3.0),
+            _bundle(bid=3, size=1.0, t_gen=4.0, ttl=4.0),
+            _bundle(bid=4, size=3.0, priority=1, t_gen=5.0),
+        ]
+        metrics = run_simulation(self._two_window_plan(), bundles, policy)
+        assert self._dispatches(metrics) == [
+            (0.0, 1, 1, "select"),
+            (3.0, 2, 1, "select"),
+            (4.0, 3, 1, "select"),
+            (5.0, 4, 1, "select"),
+        ]
+        assert metrics.records[3].outcome == OUTCOME_NEVER_ROUTED
+        delivered = {
+            bid: rec.t_delivered for bid, rec in metrics.records.items() if bid != 3
+        }
+        assert delivered == {1: 2.0, 2: 7.0, 4: 10.0}
+        assert metrics.contact_usage[1] == 7.0
+
+    @pytest.mark.parametrize("policy", [POLICY_STANDARD, POLICY_RMDG])
+    def test_booking_that_no_longer_fits_returns_to_selection(self, policy):
+        # bundle 4 (priority 1) overtakes queued bundle 3, which at t=9 no
+        # longer fits before the window ends at t=10 and is rebooked later
+        bundles = [
+            _bundle(bid=1, size=1.0),
+            _bundle(bid=2, size=3.0, t_gen=3.0),
+            _bundle(bid=3, size=2.0, t_gen=4.0),
+            _bundle(bid=4, size=3.0, priority=1, t_gen=5.0),
+        ]
+        metrics = run_simulation(self._two_window_plan(), bundles, policy)
+        assert self._dispatches(metrics) == [
+            (0.0, 1, 1, "select"),
+            (3.0, 2, 1, "select"),
+            (4.0, 3, 1, "select"),
+            (5.0, 4, 1, "select"),
+            (9.0, 3, 3, "select"),
+        ]
+        delivered = {bid: rec.t_delivered for bid, rec in metrics.records.items()}
+        assert delivered == {1: 2.0, 2: 7.0, 3: 23.0, 4: 10.0}
+        assert metrics.contact_usage[1] == 7.0 and metrics.contact_usage[3] == 2.0
+
+
 class TestRollback:
     def _contested_run(self):
         # A commits to S->X->D, but while it crosses the first hop a local
