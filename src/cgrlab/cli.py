@@ -47,6 +47,11 @@ def _positive_int(value: str) -> int:
     return number
 
 
+def _positive_seconds(value: str) -> float:
+    """A whole number of seconds, at least 1: plan windows are integer seconds."""
+    return float(_positive_int(value))
+
+
 def _parse_seeds(value: str) -> list[int]:
     seeds: list[int] = []
     for part in value.split(","):
@@ -106,7 +111,8 @@ def _add_walker_flags(parser: argparse.ArgumentParser, require: bool = False) ->
     parser.add_argument("--phase", type=int, default=1, help="Walker phase factor")
     parser.add_argument("--alt", type=float, help="orbital altitude in km")
     parser.add_argument("--inc", type=float, default=55.0, help="inclination in degrees")
-    parser.add_argument("--horizon", type=float, default=6565.0, help="plan horizon in seconds")
+    parser.add_argument("--horizon", type=_positive_seconds, default=6565.0,
+                        help="plan horizon in whole seconds")
     parser.add_argument("--step", type=float, default=1.0, help="sampling step in seconds")
     parser.add_argument("--max-interorbit", type=float, default=4909.0,
                         help="maximum inter-plane link distance in km")
@@ -132,6 +138,8 @@ def _cmd_route(args: argparse.Namespace) -> int:
     plan = _load_plan(args)
     if args.src not in plan.node_ids or args.dst not in plan.node_ids:
         raise SystemExit2(f"unknown node; plan knows {len(plan.node_ids)} nodes")
+    if args.src == args.dst:
+        raise SystemExit2("--from and --to must name different nodes")
     graph = build_contact_graph(plan, args.src, args.dst)
     routes = yen_plus(graph, args.k, depart=args.depart)
     if not routes:
@@ -158,7 +166,14 @@ def _scenario_bundles(args: argparse.Namespace, plan: ContactPlan, seed: int):
         dest_pool=dest_pool,
         with_critical=not args.no_critical,
     )
-    return traffic.generate_scenario(spec)
+    bundles = traffic.generate_scenario(spec)
+    last = max(b.t_gen for b in bundles)
+    if last > plan.horizon:
+        raise SystemExit2(
+            f"seed {seed}: traffic generated until t={last:g} s outruns the plan "
+            f"horizon {plan.horizon:g} s; shorten --duration or lengthen --horizon"
+        )
+    return bundles
 
 
 def _run_one(plan, bundles, policy, seed, k, outdir) -> dict:
@@ -198,11 +213,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     plan = _load_plan(args)
     if args.source not in plan.node_ids:
         raise SystemExit2(f"source node {args.source!r} not in plan")
+    scenarios = [(seed, _scenario_bundles(args, plan, seed)) for seed in args.seeds]
     outdir = _out_dir(args)
-    rows = []
-    for seed in args.seeds:
-        bundles = _scenario_bundles(args, plan, seed)
-        rows.append(_run_one(plan, bundles, args.policy, seed, args.k, outdir))
+    rows = [
+        _run_one(plan, bundles, args.policy, seed, args.k, outdir)
+        for seed, bundles in scenarios
+    ]
     _write_summary(outdir / f"summary_{args.policy}.csv", rows)
     means = {
         key: sum(r[key] for r in rows) / len(rows)

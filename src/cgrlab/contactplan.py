@@ -133,8 +133,8 @@ class ContactPlan:
         nodes = frozenset(n for c in contacts for n in (c.from_node, c.to_node))
         return cls(contacts=contacts, horizon=horizon, node_ids=nodes)
 
-    def contact(self, contact_id: int) -> Contact:
-        return self._by_id[contact_id]
+    def contact(self, cid: int) -> Contact:
+        return self._by_id[cid]
 
     def contacts_from(self, node: str) -> tuple[Contact, ...]:
         """All contacts transmitting from ``node``, ordered by id."""

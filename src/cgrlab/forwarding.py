@@ -64,10 +64,13 @@ class CandidateRoute:
 
 @dataclass(frozen=True)
 class Booking:
-    """A volume reservation on one contact for one queued bundle."""
+    """A volume reservation on one contact for one queued bundle copy.
 
-    contact_id: int
-    bundle_id: int
+    ``copy_id`` identifies the queued copy: a critical bundle may have
+    several copies in flight, each with its own reservation.
+    """
+
+    copy_id: int
     mb: float
     priority: int
     seq: int = 0  # booking order, used for latest-booked eviction

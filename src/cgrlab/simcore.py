@@ -22,7 +22,6 @@ import csv
 import hashlib
 import heapq
 import io
-from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 from cgrlab.contactgraph import ContactGraph, build_contact_graph
@@ -45,7 +44,7 @@ from cgrlab.routesearch import Route, dijkstra_bdt, evaluate_route, yen_plus
 
 POLICIES = (POLICY_STANDARD, POLICY_RMDG)
 
-# event ranks fix the processing order at equal timestamps
+# an event's rank is its kind and fixes the processing order at equal timestamps
 _R_CONTACT_END = 0
 _R_CONTACT_START = 1
 _R_TX_COMPLETE = 2
@@ -81,20 +80,6 @@ class _Copy:
     in_flight: bool = False
     queued_on: int | None = None
     no_rollback_to: str | None = None
-
-
-@dataclass
-class _QueueItem:
-    copy: _Copy
-    booking: Booking
-
-
-@dataclass
-class _SimContact:
-    contact: Contact
-    queue: list[_QueueItem] = field(default_factory=list)
-    busy_until: float = -1.0
-    transmitted_mb: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -257,7 +242,10 @@ class _Engine:
         self.k = k
         self.bundles = sorted(bundles, key=lambda b: b.id)
 
-        self.sc = {c.id: _SimContact(c) for c in self.plan.contacts}
+        # each contact's reservations in booking order, and the end of its
+        # transmission in progress
+        self.queues: dict[int, list[Booking]] = {c.id: [] for c in self.plan.contacts}
+        self.busy_until: dict[int, float] = {c.id: -1.0 for c in self.plan.contacts}
         self.nodes = {n: NodeState(n) for n in sorted(self.plan.node_ids)}
         self.records = {b.id: BundleRecord(b) for b in self.bundles}
         self.alive: dict[int, _Copy] = {}
@@ -278,14 +266,14 @@ class _Engine:
         self.rows: list[MetricsRow] = []
         self.dispatch_log: list[tuple[float, int, str, str, int, str, str]] = []
 
-        self.heap: list[tuple[float, int, int, str, object]] = []
+        self.heap: list[tuple[float, int, int, object]] = []
         self.event_seq = 0
 
     # -- event plumbing --------------------------------------------------
 
-    def _push(self, t: float, rank: int, kind: str, payload: object) -> None:
+    def _push(self, t: float, rank: int, payload: object) -> None:
         self.event_seq += 1
-        heapq.heappush(self.heap, (t, rank, self.event_seq, kind, payload))
+        heapq.heappush(self.heap, (t, rank, self.event_seq, payload))
 
     # -- route computation -----------------------------------------------
 
@@ -312,9 +300,6 @@ class _Engine:
         self.route_cache[key] = (now, routes)
         return routes
 
-    def _bookings(self, contact_ids: Iterable[int]) -> dict[int, list[Booking]]:
-        return {cid: [item.booking for item in self.sc[cid].queue] for cid in contact_ids}
-
     def _review_route(
         self, graph: ContactGraph, route: Route, bundle: Bundle, now: float
     ) -> CandidateRoute | None:
@@ -328,21 +313,19 @@ class _Engine:
         if not basic_checks(self.plan, route, bundle, now):
             return None
         first = self.plan.contact(route.first_hop)
-        sc = self.sc[first.id]
         ahead = sum(
-            it.booking.mb for it in sc.queue if it.booking.priority >= bundle.priority
+            b.mb for b in self.queues[first.id] if b.priority >= bundle.priority
         )
         window_open = now if now > first.t_start else first.t_start
-        if sc.busy_until > window_open:
-            ahead += (sc.busy_until - window_open) * first.rate
+        busy_until = self.busy_until[first.id]
+        if busy_until > window_open:
+            ahead += (busy_until - window_open) * first.rate
         eto = compute_eto(self.plan, route, ahead, now)
         try:
             pat = compute_pat(self.plan, route, eto, bundle.size)
         except ValueError:
             return None
-        evl = compute_evl(
-            self.plan, route, self._bookings(route.hops), bundle.priority
-        )
+        evl = compute_evl(self.plan, route, self.queues, bundle.priority)
         admissible = pat <= bundle.t_exp and (bundle.critical or evl >= bundle.size)
         return CandidateRoute(route, eto, pat, evl, admissible)
 
@@ -429,75 +412,63 @@ class _Engine:
         for copy_id in sorted(self.nodes[node].stored):
             copy = self.nodes[node].stored[copy_id]
             if copy.copy_id in self.alive and copy.queued_on is None and not copy.in_flight:
-                self._push(now, _R_SELECT, "select", copy)
+                self._push(now, _R_SELECT, copy)
+
+    def _return_to_selection(self, copy_id: int, now: float) -> None:
+        """Send a copy whose booking was dropped back to route selection."""
+        copy = self.alive[copy_id]
+        copy.queued_on = None
+        self._store(copy)
+        self._push(now, _R_SELECT, copy)
 
     # -- dispatch ---------------------------------------------------------
 
     def _enqueue(self, copy: _Copy, contact: Contact, now: float, reason: str) -> bool:
-        sc = self.sc[contact.id]
+        queue = self.queues[contact.id]
         bundle = copy.bundle
         self.booking_seq += 1
         booking = Booking(
-            contact_id=contact.id,
-            bundle_id=bundle.id,
-            mb=bundle.size,
-            priority=bundle.priority,
-            seq=self.booking_seq,
+            copy_id=copy.copy_id, mb=bundle.size, priority=bundle.priority, seq=self.booking_seq
         )
-        accepted, displaced = handle_overbooking(
-            contact, [item.booking for item in sc.queue], booking
-        )
+        accepted, displaced = handle_overbooking(contact, queue, booking)
         if not accepted:
             return False
         for victim in displaced:
-            item = next(it for it in sc.queue if it.booking is victim)
-            sc.queue.remove(item)
-            item.copy.queued_on = None
-            self._store(item.copy)
+            queue.remove(victim)
             self.dispatch_log.append(
-                (now, victim.bundle_id, contact.from_node, contact.to_node, contact.id, self.policy, "overbook_displace")
+                (now, self.alive[victim.copy_id].bundle.id, contact.from_node, contact.to_node, contact.id, self.policy, "overbook_displace")
             )
-            self._push(now, _R_SELECT, "select", item.copy)
-        sc.queue.append(_QueueItem(copy=copy, booking=booking))
+            self._return_to_selection(victim.copy_id, now)
+        queue.append(booking)
         copy.queued_on = contact.id
         self.nodes[copy.at_node].stored.pop(copy.copy_id, None)
         if bundle.critical:
-            holders = self.nodes[copy.at_node].seen_critical.setdefault(bundle.id, set())
-            holders.add(copy.at_node)
-            holders.add(contact.to_node)
+            self.nodes[copy.at_node].seen_critical[bundle.id].add(contact.to_node)
         self.dispatch_log.append(
             (now, bundle.id, contact.from_node, contact.to_node, contact.id, self.policy, reason)
         )
-        self._try_start(sc, now)
+        self._try_start(contact, now)
         return True
 
-    def _try_start(self, sc: _SimContact, now: float) -> None:
-        c = sc.contact
-        while True:
-            if sc.busy_until > now or not sc.queue:
-                return
-            if now < c.t_start or now >= c.t_end:
-                return
-            item = min(sc.queue, key=lambda it: (-it.booking.priority, it.booking.seq))
-            duration = item.booking.mb / c.rate
+    def _try_start(self, c: Contact, now: float) -> None:
+        queue = self.queues[c.id]
+        while queue and self.busy_until[c.id] <= now and c.t_start <= now < c.t_end:
+            booking = min(queue, key=lambda b: (-b.priority, b.seq))
+            queue.remove(booking)
+            duration = booking.mb / c.rate
             if now + duration > c.t_end:
                 # no longer fits in the remaining window: back to selection
-                sc.queue.remove(item)
-                item.copy.queued_on = None
-                self._store(item.copy)
-                self._push(now, _R_SELECT, "select", item.copy)
+                self._return_to_selection(booking.copy_id, now)
                 continue
-            sc.queue.remove(item)
-            copy = item.copy
+            copy = self.alive[booking.copy_id]
             copy.queued_on = None
             if copy.first_tx_at is None:
                 copy.first_tx_at = now
             copy.in_flight = True
             self.records[copy.bundle.id].first_tx = True
-            c.residual_volume -= item.booking.mb
-            sc.transmitted_mb += item.booking.mb
-            sc.busy_until = now + duration
-            self._push(sc.busy_until, _R_TX_COMPLETE, "tx_complete", (c.id, copy))
+            c.residual_volume -= booking.mb
+            self.busy_until[c.id] = now + duration
+            self._push(now + duration, _R_TX_COMPLETE, (c, copy))
             return
 
     def _dispatch_candidates(
@@ -506,8 +477,8 @@ class _Engine:
         bundle = copy.bundle
         node = copy.at_node
         if bundle.critical:
-            holders = set(self.nodes[node].seen_critical.get(bundle.id, set()))
-            holders.add(node)
+            # the holder set already has this node: added on generation or arrival
+            holders = self.nodes[node].seen_critical[bundle.id]
             dispatches = forward_critical(bundle, cands, holders, self.policy, self.plan)
             sent = 0
             for cand in dispatches:
@@ -535,8 +506,7 @@ class _Engine:
     def _rollback_or_store(self, copy: _Copy, now: float) -> None:
         bundle = copy.bundle
         node = copy.at_node
-        bookings = self._bookings(c.id for c in self.plan.contacts_from(node))
-        found = find_rollback_contact(self.plan, bundle, node, now, bookings)
+        found = find_rollback_contact(self.plan, bundle, node, now, self.queues)
         if found is not None:
             upstream, contact = found
             if upstream != copy.no_rollback_to:
@@ -566,7 +536,8 @@ class _Engine:
             return
         self._dispatch_candidates(copy, cands, now)
 
-    def _handle_arrival(self, copy: _Copy, from_node: str, to_node: str, now: float) -> None:
+    def _handle_arrival(self, copy: _Copy, contact: Contact, now: float) -> None:
+        from_node, to_node = contact.from_node, contact.to_node
         copy.in_flight = False
         copy.at_node = to_node
         copy.bundle = replace(copy.bundle, hop_trace=copy.bundle.hop_trace + (to_node,))
@@ -587,7 +558,7 @@ class _Engine:
                 self.mb_sent += bundle.size
             self._retire(copy)
             return
-        self._push(now, _R_SELECT, "select", copy)
+        self._push(now, _R_SELECT, copy)
 
     def _handle_expire(self, bundle_id: int, now: float) -> None:
         record = self.records[bundle_id]
@@ -600,24 +571,21 @@ class _Engine:
             if copy.in_flight:
                 continue  # retires on arrival
             if copy.queued_on is not None:
-                sc = self.sc[copy.queued_on]
-                sc.queue = [it for it in sc.queue if it.copy is not copy]
+                queue = self.queues[copy.queued_on]
+                queue[:] = [b for b in queue if b.copy_id != copy.copy_id]
                 copy.queued_on = None
             self._retire(copy)
 
-    def _handle_contact_end(self, contact_id: int, now: float) -> None:
-        sc = self.sc[contact_id]
-        flushed = sc.queue
-        sc.queue = []
-        for item in flushed:
-            item.copy.queued_on = None
-            self._store(item.copy)
-            self._push(now, _R_SELECT, "select", item.copy)
+    def _handle_contact_end(self, c: Contact, now: float) -> None:
+        flushed = self.queues[c.id]
+        self.queues[c.id] = []
+        for booking in flushed:
+            self._return_to_selection(booking.copy_id, now)
 
     def _sample(self, t: float) -> MetricsRow:
         # a transfer in progress at t started no later than t and ends within
         # its contact's window, so the window contains t
-        active = {cid for cid, sc in self.sc.items() if sc.busy_until > t}
+        active = {cid for cid, busy_until in self.busy_until.items() if busy_until > t}
         r_o = occupancy_rate(self.plan, t, active)
         computing = sum(g.computing_counter for g in self.graphs.values())
         storage = 0
@@ -660,43 +628,38 @@ class _Engine:
     def run(self) -> SimulationMetrics:
         for c in self.plan.contacts:
             if c.t_start > 0:
-                self._push(c.t_start, _R_CONTACT_START, "contact_start", c.id)
-            self._push(c.t_end, _R_CONTACT_END, "contact_end", c.id)
+                self._push(c.t_start, _R_CONTACT_START, c)
+            self._push(c.t_end, _R_CONTACT_END, c)
         for b in self.bundles:
-            self._push(b.t_gen, _R_SELECT, "generate", b)
-            self._push(b.t_exp, _R_EXPIRE, "expire", b.id)
+            self._push(b.t_gen, _R_SELECT, b)
+            self._push(b.t_exp, _R_EXPIRE, b.id)
 
         # second s is sampled once every event at or before s is handled;
         # the last sample is the first whole second not before the last event
         next_sample = 0.0
         while self.heap:
-            t, rank, _, kind, payload = heapq.heappop(self.heap)
+            t, rank, _, payload = heapq.heappop(self.heap)
             while next_sample < t:
                 self.rows.append(self._sample(next_sample))
                 next_sample += 1.0
             if rank == _R_SELECT:
-                batch = [(kind, payload)]
+                batch = [payload]
                 while self.heap and self.heap[0][0] == t and self.heap[0][1] == _R_SELECT:
-                    _, _, _, k2, p2 = heapq.heappop(self.heap)
-                    batch.append((k2, p2))
+                    batch.append(heapq.heappop(self.heap)[3])
                 self._process_selection_batch(batch, t)
-            elif kind == "contact_start":
-                self._try_start(self.sc[payload], t)
-                self._reattempt_stored(self.sc[payload].contact.from_node, t)
-            elif kind == "contact_end":
+            elif rank == _R_CONTACT_START:
+                self._try_start(payload, t)
+                self._reattempt_stored(payload.from_node, t)
+            elif rank == _R_CONTACT_END:
                 self._handle_contact_end(payload, t)
-            elif kind == "tx_complete":
-                contact_id, copy = payload
-                sc = self.sc[contact_id]
-                sc.busy_until = t
-                c = sc.contact
-                self._push(t + c.owlt, _R_ARRIVAL, "arrival", (copy, c.from_node, c.to_node))
-                self._try_start(sc, t)
+            elif rank == _R_TX_COMPLETE:
+                c, copy = payload
+                self._push(t + c.owlt, _R_ARRIVAL, (copy, c))
+                self._try_start(c, t)
                 self._reattempt_stored(c.from_node, t)
-            elif kind == "arrival":
-                copy, from_node, to_node = payload
-                self._handle_arrival(copy, from_node, to_node, t)
-            elif kind == "expire":
+            elif rank == _R_ARRIVAL:
+                self._handle_arrival(*payload, t)
+            else:
                 self._handle_expire(payload, t)
         self.rows.append(self._sample(next_sample))
 
@@ -708,23 +671,23 @@ class _Engine:
             records=self.records,
             dispatch_log=self.dispatch_log,
             computing_total=self.rows[-1].computing_cum,
-            contact_usage={cid: sc.transmitted_mb for cid, sc in self.sc.items()},
+            contact_usage={c.id: c.volume - c.residual_volume for c in self.plan.contacts},
         )
 
-    def _process_selection_batch(self, batch: list[tuple[str, object]], now: float) -> None:
+    def _process_selection_batch(self, batch: list[Bundle | _Copy], now: float) -> None:
+        """Route a same-instant batch of generated bundles and copies to select."""
         ready: list[tuple[tuple, _Copy]] = []
         order = 0
-        for kind, payload in batch:
+        for payload in batch:
             order += 1
-            if kind == "generate":
-                bundle: Bundle = payload  # type: ignore[assignment]
-                copy = self._new_copy(bundle, bundle.source)
-                if bundle.critical:
-                    self.nodes[bundle.source].seen_critical.setdefault(
-                        bundle.id, set()
-                    ).add(bundle.source)
+            if isinstance(payload, Bundle):
+                copy = self._new_copy(payload, payload.source)
+                if payload.critical:
+                    self.nodes[payload.source].seen_critical.setdefault(
+                        payload.id, set()
+                    ).add(payload.source)
             else:
-                copy = payload  # type: ignore[assignment]
+                copy = payload
             b = copy.bundle
             if self.policy == POLICY_RMDG:
                 key = (-b.priority, b.t_exp, b.id, order)

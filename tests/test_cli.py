@@ -72,9 +72,14 @@ class TestGenPlan:
             "--step", "10", "--out", str(out), "--positions", str(pos),
         )
         assert code == 0
-        lines = pos.read_text().strip().splitlines()
-        assert lines[0] == "t,sat_id,x,y,z"
-        assert len(lines) == 1 + 3 * 12  # three samples of twelve satellites
+        rows = list(csv.DictReader(io.StringIO(pos.read_text())))
+        assert pos.read_text().splitlines()[0] == "t,sat_id,x,y,z"
+        assert len(rows) == 3 * 12  # three samples of twelve satellites
+        for t in ("0", "10", "20"):
+            assert [r["sat_id"] for r in rows if r["t"] == t] == [str(i) for i in range(1, 13)]
+        # the plan's node labels are the satellites the CSV places
+        plan = parse_contact_plan(out.read_text())
+        assert {r["sat_id"] for r in rows} == set(plan.node_ids)
 
 
 class TestRoute:
@@ -114,6 +119,14 @@ class TestRoute:
         )
         assert code == 2
 
+    def test_same_endpoints_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "route", "--demo-plan", "--from", "A", "--to", "A"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --from and --to must name different nodes\n"
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -140,6 +153,36 @@ def test_bad_duration_is_usage_error(capsys, duration):
     assert exc.value.code == 2
     err_lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert len(err_lines) == 1 and "--duration" in err_lines[0]
+
+
+@pytest.mark.parametrize("command", ["gen-plan", "route", "simulate"])
+@pytest.mark.parametrize("horizon", ["0", "-5", "0.5", "ten"])
+def test_bad_horizon_is_usage_error(tmp_path, capsys, command, horizon):
+    argv = {
+        "gen-plan": ["gen-plan"],
+        "route": ["route", "--from", "1", "--to", "2"],
+        "simulate": ["simulate", "--policy", "rmdg", "--out", str(tmp_path / "run")],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--walker", "4x3", "--alt", "1200", "--step", "10", "--horizon", horizon])
+    assert exc.value.code == 2
+    err_lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(err_lines) == 1 and "--horizon" in err_lines[0]
+    assert not (tmp_path / "run").exists()
+
+
+def test_traffic_past_horizon_is_usage_error(tmp_path, capsys):
+    outdir = tmp_path / "run"
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--walker", "4x3", "--alt", "1200", "--horizon", "10", "--step", "5",
+        "--policy", "rmdg", "--source", "1", "--out", str(outdir),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: seed 1: ")
+    assert "--duration" in err and "--horizon" in err
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("command", ["gen-plan", "route", "simulate"])
@@ -281,8 +324,12 @@ class TestSimulateAndCompare:
                 TASK_HEADER + "1,A,F,1,1,0,0,40\n1,A,E,1,1,0,0,40\n",
                 "error: duplicate bundle id 1\n",
             ),
+            (
+                TASK_HEADER + "1,A,F,1,1,0,500,540\n",
+                "error: bundle 1 generated outside the plan horizon\n",
+            ),
         ],
-        ids=["missing-field", "unparsable-field", "duplicate-id"],
+        ids=["missing-field", "unparsable-field", "duplicate-id", "past-horizon"],
     )
     def test_bad_tasks_file_is_runtime_error(self, tmp_path, capsys, monkeypatch, text, message):
         monkeypatch.delenv("CGRLAB_OUT", raising=False)

@@ -141,21 +141,21 @@ class TestEvl:
         plan = _one_hop_plan(te=10)
         g = build_contact_graph(plan, "S", "D")
         route = dijkstra_bdt(g, depart=0)
-        bookings = {1: [Booking(contact_id=1, bundle_id=9, mb=4.0, priority=2)]}
+        bookings = {1: [Booking(copy_id=9, mb=4.0, priority=2)]}
         assert compute_evl(plan, route, bookings, priority=1) == 6.0
 
     def test_lower_priority_bookings_ignored(self):
         plan = _one_hop_plan(te=10)
         g = build_contact_graph(plan, "S", "D")
         route = dijkstra_bdt(g, depart=0)
-        bookings = {1: [Booking(contact_id=1, bundle_id=9, mb=4.0, priority=0)]}
+        bookings = {1: [Booking(copy_id=9, mb=4.0, priority=0)]}
         assert compute_evl(plan, route, bookings, priority=1) == 10.0
 
     def test_overbooked_contact_clamps_to_zero(self):
         plan = _one_hop_plan(te=10)
         g = build_contact_graph(plan, "S", "D")
         route = dijkstra_bdt(g, depart=0)
-        bookings = {1: [Booking(contact_id=1, bundle_id=9, mb=15.0, priority=2)]}
+        bookings = {1: [Booking(copy_id=9, mb=15.0, priority=2)]}
         assert compute_evl(plan, route, bookings, priority=1) == 0.0
 
 
@@ -216,51 +216,51 @@ class TestOverbooking:
 
     def test_spare_volume_accepts_without_displacement(self):
         contact = self._contact()
-        incoming = Booking(contact_id=1, bundle_id=2, mb=3.0, priority=0, seq=2)
-        existing = [Booking(contact_id=1, bundle_id=1, mb=4.0, priority=0, seq=1)]
+        incoming = Booking(copy_id=2, mb=3.0, priority=0, seq=2)
+        existing = [Booking(copy_id=1, mb=4.0, priority=0, seq=1)]
         accepted, displaced = handle_overbooking(contact, existing, incoming)
         assert accepted and displaced == []
 
     def test_high_priority_displaces_low(self):
         contact = self._contact()
-        existing = [Booking(contact_id=1, bundle_id=1, mb=10.0, priority=0, seq=1)]
-        incoming = Booking(contact_id=1, bundle_id=2, mb=2.0, priority=2, seq=2)
+        existing = [Booking(copy_id=1, mb=10.0, priority=0, seq=1)]
+        incoming = Booking(copy_id=2, mb=2.0, priority=2, seq=2)
         accepted, displaced = handle_overbooking(contact, existing, incoming)
         assert accepted
-        assert [b.bundle_id for b in displaced] == [1]
+        assert [b.copy_id for b in displaced] == [1]
 
     def test_low_priority_rejected_by_full_contact(self):
         contact = self._contact()
-        existing = [Booking(contact_id=1, bundle_id=1, mb=10.0, priority=1, seq=1)]
-        incoming = Booking(contact_id=1, bundle_id=2, mb=2.0, priority=0, seq=2)
+        existing = [Booking(copy_id=1, mb=10.0, priority=1, seq=1)]
+        incoming = Booking(copy_id=2, mb=2.0, priority=0, seq=2)
         accepted, displaced = handle_overbooking(contact, existing, incoming)
         assert not accepted and displaced == []
 
     def test_equal_priority_not_displaced(self):
         contact = self._contact()
-        existing = [Booking(contact_id=1, bundle_id=1, mb=10.0, priority=1, seq=1)]
-        incoming = Booking(contact_id=1, bundle_id=2, mb=2.0, priority=1, seq=2)
+        existing = [Booking(copy_id=1, mb=10.0, priority=1, seq=1)]
+        incoming = Booking(copy_id=2, mb=2.0, priority=1, seq=2)
         accepted, displaced = handle_overbooking(contact, existing, incoming)
         assert not accepted and displaced == []
 
     def test_latest_booked_evicted_first(self):
         contact = self._contact(te=10)
         existing = [
-            Booking(contact_id=1, bundle_id=1, mb=5.0, priority=0, seq=1),
-            Booking(contact_id=1, bundle_id=2, mb=5.0, priority=0, seq=2),
+            Booking(copy_id=1, mb=5.0, priority=0, seq=1),
+            Booking(copy_id=2, mb=5.0, priority=0, seq=2),
         ]
-        incoming = Booking(contact_id=1, bundle_id=3, mb=4.0, priority=1, seq=3)
+        incoming = Booking(copy_id=3, mb=4.0, priority=1, seq=3)
         accepted, displaced = handle_overbooking(contact, existing, incoming)
         assert accepted
-        assert [b.bundle_id for b in displaced] == [2]
+        assert [b.copy_id for b in displaced] == [2]
 
     def test_conservation_after_resolution(self):
         contact = self._contact()
         existing = [
-            Booking(contact_id=1, bundle_id=1, mb=6.0, priority=0, seq=1),
-            Booking(contact_id=1, bundle_id=2, mb=4.0, priority=1, seq=2),
+            Booking(copy_id=1, mb=6.0, priority=0, seq=1),
+            Booking(copy_id=2, mb=4.0, priority=1, seq=2),
         ]
-        incoming = Booking(contact_id=1, bundle_id=3, mb=5.0, priority=2, seq=3)
+        incoming = Booking(copy_id=3, mb=5.0, priority=2, seq=3)
         accepted, displaced = handle_overbooking(contact, existing, incoming)
         assert accepted
         kept = [b for b in existing if b not in displaced] + [incoming]
@@ -304,5 +304,5 @@ class TestRollback:
             ]
         )
         bundle = _bundle(hop_trace=("S", "X"), size=5.0)
-        bookings = {2: [Booking(contact_id=2, bundle_id=7, mb=58.0, priority=2, seq=1)]}
+        bookings = {2: [Booking(copy_id=7, mb=58.0, priority=2, seq=1)]}
         assert find_rollback_contact(plan, bundle, "X", now=0.0, bookings=bookings) is None
