@@ -623,6 +623,41 @@ class _Engine:
             failed=self.failed,
         )
 
+    def _emit_rows(self, s: float, t: float) -> float:
+        """Append the rows of whole seconds ``s, s + 1, ...`` before ``t``.
+
+        Called when the event at ``t`` is popped, so these seconds are all the
+        samples between the last handled event, at ``t_prev <= s``, and ``t``
+        (before the first event, ``t_prev`` is 0).  Returns the next second
+        to sample.
+
+        Only the first two are computed; every later one copies the second
+        with its own ``t``.  A row depends on ``t`` only through
+        ``t_start <= t <= t_end``, ``busy_until > t``, ``first_tx_at < t`` and
+        ``t_gen <= t``, and each threshold is the time of an event: a contact
+        start or end, a transmission end, the event that started a first
+        transmission, a generation.  So each is at most ``t_prev`` or at
+        least ``t``.  For ``t_prev < s < t`` every comparison is therefore
+        settled; only a sample exactly at ``t_prev`` can differ, where a
+        contact ending at ``t_prev`` still counts and a first transmission
+        at ``t_prev`` does not yet.  The second sample is past ``t_prev``.
+
+        A copied row has the same engine state and the same settled
+        comparisons as the row it copies, so the conservation assertion in
+        ``_sample`` (and ``occupancy_rate``'s availability check) holds at
+        the copy exactly when it holds at the computed row.
+        """
+        computed = 0
+        while s < t:
+            if computed < 2:
+                row = self._sample(s)
+                computed += 1
+            else:
+                row = replace(row, t=s)
+            self.rows.append(row)
+            s += 1.0
+        return s
+
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> SimulationMetrics:
@@ -639,9 +674,7 @@ class _Engine:
         next_sample = 0.0
         while self.heap:
             t, rank, _, payload = heapq.heappop(self.heap)
-            while next_sample < t:
-                self.rows.append(self._sample(next_sample))
-                next_sample += 1.0
+            next_sample = self._emit_rows(next_sample, t)
             if rank == _R_SELECT:
                 batch = [payload]
                 while self.heap and self.heap[0][0] == t and self.heap[0][1] == _R_SELECT:

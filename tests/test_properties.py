@@ -1,7 +1,9 @@
 """Engine invariants on small random plans and traffic, under both policies."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sampling_oracle import per_second_run
 
 from cgrlab.contactplan import Contact, ContactPlan
 from cgrlab.forwarding import Bundle
@@ -75,3 +77,39 @@ def test_engine_invariants(scenario, policy, owlt_mode):
     assert times[-1] >= max((b.t_exp for b in bundles), default=0.0)
     final = metrics.rows[-1]
     assert final.delivered + final.failed == metrics.generated
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    scenario=scenarios(),
+    policy=st.sampled_from(POLICIES),
+    owlt_mode=st.sampled_from(["file", "uniform"]),
+)
+def test_rows_match_per_second_sampling(scenario, policy, owlt_mode):
+    plan, bundles = scenario
+    metrics = run_simulation(plan, bundles, policy, owlt_mode=owlt_mode)
+    assert metrics.rows == per_second_run(plan, bundles, policy, owlt_mode=owlt_mode).rows
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("owlt_mode", ["file", "uniform"])
+def test_rows_settle_one_second_after_an_event(policy, owlt_mode):
+    # at t=10 contact 1 ends and bundle 1's first transmission starts on
+    # contact 2; the next event is its end at t=15
+    plan = ContactPlan.build(
+        [
+            Contact(id=1, from_node="A", to_node="B", t_start=0, t_end=10, rate=1.0, owlt=1),
+            Contact(id=2, from_node="S", to_node="D", t_start=10, t_end=30, rate=1.0, owlt=1),
+        ]
+    )
+    bundles = [
+        Bundle(id=1, source="S", dest="D", size=5.0, priority=0, critical=False,
+               t_gen=10.0, t_exp=40.0)
+    ]
+    rows = run_simulation(plan, bundles, policy, owlt_mode=owlt_mode).rows
+    assert rows == per_second_run(plan, bundles, policy, owlt_mode=owlt_mode).rows
+    # the closed window still counts contact 1 at t=10, and bits sent at
+    # t=10 are in transit only from t=11 on
+    assert (rows[10].r_o, rows[10].mb_to_send, rows[10].mb_at_sending) == (0.5, 5.0, 0.0)
+    for row in rows[11:15]:
+        assert (row.r_o, row.mb_to_send, row.mb_at_sending) == (1.0, 0.0, 5.0)
