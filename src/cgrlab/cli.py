@@ -129,7 +129,8 @@ def _cmd_gen_plan(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
     if args.positions:
-        times = [float(t) for t in range(0, int(args.horizon) + 1, max(1, int(args.step)))]
+        # the plan's own sampling instants k * step up to the horizon
+        times = [k * args.step for k in range(int(args.horizon // args.step) + 1)]
         Path(args.positions).write_text(constellation.positions_csv(params, times))
     return 0
 
@@ -300,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seed list: 1,2,3 or 1..20")
     sim.add_argument("--source", default="1", help="traffic source node")
     sim.add_argument("--duration", type=_positive_int, default=25,
-                     help="traffic generation window (s)")
+                     help="generation window (s) of priority-2 and -1 traffic; "
+                          "priority-0 bursts of 25 s can run past it")
     sim.add_argument("--no-critical", action="store_true", help="omit the critical traffic class")
     sim.add_argument("--out", default="out", help="output directory")
     sim.set_defaults(func=_cmd_simulate)

@@ -13,7 +13,9 @@ Both policies share candidate review (basic checks, ETO, PAT, EVL), the
 priority transmission discipline, overbooking displacement and rollback.
 The engine is single-threaded and strictly deterministic: identical inputs
 produce bit-identical metrics and dispatch logs.  Metrics are sampled every
-second.
+whole second, one row each; a row can change only at an event, so only the
+first two rows after each event are computed and later ones before the next
+event copy the second (see ``_Engine._emit_rows``).
 """
 
 from __future__ import annotations
@@ -670,7 +672,9 @@ class _Engine:
             self._push(b.t_exp, _R_EXPIRE, b.id)
 
         # second s is sampled once every event at or before s is handled;
-        # the last sample is the first whole second not before the last event
+        # the last sample is the first whole second not before the last event;
+        # between two events only the first two rows are computed (_emit_rows
+        # says why the rest are exact copies)
         next_sample = 0.0
         while self.heap:
             t, rank, _, payload = heapq.heappop(self.heap)

@@ -6,6 +6,12 @@ three 1-5 Mb bundles per 10-second window at priority 1.  Data traffic models
 bulk imagery: bursts of twenty 1-5 Mb bundles spread over 25 seconds at
 priority 0.  Composite scenarios rescale the classes so that priorities 2 and
 1 together contribute 25% of the bundles and priority 0 the remaining 75%.
+
+Only the priority-2 and priority-1 classes are generated within
+``ScenarioSpec.duration``.  Priority-0 burst ``b`` covers seconds
+``[25 b, 25 b + 25)`` whatever the duration, and there are as many bursts as
+the 75% share needs, so bulk bundles can be generated after the duration
+ends: with a 25 s duration, seed 1 generates them until t=32 s.
 """
 
 from __future__ import annotations
@@ -20,7 +26,12 @@ from cgrlab.forwarding import Bundle
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Parameters of one seeded traffic scenario."""
+    """Parameters of one seeded traffic scenario.
+
+    ``duration`` is the generation window of the priority-2 and priority-1
+    classes; priority-0 bursts follow the class sizes instead (see the module
+    docstring).
+    """
 
     seed: int
     duration: int

@@ -81,6 +81,17 @@ class TestGenPlan:
         plan = parse_contact_plan(out.read_text())
         assert {r["sat_id"] for r in rows} == set(plan.node_ids)
 
+    def test_positions_follow_fractional_step(self, tmp_path, capsys):
+        pos = tmp_path / "positions.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "gen-plan", "--walker", "4x3", "--alt", "1200", "--horizon", "10",
+            "--step", "2.5", "--out", str(tmp_path / "plan.txt"), "--positions", str(pos),
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(pos.read_text())))
+        assert list(dict.fromkeys(r["t"] for r in rows)) == ["0", "2.5", "5", "7.5", "10"]
+
 
 class TestRoute:
     def test_demo_plan_golden_first_row(self, capsys):

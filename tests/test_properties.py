@@ -92,8 +92,7 @@ def test_rows_match_per_second_sampling(scenario, policy, owlt_mode):
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-@pytest.mark.parametrize("owlt_mode", ["file", "uniform"])
-def test_rows_settle_one_second_after_an_event(policy, owlt_mode):
+def test_rows_settle_one_second_after_an_event(policy):
     # at t=10 contact 1 ends and bundle 1's first transmission starts on
     # contact 2; the next event is its end at t=15
     plan = ContactPlan.build(
@@ -106,8 +105,8 @@ def test_rows_settle_one_second_after_an_event(policy, owlt_mode):
         Bundle(id=1, source="S", dest="D", size=5.0, priority=0, critical=False,
                t_gen=10.0, t_exp=40.0)
     ]
-    rows = run_simulation(plan, bundles, policy, owlt_mode=owlt_mode).rows
-    assert rows == per_second_run(plan, bundles, policy, owlt_mode=owlt_mode).rows
+    rows = run_simulation(plan, bundles, policy).rows
+    assert rows == per_second_run(plan, bundles, policy).rows
     # the closed window still counts contact 1 at t=10, and bits sent at
     # t=10 are in transit only from t=11 on
     assert (rows[10].r_o, rows[10].mb_to_send, rows[10].mb_at_sending) == (0.5, 5.0, 0.0)

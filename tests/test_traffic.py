@@ -106,6 +106,16 @@ class TestScenario:
         low = [b for b in bundles if b.priority == 0]
         assert len(low) == 3 * len(high)
 
+    def test_data_bursts_ignore_duration(self):
+        # burst b lands in [25 b, 25 b + 25) whatever the duration; every
+        # golden run depends on this placement
+        bundles = generate_scenario(_spec(duration=25))
+        high = [b.t_gen for b in bundles if b.priority > 0]
+        data = [b.t_gen for b in bundles if b.priority == 0]
+        assert max(high) < 25
+        assert max(data) == 39.0
+        assert max(data) < 25 * ((3 * len(high) + 19) // 20)
+
     def test_ttl_range(self):
         for b in generate_scenario(_spec()):
             assert 20 <= b.t_exp - b.t_gen <= 30
