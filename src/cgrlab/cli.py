@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from pathlib import Path
@@ -44,6 +45,23 @@ def _positive_int(value: str) -> int:
         raise argparse.ArgumentTypeError(f"{value!r} is not an integer") from None
     if number < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {number}")
+    return number
+
+
+def _finite_float(value: str) -> float:
+    try:
+        number = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not a number") from None
+    if not math.isfinite(number):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value!r}")
+    return number
+
+
+def _departure(value: str) -> float:
+    number = _finite_float(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value!r}")
     return number
 
 
@@ -109,15 +127,15 @@ def _add_walker_flags(parser: argparse.ArgumentParser, require: bool = False) ->
     parser.add_argument("--walker", type=_parse_walker, required=require,
                         help="constellation as SATSxPLANES, e.g. 12x10")
     parser.add_argument("--phase", type=int, default=1, help="Walker phase factor")
-    parser.add_argument("--alt", type=float, help="orbital altitude in km")
-    parser.add_argument("--inc", type=float, default=55.0, help="inclination in degrees")
+    parser.add_argument("--alt", type=_finite_float, help="orbital altitude in km")
+    parser.add_argument("--inc", type=_finite_float, default=55.0, help="inclination in degrees")
     parser.add_argument("--horizon", type=_positive_seconds, default=6565.0,
                         help="plan horizon in whole seconds")
-    parser.add_argument("--step", type=float, default=1.0, help="sampling step in seconds")
-    parser.add_argument("--max-interorbit", type=float, default=4909.0,
+    parser.add_argument("--step", type=_finite_float, default=1.0, help="sampling step in seconds")
+    parser.add_argument("--max-interorbit", type=_finite_float, default=4909.0,
                         help="maximum inter-plane link distance in km")
     parser.add_argument("--terminals", type=int, default=4, help="ISL terminals per satellite")
-    parser.add_argument("--rate", type=float, default=1.0, help="link rate in Mb/s")
+    parser.add_argument("--rate", type=_finite_float, default=1.0, help="link rate in Mb/s")
 
 
 def _cmd_gen_plan(args: argparse.Namespace) -> int:
@@ -286,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--from", dest="src", required=True)
     route.add_argument("--to", dest="dst", required=True)
     route.add_argument("--k", type=_positive_int, default=7)
-    route.add_argument("--depart", type=float, default=0.0)
+    route.add_argument("--depart", type=_departure, default=0.0,
+                       help="departure time in seconds, at least 0")
     route.set_defaults(func=_cmd_route)
 
     sim = sub.add_parser("simulate", help="run seeded simulations under one policy")

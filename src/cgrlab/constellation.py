@@ -120,7 +120,7 @@ def _windows(mask: np.ndarray, times: np.ndarray, horizon: float) -> list[tuple[
         prev_t = t
     if start is not None:
         windows.append((start, min(times[-1], horizon)))
-    return [(s, e) for s, e in windows if e > s]
+    return windows
 
 
 def generate_contact_plan(
@@ -135,8 +135,10 @@ def generate_contact_plan(
     Intra-plane neighbour links span the whole horizon.  Inter-plane links
     pair same-slot satellites in adjacent planes, consuming the terminals
     left after the two intra-plane links, and contribute one contact pair
-    per maximal interval where the pair stays within range.  Ranges are
-    converted to one-way light time in light-seconds.
+    per maximal sampled interval where the pair stays within range, rounded
+    inward to whole seconds; an interval that rounds to nothing is dropped.
+    Each pair's light time is its largest sampled range over the interval,
+    in light-seconds.
     """
     if step < 1:
         raise ValueError("step must be at least 1 second")
@@ -190,15 +192,19 @@ def generate_contact_plan(
                 ib = q * S + s
                 dist = np.linalg.norm(positions[:, ia] - positions[:, ib], axis=1)
                 mask = dist <= constraints.max_interorbit_km
-                spans = _windows(mask, times, horizon)
+                spans = []
+                for ts, te in _windows(mask, times, horizon):
+                    i0 = int(np.searchsorted(times, ts))
+                    i1 = int(np.searchsorted(times, te))
+                    owlt = float(dist[i0 : i1 + 1].max()) / LIGHT_SPEED_KM_S
+                    ts, te = math.ceil(ts), math.floor(te)
+                    if te > ts:
+                        spans.append((float(ts), float(te), owlt))
                 if not spans:
                     continue
                 link_count[a] += 1
                 link_count[b] += 1
-                for ts, te in spans:
-                    i0 = int(np.searchsorted(times, ts))
-                    i1 = int(np.searchsorted(times, te))
-                    owlt = float(dist[i0 : i1 + 1].max()) / LIGHT_SPEED_KM_S
+                for ts, te, owlt in spans:
                     add_pair(a, b, ts, te, owlt)
 
     plan_nodes = frozenset(link_count)

@@ -1,6 +1,6 @@
 """Per source/destination route-search context with a computing-resource counter.
 
-The contact graph is implicit in ``ContactPlan.edges_from``: a contact u
+The contact graph is implicit in ``ContactPlan.adjacency``: a contact u
 leads to a contact v when u delivers to v's sending node early enough that
 data cached there can still leave through v.  Route search follows these
 storage edges, which encode storage opportunities, not links.

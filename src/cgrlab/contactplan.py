@@ -19,6 +19,7 @@ directions of the node pair unless a direction-exact line exists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 LIGHT_SPEED_KM_S = 299792.458
@@ -71,6 +72,11 @@ class Contact:
     residual_volume: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("t_start", "t_end", "rate", "owlt"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContactPlanError(
+                    f"contact {self.id}: {name} must be finite, got {getattr(self, name)}"
+                )
         if self.t_start > self.t_end:
             raise ContactPlanError(
                 f"contact {self.id}: t_start {self.t_start} > t_end {self.t_end}"
@@ -88,19 +94,26 @@ class Contact:
         return (self.t_end - self.t_start) * self.rate
 
 
-Edge = tuple[int, float, float, float, str]
+Edge = tuple[int, float, float, float, int]
 
 
 @dataclass
 class ContactPlan:
-    """An immutable schedule of contacts over a topology horizon."""
+    """An immutable schedule of contacts over a topology horizon.
+
+    ``node_index`` numbers the nodes in sorted string order, so comparing
+    two indices orders them as their names; ``adjacency[i]`` lists
+    ``contacts_from`` of node ``i`` as ``(id, t_start, t_end - 1, owlt,
+    to_index)`` tuples, the fields route search reads per edge.
+    """
 
     contacts: tuple[Contact, ...]
     horizon: float
     node_ids: frozenset[str]
     _by_id: dict[int, Contact] = field(init=False, repr=False)
     _by_from: dict[str, tuple[Contact, ...]] = field(init=False, repr=False)
-    _edges_from: dict[str, tuple[Edge, ...]] = field(init=False, repr=False)
+    node_index: dict[str, int] = field(init=False, repr=False)
+    adjacency: tuple[tuple[Edge, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         by_id: dict[int, Contact] = {}
@@ -111,16 +124,24 @@ class ContactPlan:
                 raise ContactPlanError(
                     f"contact {c.id} ends at {c.t_end}, beyond horizon {self.horizon}"
                 )
+            for node in (c.from_node, c.to_node):
+                if node not in self.node_ids:
+                    raise ContactPlanError(f"contact {c.id}: node {node!r} not in the plan")
             by_id[c.id] = c
         self._by_id = by_id
         by_from: dict[str, list[Contact]] = {}
         for c in sorted(self.contacts, key=lambda c: c.id):
             by_from.setdefault(c.from_node, []).append(c)
         self._by_from = {n: tuple(cs) for n, cs in by_from.items()}
-        self._edges_from = {
-            n: tuple((c.id, c.t_start, c.t_end - 1, c.owlt, c.to_node) for c in cs)
-            for n, cs in self._by_from.items()
-        }
+        index = {n: i for i, n in enumerate(sorted(self.node_ids))}
+        self.node_index = index
+        self.adjacency = tuple(
+            tuple(
+                (c.id, c.t_start, c.t_end - 1, c.owlt, index[c.to_node])
+                for c in self._by_from.get(n, ())
+            )
+            for n in index
+        )
 
     @classmethod
     def build(
@@ -139,14 +160,6 @@ class ContactPlan:
     def contacts_from(self, node: str) -> tuple[Contact, ...]:
         """All contacts transmitting from ``node``, ordered by id."""
         return self._by_from.get(node, ())
-
-    def edges_from(self, node: str) -> tuple[Edge, ...]:
-        """``contacts_from(node)`` as ``(id, t_start, t_end - 1, owlt, to_node)`` tuples.
-
-        These are the fields route search reads per edge; flat tuples spare
-        it the attribute lookups.
-        """
-        return self._edges_from.get(node, ())
 
 
 def with_transit_margin(plan: ContactPlan) -> ContactPlan:
@@ -189,6 +202,16 @@ def _parse_time(token: str, lineno: int) -> int:
     return value
 
 
+def _parse_number(token: str, lineno: int, what: str) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        raise ContactPlanError(f"line {lineno}: bad {what} field {token!r}") from None
+    if not math.isfinite(value):
+        raise ContactPlanError(f"line {lineno}: {what} must be finite, got {token!r}")
+    return value
+
+
 def parse_contact_plan(text: str) -> ContactPlan:
     """Parse the line-oriented contact plan format into a ContactPlan.
 
@@ -228,24 +251,15 @@ def parse_contact_plan(text: str) -> ContactPlan:
         if t_start > t_end:
             raise ContactPlanError(f"line {lineno}: t_start {t_start} > t_end {t_end}")
         from_node, to_node = tokens[4], tokens[5]
-        try:
-            value = float(tokens[6])
-        except ValueError:
-            raise ContactPlanError(f"line {lineno}: bad numeric field {tokens[6]!r}") from None
         if kind == "range":
+            value = _parse_number(tokens[6], lineno, "owlt")
             if value < 0:
                 raise ContactPlanError(f"line {lineno}: negative owlt")
             ranges.setdefault((from_node, to_node), []).append((t_start, t_end, value))
         else:
-            owlt: float | None = None
-            if len(tokens) == 8:
-                try:
-                    owlt = float(tokens[7])
-                except ValueError:
-                    raise ContactPlanError(
-                        f"line {lineno}: bad owlt field {tokens[7]!r}"
-                    ) from None
-            raw_contacts.append((lineno, t_start, t_end, from_node, to_node, value, owlt))
+            rate = _parse_number(tokens[6], lineno, "rate")
+            owlt = _parse_number(tokens[7], lineno, "owlt") if len(tokens) == 8 else None
+            raw_contacts.append((lineno, t_start, t_end, from_node, to_node, rate, owlt))
 
     def lookup_owlt(t_start: int, t_end: int, frm: str, to: str) -> float:
         for pair in ((frm, to), (to, frm)):

@@ -11,7 +11,12 @@ interval (earlier start, later end), then the first-hop contact id.
 deviation.  In its default mode it keeps extracting candidate routes until it
 has proven that no undiscovered route can outrank the K-th one (the proof is
 a popped route with a strictly larger BDT), so the returned list may contain
-a few confirmed routes beyond K.
+a few confirmed routes beyond K.  Spur searches from an accepted route start
+at the hop index where it deviated from its parent route (Lawler, 1972).
+
+The earliest-arrival search runs on the plan's integer node indices, which
+follow the node names' string order, so equal arrivals break ties as they
+would on the names.
 """
 
 from __future__ import annotations
@@ -100,49 +105,53 @@ def evaluate_route(
 
 
 def _search(
-    graph: ContactGraph,
-    start_node: str,
+    plan: ContactPlan,
+    start: int,
     start_time: float,
-    banned_nodes: frozenset[str],
+    dest: int,
+    banned_nodes: list[int],
     banned_first: frozenset[int],
-) -> tuple[list[int], float] | None:
-    """Earliest-arrival search from a node; returns (hops, arrival) or None.
+) -> list[int] | None:
+    """Earliest-arrival search between node indices; returns the hops or None.
 
-    The search walks ``graph.plan.edges_from`` and takes an edge when a
-    whole second of its window remains on arrival at its sending node.
+    The search walks ``plan.adjacency`` and takes an edge when a whole second
+    of its window remains on arrival at its sending node.  Heap entries are
+    ``(arrival, node index)``; indices follow the names' string order, so
+    ties break as they would on the names.  ``banned_nodes`` start out
+    settled and ``banned_first`` removes contacts from the first hop.
     """
-    edges_from = graph.plan.edges_from
-    dest = graph.dest
-    best: dict[str, float] = {start_node: start_time}
-    parent: dict[str, tuple[int, str]] = {}
-    done: set[str] = set()
-    heap: list[tuple[float, str]] = [(start_time, start_node)]
-    heappop, heappush, best_get, inf = heapq.heappop, heapq.heappush, best.get, math.inf
+    adjacency = plan.adjacency
+    best = [math.inf] * len(adjacency)
+    parent: list[tuple[int, int] | None] = [None] * len(adjacency)
+    done = bytearray(len(adjacency))
+    for n in banned_nodes:
+        done[n] = 1
+    best[start] = start_time
+    heap: list[tuple[float, int]] = [(start_time, start)]
+    heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
         arrival, node = heappop(heap)
-        if node in done:
+        if done[node]:
             continue
-        done.add(node)
+        done[node] = 1
         if node == dest:
             hops: list[int] = []
-            n = node
-            while n != start_node:
-                cid, prev = parent[n]
+            while node != start:
+                cid, node = parent[node]
                 hops.append(cid)
-                n = prev
             hops.reverse()
-            return hops, arrival
-        at_start = node == start_node
-        for cid, t_start, last, owlt, to in edges_from(node):
-            if at_start and cid in banned_first:
-                continue
-            if to in done or to in banned_nodes:
+            return hops
+        edges = adjacency[node]
+        if node == start and banned_first:
+            edges = [e for e in edges if e[0] not in banned_first]
+        for cid, t_start, last, owlt, to in edges:
+            if done[to]:
                 continue
             dep = arrival if arrival > t_start else t_start
             if dep > last:
                 continue
             reach = dep + owlt
-            if reach < best_get(to, inf):
+            if reach < best[to]:
                 best[to] = reach
                 parent[to] = (cid, node)
                 heappush(heap, (reach, to))
@@ -160,16 +169,17 @@ def dijkstra_bdt(
     which yields the best route through it.  Returns None when the
     destination is unreachable.
     """
+    plan = graph.plan
     banned_first: frozenset[int] = frozenset()
     if via is not None:
         banned_first = frozenset(
-            c.id for c in graph.plan.contacts_from(graph.source) if c.to_node != via
+            c.id for c in plan.contacts_from(graph.source) if c.to_node != via
         )
-    found = _search(graph, graph.source, depart, frozenset(), banned_first)
-    if found is None:
+    index = plan.node_index
+    hops = _search(plan, index[graph.source], depart, index[graph.dest], [], banned_first)
+    if hops is None:
         return None
-    hops, _ = found
-    return evaluate_route(graph.plan, hops, depart)
+    return evaluate_route(plan, hops, depart)
 
 
 def yen_plus(
@@ -189,7 +199,9 @@ def yen_plus(
     routes are found (faster, but routes tied on BDT with the K-th may be
     ordered greedily).
 
-    Each search iteration increments the graph's computing counter.
+    Spur searches from an accepted route start at its deviation index
+    (Lawler's restriction; the argument is at the spur loop).  Each
+    deviation round increments the graph's computing counter.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -200,9 +212,15 @@ def yen_plus(
 
     accepted: list[Route] = [first]
     seen: set[tuple[int, ...]] = {first.hops}
-    pool: list[tuple[tuple, int, Route]] = []
+    # (sort_key, seq, route, deviation index); seq is unique, so entries
+    # never compare beyond it
+    pool: list[tuple[tuple, int, Route, int]] = []
     seq = 0
     plan = graph.plan
+    index = plan.node_index
+    source = index[graph.source]
+    dest = index[graph.dest]
+    deviation = 0
 
     # once the K-th best BDT is certain, `boundary` holds the BDT class of the
     # first route beyond it; that whole class is still confirmed before
@@ -218,30 +236,50 @@ def yen_plus(
             if len(accepted) >= k:
                 break
 
-        # deviate from the most recently accepted route at every spur point,
-        # walking its root path one hop per spur index
+        # Deviate from the most recently accepted route X at each spur index
+        # j, walking its root path one hop per index.  Lawler's restriction:
+        # when X came from deviating route P at index d (d = 0 for the first
+        # route), the searches at j < d are skipped.  The pool stays that of
+        # the full loop:
+        # - A spur search at j is a deterministic function of the root
+        #   R = X[:j], which fixes the spur node, the arrival there and the
+        #   banned root nodes, and of B(R), the j-th hops of the accepted
+        #   routes that start with R.  Equal inputs give equal results,
+        #   whatever the heap's tie-breaks, and so does `evaluate_route`.
+        # - Invariant after every round: for each proper prefix R of an
+        #   accepted route, the search on (R, B(R)) finds nothing, a route
+        #   in `seen`, or one that `evaluate_route` rejects.  The full loop
+        #   adds none of the three to the pool.
+        # - Accepting X adds X[j] to B(X[:j]) and changes no other B.  For
+        #   j < d, X[:j] = P[:j] is a proper prefix of the accepted P and
+        #   X[j] = P[j] is already in B(X[:j]), so the invariant still holds
+        #   there and the full loop's search would add nothing.  For j >= d,
+        #   B(X[:j]) gained X[j] or X[:j] is a new prefix; this round
+        #   searches those and restores the invariant.
+        # `seq` moves only on additions, so the pool entries, their order
+        # and every later round equal the full loop's.
         graph.computing_counter += 1
         base = accepted[-1].hops
-        spur_node = graph.source
+        spur_node = source
         start_time = depart
-        root_nodes: list[str] = []
+        root_nodes: list[int] = []
         for j in range(len(base)):
             if j:
                 c = plan.contact(base[j - 1])
                 root_nodes.append(spur_node)
-                spur_node = c.to_node
+                spur_node = index[c.to_node]
                 dep = start_time if start_time > c.t_start else c.t_start
                 start_time = dep + c.owlt
+            if j < deviation:
+                continue
             root_hops = base[:j]
             banned_first = frozenset(
                 r.hops[j] for r in accepted if len(r.hops) > j and r.hops[:j] == root_hops
             )
-            found = _search(
-                graph, spur_node, start_time, frozenset(root_nodes), banned_first
-            )
-            if found is None:
+            spur = _search(plan, spur_node, start_time, dest, root_nodes, banned_first)
+            if spur is None:
                 continue
-            total = root_hops + tuple(found[0])
+            total = root_hops + tuple(spur)
             if total in seen:
                 continue
             route = evaluate_route(plan, total, depart)
@@ -249,14 +287,15 @@ def yen_plus(
                 continue
             seen.add(total)
             seq += 1
-            heapq.heappush(pool, (route.sort_key, seq, route))
+            heapq.heappush(pool, (route.sort_key, seq, route, j))
 
         if not pool:
             break
-        nxt = heapq.heappop(pool)[2]
+        _, _, nxt, next_deviation = heapq.heappop(pool)
         if boundary is not None and nxt.bdt > boundary:
             break
         accepted.append(nxt)
+        deviation = next_deviation
 
     accepted.sort(key=lambda r: r.sort_key)
     return accepted

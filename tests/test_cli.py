@@ -92,6 +92,25 @@ class TestGenPlan:
         rows = list(csv.DictReader(io.StringIO(pos.read_text())))
         assert list(dict.fromkeys(r["t"] for r in rows)) == ["0", "2.5", "5", "7.5", "10"]
 
+    def test_fractional_step_plan_parses_and_routes(self, tmp_path, capsys):
+        # at a 2.5 s step the sampled inter-plane windows end on half seconds
+        out = tmp_path / "plan.txt"
+        code, _, _ = run_cli(
+            capsys,
+            "gen-plan", "--walker", "6x4", "--alt", "1200", "--horizon", "1000",
+            "--step", "2.5", "--max-interorbit", "2500", "--out", str(out),
+        )
+        assert code == 0
+        plan = parse_contact_plan(out.read_text())
+        inter = [c for c in plan.contacts if (c.t_start, c.t_end) != (0, 1000)]
+        assert inter and all(c.t_end > c.t_start for c in inter)
+        code, routes, _ = run_cli(
+            capsys, "route", "--plan", str(out), "--from", "1", "--to", "5", "--k", "4"
+        )
+        assert code == 0
+        hops = {int(h) for row in routes.splitlines()[1:] for h in row.split(",")[-1].split(";")}
+        assert hops & {c.id for c in inter}
+
 
 class TestRoute:
     def test_demo_plan_golden_first_row(self, capsys):
@@ -219,6 +238,35 @@ def test_rejected_walker_flag_is_usage_error(tmp_path, capsys, command, flag, va
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["gen-plan", "route", "simulate"])
+@pytest.mark.parametrize("flag", ["--rate", "--alt", "--inc", "--max-interorbit", "--step"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_walker_flag_is_usage_error(tmp_path, capsys, command, flag, value):
+    argv = {
+        "gen-plan": ["gen-plan"],
+        "route": ["route", "--from", "1", "--to", "2"],
+        "simulate": ["simulate", "--policy", "rmdg", "--out", str(tmp_path / "run")],
+    }[command]
+    walker = ["--walker", "4x3", "--alt", "1200", "--horizon", "20", "--step", "10"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *walker, f"{flag}={value}"])
+    assert exc.value.code == 2
+    err_lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(err_lines) == 1 and flag in err_lines[0] and "finite" in err_lines[0]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("depart", ["nan", "inf", "-1", "soon"])
+def test_bad_depart_is_usage_error(capsys, depart):
+    with pytest.raises(SystemExit) as exc:
+        main(["route", "--demo-plan", "--from", "A", "--to", "F", "--depart", depart])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err_lines = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(err_lines) == 1 and "--depart" in err_lines[0]
 
 
 class TestSimulateAndCompare:

@@ -125,6 +125,34 @@ class TestParsing:
         with pytest.raises(ContactPlanError):
             parse_contact_plan("a link +0 +10 A B 1\n")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("a contact +0 +10 A B {}", "rate"),
+            ("a contact +0 +10 A B 1 {}", "owlt"),
+            ("a range +0 +10 A B {}", "owlt"),
+        ],
+        ids=["rate", "contact-owlt", "range-owlt"],
+    )
+    def test_non_finite_number_rejected(self, line, field, token):
+        text = "a contact +0 +10 B A 1\n" + line.format(token) + "\n"
+        with pytest.raises(ContactPlanError, match=f"^line 2: {field} must be finite"):
+            parse_contact_plan(text)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["t_start", "t_end", "rate", "owlt"])
+    def test_contact_rejects_non_finite_field(self, name, value):
+        fields = dict(id=7, from_node="A", to_node="B", t_start=0, t_end=10, rate=1, owlt=0)
+        fields[name] = value
+        with pytest.raises(ContactPlanError, match=f"^contact 7: {name} must be finite"):
+            Contact(**fields)
+
+    def test_contact_node_outside_plan_rejected(self):
+        c = Contact(id=1, from_node="A", to_node="B", t_start=0, t_end=5, rate=1)
+        with pytest.raises(ContactPlanError, match="node 'B' not in the plan"):
+            ContactPlan(contacts=(c,), horizon=5, node_ids=frozenset("A"))
+
     def test_duplicate_contact_id_rejected(self):
         c = Contact(id=1, from_node="A", to_node="B", t_start=0, t_end=5, rate=1)
         with pytest.raises(ContactPlanError, match="duplicate"):
@@ -156,9 +184,12 @@ class TestEdges:
         plan = make_demo_plan()
         if margin:
             plan = with_transit_margin(plan)
-        for node in sorted(plan.node_ids | {"Z"}):
-            assert plan.edges_from(node) == tuple(
-                (c.id, c.t_start, c.t_end - 1, c.owlt, c.to_node)
+        index = plan.node_index
+        assert list(index) == sorted(plan.node_ids) and "Z" not in index
+        assert list(index.values()) == list(range(len(plan.adjacency)))
+        for node, i in index.items():
+            assert plan.adjacency[i] == tuple(
+                (c.id, c.t_start, c.t_end - 1, c.owlt, index[c.to_node])
                 for c in plan.contacts_from(node)
             )
 

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgrlab.contactgraph import build_contact_graph
 from cgrlab.contactplan import Contact, ContactPlan, make_demo_plan, with_transit_margin
@@ -15,6 +17,7 @@ from cgrlab.routesearch import (
 )
 
 from routing_oracle import enumerate_routes, signature
+from spur_oracle import yen_full_loop
 
 
 def _demo_graph():
@@ -78,6 +81,21 @@ class TestDijkstra:
         assert via_b.bdt == 32
         assert dijkstra_bdt(g, depart=0, via="C").hops == dijkstra_bdt(g, depart=0).hops
         assert dijkstra_bdt(g, depart=0, via="E") is None  # no contact from A to E
+
+    def test_equal_arrivals_break_ties_in_name_string_order(self):
+        # "10" sorts before "9" as a string and after it as a number; both
+        # relays reach "2" at t=2, so the relay settled first is its parent
+        plan = ContactPlan.build(
+            [
+                Contact(id=1, from_node="1", to_node="9", t_start=0, t_end=10, rate=1, owlt=1),
+                Contact(id=2, from_node="1", to_node="10", t_start=0, t_end=10, rate=1, owlt=1),
+                Contact(id=3, from_node="9", to_node="2", t_start=0, t_end=10, rate=1, owlt=1),
+                Contact(id=4, from_node="10", to_node="2", t_start=0, t_end=10, rate=1, owlt=1),
+            ]
+        )
+        g = build_contact_graph(plan, "1", "2")
+        assert dijkstra_bdt(g, depart=0).hops == (2, 4)
+        assert [r.hops for r in yen_plus(g, 2)] == [(1, 3), (2, 4)]
 
 
 class TestYenPlus:
@@ -289,3 +307,40 @@ class TestOracleEquivalence:
                 assert sigs == [signature(e) for e in expected[: len(sigs)]]
                 checked += 1
         assert checked == 1500
+
+
+@st.composite
+def tie_heavy_plans(draw):
+    """Random plans where equal windows and integer light times make ties common."""
+    nodes = [f"N{i}" for i in range(draw(st.integers(2, 5)))]
+    pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(
+        lambda p: p[0] != p[1]
+    )
+    windows = st.sampled_from([(0, 10), (0, 20), (5, 15), (10, 30), (0, 30)])
+    contacts = []
+    for cid in range(1, draw(st.integers(1, 10)) + 1):
+        frm, to = draw(pairs)
+        ts, te = draw(windows)
+        contacts.append(
+            Contact(
+                id=cid, from_node=frm, to_node=to, t_start=ts, t_end=te,
+                rate=draw(st.sampled_from([1, 2])), owlt=draw(st.sampled_from([0, 1, 2])),
+            )
+        )
+    return ContactPlan(contacts=tuple(contacts), horizon=30, node_ids=frozenset(nodes))
+
+
+class TestSpurRestriction:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        plan=tie_heavy_plans(),
+        k=st.integers(1, 10),
+        confirm=st.booleans(),
+        depart=st.sampled_from([0, 3]),
+    )
+    def test_matches_unrestricted_spur_loop(self, plan, k, confirm, depart):
+        graph = build_contact_graph(plan, "N0", "N1")
+        reference = build_contact_graph(plan, "N0", "N1")
+        got = yen_plus(graph, k, depart=depart, confirm=confirm)
+        assert got == yen_full_loop(reference, k, depart=depart, confirm=confirm)
+        assert graph.computing_counter == reference.computing_counter
