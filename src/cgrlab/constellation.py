@@ -31,6 +31,9 @@ class WalkerParams:
     inclination_deg: float
 
     def __post_init__(self) -> None:
+        for name in ("altitude_km", "inclination_deg"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sats_per_plane <= 0 or self.planes <= 0 or self.altitude_km <= 0:
             raise ValueError("constellation dimensions must be positive")
         if not 0 <= self.phase_factor < self.planes:
@@ -53,6 +56,8 @@ class IslConstraints:
     terminals_per_sat: int
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.max_interorbit_km):
+            raise ValueError(f"max_interorbit_km must be finite, got {self.max_interorbit_km}")
         if self.max_interorbit_km < 0:
             raise ValueError("max_interorbit_km must be non-negative")
         if self.terminals_per_sat < 2:

@@ -5,6 +5,8 @@ topology horizon.  Plans are parsed from an ION-style text format (one
 directive per line) or built programmatically.  A plan is treated as an
 immutable value after construction; the only mutable field is each contact's
 residual volume, which only the single-threaded simulation engine touches.
+The light-time lower bounds of ``ContactPlan.owlt_to`` are filled on first
+use; they read only the immutable fields.
 
 Text format, one directive per line, ``#`` starts a comment::
 
@@ -19,6 +21,7 @@ directions of the node pair unless a direction-exact line exists.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field, replace
 
@@ -105,6 +108,9 @@ class ContactPlan:
     two indices orders them as their names; ``adjacency[i]`` lists
     ``contacts_from`` of node ``i`` as ``(id, t_start, t_end - 1, owlt,
     to_index)`` tuples, the fields route search reads per edge.
+    ``whole_seconds`` is true when every contact's start and light time is a
+    whole number, so that arrivals computed from a whole-second departure
+    are exact.
     """
 
     contacts: tuple[Contact, ...]
@@ -114,6 +120,10 @@ class ContactPlan:
     _by_from: dict[str, tuple[Contact, ...]] = field(init=False, repr=False)
     node_index: dict[str, int] = field(init=False, repr=False)
     adjacency: tuple[tuple[Edge, ...], ...] = field(init=False, repr=False)
+    whole_seconds: bool = field(init=False, repr=False)
+    _owlt_to: dict[int, list[float]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         by_id: dict[int, Contact] = {}
@@ -142,6 +152,40 @@ class ContactPlan:
             )
             for n in index
         )
+        self.whole_seconds = all(
+            float(c.t_start).is_integer() and float(c.owlt).is_integer()
+            for c in self.contacts
+        )
+
+    def owlt_to(self, dest: int) -> list[float]:
+        """Least sum of light times from each node index to node index ``dest``.
+
+        One reverse Dijkstra over ``adjacency`` that ignores the windows, so
+        no route from a node can reach ``dest`` sooner after leaving it;
+        ``inf`` where no contact path leads there.  Filled on first use, one
+        list per destination, and kept with the plan.
+        """
+        h = self._owlt_to.get(dest)
+        if h is not None:
+            return h
+        into: list[list[tuple[float, int]]] = [[] for _ in self.adjacency]
+        for node, edges in enumerate(self.adjacency):
+            for _, _, _, owlt, to in edges:
+                into[to].append((owlt, node))
+        h = [math.inf] * len(into)
+        h[dest] = 0.0
+        heap = [(0.0, dest)]
+        while heap:
+            dist, node = heapq.heappop(heap)
+            if dist > h[node]:
+                continue
+            for owlt, frm in into[node]:
+                reach = dist + owlt
+                if reach < h[frm]:
+                    h[frm] = reach
+                    heapq.heappush(heap, (reach, frm))
+        self._owlt_to[dest] = h
+        return h
 
     @classmethod
     def build(

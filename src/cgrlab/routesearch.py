@@ -12,7 +12,12 @@ deviation.  In its default mode it keeps extracting candidate routes until it
 has proven that no undiscovered route can outrank the K-th one (the proof is
 a popped route with a strictly larger BDT), so the returned list may contain
 a few confirmed routes beyond K.  Spur searches from an accepted route start
-at the hop index where it deviated from its parent route (Lawler, 1972).
+at the hop index where it deviated from its parent route (Lawler, 1972).  In
+the non-confirming mode, once the candidate pool holds enough routes to fill
+the list, a spur search drops every label whose arrival plus the least light
+time left to the destination (``ContactPlan.owlt_to``, a consistent lower
+bound in the sense of Hart, Nilsson & Raphael, 1968) exceeds the BDT of the
+last route that can still be accepted; the returned routes are unchanged.
 
 The earliest-arrival search runs on the plan's integer node indices, which
 follow the node names' string order, so equal arrivals break ties as they
@@ -111,6 +116,8 @@ def _search(
     dest: int,
     banned_nodes: list[int],
     banned_first: frozenset[int],
+    bound: float = math.inf,
+    h: list[float] | None = None,
 ) -> list[int] | None:
     """Earliest-arrival search between node indices; returns the hops or None.
 
@@ -119,6 +126,11 @@ def _search(
     ``(arrival, node index)``; indices follow the names' string order, so
     ties break as they would on the names.  ``banned_nodes`` start out
     settled and ``banned_first`` removes contacts from the first hop.
+
+    When ``h`` is given it is ``plan.owlt_to(dest)``, and a label ``reach``
+    at node ``to`` is kept only when ``reach + h[to] <= bound``; ``yen_plus``
+    argues at its prune site why that returns what the unbounded search
+    returns whenever that arrives by ``bound``.
     """
     adjacency = plan.adjacency
     best = [math.inf] * len(adjacency)
@@ -151,7 +163,7 @@ def _search(
             if dep > last:
                 continue
             reach = dep + owlt
-            if reach < best[to]:
+            if reach < best[to] and (h is None or reach + h[to] <= bound):
                 best[to] = reach
                 parent[to] = (cid, node)
                 heappush(heap, (reach, to))
@@ -200,8 +212,12 @@ def yen_plus(
     ordered greedily).
 
     Spur searches from an accepted route start at its deviation index
-    (Lawler's restriction; the argument is at the spur loop).  Each
-    deviation round increments the graph's computing counter.
+    (Lawler's restriction; the argument is at the spur loop).  With
+    ``confirm=False`` they are also bounded: a label that cannot reach the
+    destination by the BDT of the last route that can still be accepted is
+    dropped, which leaves the result unchanged (the argument is at the
+    search call).  Each deviation round increments the graph's computing
+    counter.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -221,6 +237,11 @@ def yen_plus(
     source = index[graph.source]
     dest = index[graph.dest]
     deviation = 0
+    # non-confirming mode: `cutoff` is B*, the latest BDT a route can have
+    # and still be accepted, and `bound` the prune threshold (see the spurs)
+    h = plan.owlt_to(dest)
+    exact = plan.whole_seconds and float(depart).is_integer()
+    cutoff = bound = math.inf
 
     # once the K-th best BDT is certain, `boundary` holds the BDT class of the
     # first route beyond it; that whole class is still confirmed before
@@ -276,7 +297,42 @@ def yen_plus(
             banned_first = frozenset(
                 r.hops[j] for r in accepted if len(r.hops) > j and r.hops[:j] == root_hops
             )
-            spur = _search(plan, spur_node, start_time, dest, root_nodes, banned_first)
+            # Bounded spurs, in the non-confirming mode only.  Once the pool
+            # holds m = k - len(accepted) entries, B* is the BDT of its m-th
+            # best.  Each later round pops one entry and accepts it, those m
+            # entries (or better ones) pop first, and after m rounds
+            # len(accepted) == k ends the search, so a route whose BDT is
+            # above B* can never be accepted.  B* never rises: a push can
+            # only lower the m-th best, and a pop removes the best entry
+            # while m drops by one, which leaves the same entry m-th.  With
+            # h = plan.owlt_to(dest), `_search` keeps a label only when
+            # reach + h[to] <= B*.  The accepted routes stay those of the
+            # unbounded search:
+            # (i) A pruned candidate is hopeless, and so is any later re-find
+            #     of it, because B* never rises; the unbounded search would
+            #     push it and never pop it.  The surviving entries keep their
+            #     relative `seq` order, so the sequence of pops is unchanged.
+            # (ii) h is consistent: h[u] <= owlt + h[v] on every edge, and
+            #     reach >= label(u) + owlt, so label(u) + h[u] <= reach + h[v].
+            #     Every relaxation that sets a surviving node's label, ties
+            #     included, comes from a surviving node, so the surviving
+            #     labels pop in the same (arrival, node) order and get the
+            #     same parents as in the unbounded search.
+            # (iii) BDT equals the search's arrival at dest, because
+            #     `evaluate_route` applies the same forward rule to the same
+            #     root, so a spur the unbounded search ends by B* is found
+            #     unchanged, and any other is hopeless.
+            # (ii) needs exact sums: they are when the plan's starts and light
+            # times and `depart` are whole seconds.  Otherwise `bound` sits
+            # 1e-9 * (1 + |B*|) above B*, far above the rounding along any
+            # route, so the labels of a route arriving by B* still survive; a
+            # bound above B* only prunes less.  No spur is skipped before its
+            # search: X's own tail takes start_time + h[spur_node] <= BDT(X),
+            # and every candidate deviating from X arrives no sooner than X,
+            # so B* >= BDT(X).
+            spur = _search(
+                plan, spur_node, start_time, dest, root_nodes, banned_first, bound, h
+            )
             if spur is None:
                 continue
             total = root_hops + tuple(spur)
@@ -288,6 +344,9 @@ def yen_plus(
             seen.add(total)
             seq += 1
             heapq.heappush(pool, (route.sort_key, seq, route, j))
+            if not confirm and route.bdt < cutoff and len(pool) >= k - len(accepted):
+                cutoff = heapq.nsmallest(k - len(accepted), pool)[-1][2].bdt
+                bound = cutoff if exact else cutoff + 1e-9 * (1.0 + abs(cutoff))
 
         if not pool:
             break

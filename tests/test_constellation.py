@@ -65,6 +65,15 @@ class TestGeometry:
             WalkerParams(sats_per_plane=12, planes=10, phase_factor=10,
                          altitude_km=1200.0, inclination_deg=55.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["altitude_km", "inclination_deg"])
+    def test_non_finite_walker_field_rejected(self, field, value):
+        kwargs = dict(sats_per_plane=4, planes=3, phase_factor=1,
+                      altitude_km=1200.0, inclination_deg=55.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            WalkerParams(**kwargs)
+
 
 @pytest.fixture(scope="module")
 def plan():
@@ -123,6 +132,11 @@ class TestPlanGeneration:
     def test_too_few_terminals_rejected(self):
         with pytest.raises(ValueError):
             IslConstraints(max_interorbit_km=4909.0, terminals_per_sat=1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_interorbit_range_rejected(self, value):
+        with pytest.raises(ValueError, match="max_interorbit_km must be finite"):
+            IslConstraints(max_interorbit_km=value, terminals_per_sat=4)
 
     def test_owlt_below_one_light_second(self, plan):
         # every link in this constellation is far below one light-second

@@ -1,5 +1,7 @@
 """Contact plan parsing, light-time arithmetic and availability queries."""
 
+import math
+
 import pytest
 
 from cgrlab.contactplan import (
@@ -192,6 +194,24 @@ class TestEdges:
                 (c.id, c.t_start, c.t_end - 1, c.owlt, index[c.to_node])
                 for c in plan.contacts_from(node)
             )
+
+    def test_owlt_to_is_least_light_time_sum(self):
+        plan = ContactPlan.build(
+            [
+                Contact(id=1, from_node="A", to_node="B", t_start=0, t_end=10, rate=1, owlt=1),
+                Contact(id=2, from_node="A", to_node="B", t_start=20, t_end=30, rate=1, owlt=3),
+                Contact(id=3, from_node="B", to_node="C", t_start=0, t_end=60, rate=1, owlt=2),
+            ]
+        )
+        a, b, c = (plan.node_index[n] for n in "ABC")
+        # windows are ignored: contact 1 closes before contact 3 matters
+        assert plan.owlt_to(c) == [3.0, 2.0, 0.0]
+        assert plan.owlt_to(a) == [0.0, math.inf, math.inf]
+        assert plan.owlt_to(c) is plan.owlt_to(c)
+        assert plan.whole_seconds
+        padded = with_transit_margin(plan)
+        assert not padded.whole_seconds
+        assert padded.owlt_to(c)[a] == total_transit_time(1.0) + total_transit_time(2.0)
 
 
 def _interval_plan():

@@ -1,13 +1,15 @@
 """Engine invariants on small random plans and traffic, under both policies."""
 
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sampling_oracle import per_second_run
 
 from cgrlab.contactplan import Contact, ContactPlan
 from cgrlab.forwarding import Bundle
-from cgrlab.simcore import POLICIES, run_simulation
+from cgrlab.simcore import POLICIES, POLICY_RMDG, POLICY_STANDARD, run_simulation
 
 HORIZON = 60
 
@@ -89,6 +91,26 @@ def test_rows_match_per_second_sampling(scenario, policy, owlt_mode):
     plan, bundles = scenario
     metrics = run_simulation(plan, bundles, policy, owlt_mode=owlt_mode)
     assert metrics.rows == per_second_run(plan, bundles, policy, owlt_mode=owlt_mode).rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(scenario=scenarios(), owlt_mode=st.sampled_from(["file", "uniform"]))
+def test_policies_agree_on_one_non_critical_bundle(scenario, owlt_mode):
+    # the policies differ only in critical forwarding and in the order of
+    # same-instant selections, and one non-critical bundle meets neither
+    plan, bundles = scenario
+    assume(bundles)
+    bundles = [replace(bundles[0], critical=False)]
+    standard, rmdg = (
+        run_simulation(plan, bundles, policy, owlt_mode=owlt_mode)
+        for policy in (POLICY_STANDARD, POLICY_RMDG)
+    )
+    assert standard.records == rmdg.records
+    assert standard.rows == rmdg.rows
+    assert [e[:5] + e[6:] for e in standard.dispatch_log] == [
+        e[:5] + e[6:] for e in rmdg.dispatch_log
+    ]
+    assert {e[5] for e in rmdg.dispatch_log} <= {POLICY_RMDG}
 
 
 @pytest.mark.parametrize("policy", POLICIES)

@@ -1,11 +1,13 @@
 """Route search: shortest route, K-best ordering, cost key, volumes."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cgrlab import routesearch
 from cgrlab.contactgraph import build_contact_graph
 from cgrlab.contactplan import Contact, ContactPlan, make_demo_plan, with_transit_margin
 from cgrlab.routesearch import (
@@ -310,21 +312,21 @@ class TestOracleEquivalence:
 
 
 @st.composite
-def tie_heavy_plans(draw):
-    """Random plans where equal windows and integer light times make ties common."""
-    nodes = [f"N{i}" for i in range(draw(st.integers(2, 5)))]
+def tie_heavy_plans(draw, node_count=(2, 5), max_contacts=10, light_times=(0, 1, 2)):
+    """Random plans where equal windows and few light times make ties common."""
+    nodes = [f"N{i}" for i in range(draw(st.integers(*node_count)))]
     pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(
         lambda p: p[0] != p[1]
     )
     windows = st.sampled_from([(0, 10), (0, 20), (5, 15), (10, 30), (0, 30)])
     contacts = []
-    for cid in range(1, draw(st.integers(1, 10)) + 1):
+    for cid in range(1, draw(st.integers(1, max_contacts)) + 1):
         frm, to = draw(pairs)
         ts, te = draw(windows)
         contacts.append(
             Contact(
                 id=cid, from_node=frm, to_node=to, t_start=ts, t_end=te,
-                rate=draw(st.sampled_from([1, 2])), owlt=draw(st.sampled_from([0, 1, 2])),
+                rate=draw(st.sampled_from([1, 2])), owlt=draw(st.sampled_from(light_times)),
             )
         )
     return ContactPlan(contacts=tuple(contacts), horizon=30, node_ids=frozenset(nodes))
@@ -344,3 +346,47 @@ class TestSpurRestriction:
         got = yen_plus(graph, k, depart=depart, confirm=confirm)
         assert got == yen_full_loop(reference, k, depart=depart, confirm=confirm)
         assert graph.computing_counter == reference.computing_counter
+
+
+class TestBoundedSpurs:
+    def test_matches_unbounded_loop(self, monkeypatch):
+        """Pruned spur searches leave the route list and counter unchanged.
+
+        Whole-second plans exercise the exact bound, fractional light times
+        the padded one.  The spy counts searches the bound cut short, where
+        the unbounded search finds a spur and the bounded one does not.
+        """
+        search = routesearch._search
+        cut = []
+
+        def spy(plan, start, start_time, dest, banned_nodes, banned_first, *bounded):
+            hops = search(plan, start, start_time, dest, banned_nodes, banned_first, *bounded)
+            if hops is None and search(
+                plan, start, start_time, dest, banned_nodes, banned_first
+            ) is not None:
+                cut.append(bounded[0])
+            return hops
+
+        monkeypatch.setattr(routesearch, "_search", spy)
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(
+            plan=st.one_of(
+                tie_heavy_plans(node_count=(6, 10), max_contacts=30),
+                tie_heavy_plans(
+                    node_count=(6, 10), max_contacts=30, light_times=(0, 0.1, 0.2, 0.7)
+                ),
+            ),
+            k=st.integers(2, 10),
+            confirm=st.booleans(),
+            depart=st.sampled_from([0, 3, 0.1]),
+        )
+        def check(plan, k, confirm, depart):
+            graph = build_contact_graph(plan, "N0", "N1")
+            reference = build_contact_graph(plan, "N0", "N1")
+            got = yen_plus(graph, k, depart=depart, confirm=confirm)
+            assert got == yen_full_loop(reference, k, depart=depart, confirm=confirm)
+            assert graph.computing_counter == reference.computing_counter
+
+        check()
+        assert cut and all(b < math.inf for b in cut)
