@@ -108,9 +108,6 @@ class ContactPlan:
     two indices orders them as their names; ``adjacency[i]`` lists
     ``contacts_from`` of node ``i`` as ``(id, t_start, t_end - 1, owlt,
     to_index)`` tuples, the fields route search reads per edge.
-    ``whole_seconds`` is true when every contact's start and light time is a
-    whole number, so that arrivals computed from a whole-second departure
-    are exact.
     """
 
     contacts: tuple[Contact, ...]
@@ -120,7 +117,6 @@ class ContactPlan:
     _by_from: dict[str, tuple[Contact, ...]] = field(init=False, repr=False)
     node_index: dict[str, int] = field(init=False, repr=False)
     adjacency: tuple[tuple[Edge, ...], ...] = field(init=False, repr=False)
-    whole_seconds: bool = field(init=False, repr=False)
     _owlt_to: dict[int, list[float]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
@@ -151,10 +147,6 @@ class ContactPlan:
                 for c in self._by_from.get(n, ())
             )
             for n in index
-        )
-        self.whole_seconds = all(
-            float(c.t_start).is_integer() and float(c.owlt).is_integer()
-            for c in self.contacts
         )
 
     def owlt_to(self, dest: int) -> list[float]:

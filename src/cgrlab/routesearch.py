@@ -238,9 +238,9 @@ def yen_plus(
     dest = index[graph.dest]
     deviation = 0
     # non-confirming mode: `cutoff` is B*, the latest BDT a route can have
-    # and still be accepted, and `bound` the prune threshold (see the spurs)
-    h = plan.owlt_to(dest)
-    exact = plan.whole_seconds and float(depart).is_integer()
+    # and still be accepted, `bound` the prune threshold and `h` the light
+    # time lower bounds, fetched once `cutoff` is finite (see the spurs)
+    h: list[float] | None = None
     cutoff = bound = math.inf
 
     # once the K-th best BDT is certain, `boundary` holds the BDT class of the
@@ -322,14 +322,15 @@ def yen_plus(
             #     `evaluate_route` applies the same forward rule to the same
             #     root, so a spur the unbounded search ends by B* is found
             #     unchanged, and any other is hopeless.
-            # (ii) needs exact sums: they are when the plan's starts and light
-            # times and `depart` are whole seconds.  Otherwise `bound` sits
-            # 1e-9 * (1 + |B*|) above B*, far above the rounding along any
-            # route, so the labels of a route arriving by B* still survive; a
-            # bound above B* only prunes less.  No spur is skipped before its
-            # search: X's own tail takes start_time + h[spur_node] <= BDT(X),
-            # and every candidate deviating from X arrives no sooner than X,
-            # so B* >= BDT(X).
+            # `bound` sits 1e-9 * (1 + |B*|) above B*.  Fractional sums round,
+            # and the padding lies far above the rounding along any route, so
+            # the labels of a route arriving by B* still survive; a bound
+            # above B* only prunes less.  On whole-second plans and departures
+            # every label sum and B* are whole numbers and the padding is
+            # below one second (|B*| < 1e9 s), so it never changes what is
+            # pruned.  No spur is skipped before its search: X's own tail
+            # takes start_time + h[spur_node] <= BDT(X), and every candidate
+            # deviating from X arrives no sooner than X, so B* >= BDT(X).
             spur = _search(
                 plan, spur_node, start_time, dest, root_nodes, banned_first, bound, h
             )
@@ -346,7 +347,9 @@ def yen_plus(
             heapq.heappush(pool, (route.sort_key, seq, route, j))
             if not confirm and route.bdt < cutoff and len(pool) >= k - len(accepted):
                 cutoff = heapq.nsmallest(k - len(accepted), pool)[-1][2].bdt
-                bound = cutoff if exact else cutoff + 1e-9 * (1.0 + abs(cutoff))
+                bound = cutoff + 1e-9 * (1.0 + abs(cutoff))
+                if h is None:
+                    h = plan.owlt_to(dest)
 
         if not pool:
             break

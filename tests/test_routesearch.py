@@ -352,9 +352,9 @@ class TestBoundedSpurs:
     def test_matches_unbounded_loop(self, monkeypatch):
         """Pruned spur searches leave the route list and counter unchanged.
 
-        Whole-second plans exercise the exact bound, fractional light times
-        the padded one.  The spy counts searches the bound cut short, where
-        the unbounded search finds a spur and the bounded one does not.
+        Plans with whole-second and with fractional light times both run.
+        The spy counts searches the bound cut short, where the unbounded
+        search finds a spur and the bounded one does not.
         """
         search = routesearch._search
         cut = []
