@@ -120,6 +120,10 @@ class ContactPlan:
     _owlt_to: dict[int, list[float]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    # reverse adjacency of owlt_to, (owlt, from_index) per node index
+    _into: list[list[tuple[float, int]]] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         by_id: dict[int, Contact] = {}
@@ -155,15 +159,18 @@ class ContactPlan:
         One reverse Dijkstra over ``adjacency`` that ignores the windows, so
         no route from a node can reach ``dest`` sooner after leaving it;
         ``inf`` where no contact path leads there.  Filled on first use, one
-        list per destination, and kept with the plan.
+        list per destination, and kept with the plan, as is the reverse
+        adjacency all destinations share.
         """
         h = self._owlt_to.get(dest)
         if h is not None:
             return h
-        into: list[list[tuple[float, int]]] = [[] for _ in self.adjacency]
-        for node, edges in enumerate(self.adjacency):
-            for _, _, _, owlt, to in edges:
-                into[to].append((owlt, node))
+        into = self._into
+        if into is None:
+            into = self._into = [[] for _ in self.adjacency]
+            for node, edges in enumerate(self.adjacency):
+                for _, _, _, owlt, to in edges:
+                    into[to].append((owlt, node))
         h = [math.inf] * len(into)
         h[dest] = 0.0
         heap = [(0.0, dest)]

@@ -16,6 +16,15 @@ produce bit-identical metrics and dispatch logs.  Metrics are sampled every
 whole second, one row each; a row can change only at an event, so only the
 first two rows after each event are computed and later ones before the next
 event copy the second (see ``_Engine._emit_rows``).
+
+A stored copy is re-attempted once per contact start or transmission end at
+its node, so it is often attempted several times at one instant.  The engine
+keeps a ``version`` that moves on every change an attempt can read; an
+attempt that repeats, at the same instant and version, an attempt of the same
+copy that changed nothing is skipped, and memoised routes are reused while
+the version holds.  The ``computing`` metric still counts every attempt: a
+skipped one adds the computations its first run counted (see
+``_Engine._attempt_forward``).
 """
 
 from __future__ import annotations
@@ -82,6 +91,8 @@ class _Copy:
     in_flight: bool = False
     queued_on: int | None = None
     no_rollback_to: str | None = None
+    # (now, version, computing delta) of its last attempt that changed nothing
+    idle_attempt: tuple[float, int, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -255,10 +266,15 @@ class _Engine:
 
         self.graphs: dict[tuple[str, str], ContactGraph] = {}
         self.route_cache: dict[tuple[str, str], tuple[float, list[Route]]] = {}
-        # (node, dest, neighbour) -> hops of the best route through that
-        # neighbour, valid for the instant hop_memo_t only
-        self.hop_memo: dict[tuple[str, str, str], tuple[int, ...] | None] = {}
+        # (node, dest, neighbour) -> (version, best route through that
+        # neighbour evaluated at that version, or None), valid for the instant
+        # hop_memo_t only; the route is re-evaluated once the version moves
+        self.hop_memo: dict[tuple[str, str, str], tuple[int, Route | None]] = {}
         self.hop_memo_t: float | None = None
+        # moves on every change a selection attempt can read: each non-select
+        # event, accepted enqueue, booking leaving a queue in _try_start, and
+        # route-cache recompute
+        self.version = 0
         self.booking_seq = 0
         self.copy_seq = 0
 
@@ -300,6 +316,7 @@ class _Engine:
                 return live
         routes = yen_plus(graph, self.k, depart=now, confirm=False)
         self.route_cache[key] = (now, routes)
+        self.version += 1
         return routes
 
     def _review_route(
@@ -357,8 +374,9 @@ class _Engine:
 
         The search reads only the static plan, so its hops are the same for
         every copy reviewed at one node for one destination and instant; they
-        are searched once per instant and re-evaluated against the current
-        residual volumes on every later use.  Each use still counts one
+        are searched once per instant.  The evaluated route is kept with the
+        engine version and re-evaluated against the current residual volumes
+        only once the version has moved.  Each use still counts one
         computation.
         """
         bundle = copy.bundle
@@ -372,16 +390,20 @@ class _Engine:
             for c in self.plan.contacts_from(node)
             if c.t_end - 1 >= now and c.to_node not in bundle.hop_trace
         }
+        version = self.version
         cands: list[CandidateRoute] = []
         for neighbor in sorted(neighbors):
             graph.computing_counter += 1
             key = (node, bundle.dest, neighbor)
-            if key in self.hop_memo:
-                hops = self.hop_memo[key]
-                route = None if hops is None else evaluate_route(self.plan, hops, now)
-            else:
+            memo = self.hop_memo.get(key)
+            if memo is None:
                 route = dijkstra_bdt(graph, depart=now, via=neighbor)
-                self.hop_memo[key] = None if route is None else route.hops
+                self.hop_memo[key] = (version, route)
+            else:
+                evaluated_at, route = memo
+                if route is not None and evaluated_at != version:
+                    route = evaluate_route(self.plan, route.hops, now)
+                    self.hop_memo[key] = (version, route)
             if route is None:
                 continue
             cand = self._review_route(graph, route, bundle, now)
@@ -435,6 +457,7 @@ class _Engine:
         accepted, displaced = handle_overbooking(contact, queue, booking)
         if not accepted:
             return False
+        self.version += 1
         for victim in displaced:
             queue.remove(victim)
             self.dispatch_log.append(
@@ -457,6 +480,7 @@ class _Engine:
         while queue and self.busy_until[c.id] <= now and c.t_start <= now < c.t_end:
             booking = min(queue, key=lambda b: (-b.priority, b.seq))
             queue.remove(booking)
+            self.version += 1
             duration = booking.mb / c.rate
             if now + duration > c.t_end:
                 # no longer fits in the remaining window: back to selection
@@ -529,14 +553,37 @@ class _Engine:
         if copy.at_node == bundle.dest:
             self._retire(copy)
             return
+        graph = self._graph(copy.at_node, bundle.dest)
+        idle = copy.idle_attempt
+        if idle is not None and idle[0] == now and idle[1] == self.version:
+            # This copy's last attempt ran at this instant and version and
+            # changed nothing: it moved neither the version nor the booking
+            # and copy sequences, so it dispatched nothing and left the copy
+            # stored.  Everything an attempt reads (the copy and its bundle,
+            # the queues, residual volumes, busy_until, the holder sets and
+            # the route-cache timestamp) changes only where the version
+            # moves, so this attempt would read what that one read, and equal
+            # inputs give equal outputs.  The caches it reads are pure:
+            # hop_memo holds what the search and `evaluate_route` return at
+            # this instant and version, and the route-cache live filter writes
+            # back a list that filtering again at the same or a later `now`
+            # leaves as it is.  So the attempt would end as the last one did,
+            # having counted the same computations on this graph, where all
+            # of an attempt's counts land.
+            graph.computing_counter += idle[2]
+            return
+        before = (self.version, self.booking_seq, self.copy_seq)
+        counted = graph.computing_counter
         if bundle.critical and self.policy == POLICY_STANDARD:
             cands = self._critical_candidates(copy, now)
         else:
             cands = self._candidates(copy, now)
-        if not cands:
+        if cands:
+            self._dispatch_candidates(copy, cands, now)
+        else:
             self._rollback_or_store(copy, now)
-            return
-        self._dispatch_candidates(copy, cands, now)
+        if (self.version, self.booking_seq, self.copy_seq) == before:
+            copy.idle_attempt = (now, self.version, graph.computing_counter - counted)
 
     def _handle_arrival(self, copy: _Copy, contact: Contact, now: float) -> None:
         from_node, to_node = contact.from_node, contact.to_node
@@ -684,7 +731,9 @@ class _Engine:
                 while self.heap and self.heap[0][0] == t and self.heap[0][1] == _R_SELECT:
                     batch.append(heapq.heappop(self.heap)[3])
                 self._process_selection_batch(batch, t)
-            elif rank == _R_CONTACT_START:
+                continue
+            self.version += 1
+            if rank == _R_CONTACT_START:
                 self._try_start(payload, t)
                 self._reattempt_stored(payload.from_node, t)
             elif rank == _R_CONTACT_END:

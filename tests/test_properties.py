@@ -6,10 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sampling_oracle import per_second_run
+from selection_oracle import FullSelectionEngine
 
 from cgrlab.contactplan import Contact, ContactPlan
 from cgrlab.forwarding import Bundle
-from cgrlab.simcore import POLICIES, POLICY_RMDG, POLICY_STANDARD, run_simulation
+from cgrlab.simcore import POLICIES, POLICY_RMDG, POLICY_STANDARD, _Engine, run_simulation
 
 HORIZON = 60
 
@@ -21,15 +22,15 @@ light_times = st.one_of(
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, starts=st.integers(0, HORIZON - 1), max_contacts=8, gens=st.integers(0, 40)):
     nodes = [f"N{i}" for i in range(draw(st.integers(2, 5)))]
     pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(
         lambda p: p[0] != p[1]
     )
     contacts = []
-    for cid in range(1, draw(st.integers(0, 8)) + 1):
+    for cid in range(1, draw(st.integers(0, max_contacts)) + 1):
         frm, to = draw(pairs)
-        t_start = draw(st.integers(0, HORIZON - 1))
+        t_start = draw(starts)
         t_end = draw(st.integers(t_start + 1, HORIZON))
         contacts.append(
             Contact(
@@ -42,7 +43,7 @@ def scenarios(draw):
     for bid in range(1, draw(st.integers(0, 6)) + 1):
         source, dest = draw(pairs)
         priority = draw(st.integers(0, 2))
-        t_gen = draw(st.integers(0, 40))
+        t_gen = draw(gens)
         bundles.append(
             Bundle(
                 id=bid, source=source, dest=dest,
@@ -91,6 +92,47 @@ def test_rows_match_per_second_sampling(scenario, policy, owlt_mode):
     plan, bundles = scenario
     metrics = run_simulation(plan, bundles, policy, owlt_mode=owlt_mode)
     assert metrics.rows == per_second_run(plan, bundles, policy, owlt_mode=owlt_mode).rows
+
+
+def count_selections(engine):
+    """Log the instant of every candidate computation the engine runs."""
+    calls = []
+    for name in ("_candidates", "_critical_candidates"):
+        def spy(copy, now, method=getattr(engine, name)):
+            calls.append(now)
+            return method(copy, now)
+
+        setattr(engine, name, spy)
+    return calls
+
+
+def test_selection_matches_full_attempts():
+    # contacts open on two shared instants after most bundles are generated,
+    # so a node can re-attempt a stored copy several times at one instant
+    skipped = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        scenario=scenarios(
+            starts=st.sampled_from([10, 20]), max_contacts=12, gens=st.integers(0, 20)
+        ),
+        policy=st.sampled_from(POLICIES),
+        owlt_mode=st.sampled_from(["file", "uniform"]),
+    )
+    def check(scenario, policy, owlt_mode):
+        plan, bundles = scenario
+        engine = _Engine(plan, bundles, policy, 0, 4, owlt_mode)
+        oracle = FullSelectionEngine(plan, bundles, policy, 0, 4, owlt_mode)
+        selections, full_selections = count_selections(engine), count_selections(oracle)
+        metrics, expected = engine.run(), oracle.run()
+        assert metrics.fingerprint() == expected.fingerprint()
+        assert metrics.computing_total == expected.computing_total
+        assert metrics.dispatch_log == expected.dispatch_log
+        if len(selections) < len(full_selections):
+            skipped.add(policy)
+
+    check()
+    assert skipped == set(POLICIES)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

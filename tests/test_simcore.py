@@ -342,6 +342,78 @@ class TestCriticalReplication:
         assert sum(std.contact_usage.values()) > sum(rmdg.contact_usage.values())
 
 
+class TestRepeatSelections:
+    # A holds a critical bundle for D.  Its three neighbours' contacts open
+    # at t=10 and each reaches D only at t=26, after expiry, so every review
+    # fails and the copy stays stored; one attempt counts 3 searches and 3
+    # reviews.
+    ATTEMPT = 6
+
+    def _plan(self):
+        return ContactPlan.build(
+            [
+                Contact(id=cid, from_node=frm, to_node=to, t_start=ts, t_end=30, rate=1.0, owlt=1)
+                for cid, (frm, to, ts) in enumerate(
+                    [("A", "B", 10), ("A", "C", 10), ("A", "E", 10),
+                     ("B", "D", 25), ("C", "D", 25), ("E", "D", 25)],
+                    start=1,
+                )
+            ]
+        )
+
+    def _critical(self):
+        return _bundle(src="A", priority=2, critical=True, ttl=20.0)
+
+    def _spy(self, monkeypatch):
+        """Number each attempt; log the number of the attempt behind each review."""
+        attempts, reviews = [], []
+        real_attempt = simcore._Engine._attempt_forward
+        real_review = simcore._Engine._review_route
+
+        def attempt(engine, copy, now):
+            attempts.append((copy.copy_id, now))
+            real_attempt(engine, copy, now)
+
+        def review(engine, graph, route, bundle, now):
+            reviews.append(len(attempts))
+            return real_review(engine, graph, route, bundle, now)
+
+        monkeypatch.setattr(simcore._Engine, "_attempt_forward", attempt)
+        monkeypatch.setattr(simcore._Engine, "_review_route", review)
+        return attempts, reviews
+
+    def test_same_instant_repeats_are_counted_not_reviewed(self, monkeypatch):
+        attempts, reviews = self._spy(monkeypatch)
+        metrics = run_simulation(self._plan(), [self._critical()], POLICY_STANDARD)
+        # each contact start re-attempts the stored copy
+        assert attempts == [(1, 0.0)] + [(1, 10.0)] * 3
+        assert reviews == [1] * 3 + [2] * 3
+        assert metrics.rows[9].computing_cum == self.ATTEMPT
+        assert metrics.rows[10].computing_cum == 4 * self.ATTEMPT
+        assert metrics.dispatch_log == []
+        assert metrics.records[1].outcome == OUTCOME_NEVER_ROUTED
+
+    def test_enqueue_between_repeats_forces_a_fresh_review(self, monkeypatch):
+        _, reviews = self._spy(monkeypatch)
+        held_bundle = self._critical()
+        other = _bundle(bid=2, src="A", dst="B")
+        engine = simcore._Engine(self._plan(), [held_bundle, other], POLICY_STANDARD, 0, 4, "uniform")
+        held = engine._new_copy(held_bundle, "A")
+        engine.nodes["A"].seen_critical[held_bundle.id] = {"A"}
+        engine._store(held)
+        # at t=5 no contact is open yet, so the enqueue starts no transmission
+        engine._attempt_forward(held, 5.0)
+        engine._attempt_forward(held, 5.0)
+        assert len(reviews) == 3
+        assert engine._enqueue(engine._new_copy(other, "A"), engine.plan.contact(1), 5.0, "select")
+        assert engine.queues[1] and engine.busy_until[1] < 5.0
+        engine._attempt_forward(held, 5.0)
+        assert len(reviews) == 6
+        engine._attempt_forward(held, 5.0)
+        assert len(reviews) == 6
+        assert sum(g.computing_counter for g in engine.graphs.values()) == 4 * self.ATTEMPT
+
+
 class TestMetricsSeries:
     def test_fresh_engine_samples_zero(self):
         metrics = run_simulation(_one_hop_plan(), [_bundle(t_gen=5.0)], POLICY_STANDARD)
