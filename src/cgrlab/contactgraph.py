@@ -6,24 +6,36 @@ data cached there can still leave through v.  Route search follows these
 storage edges, which encode storage opportunities, not links.
 
 The graph carries the computing-resource tally ``computing_counter``, fed by
-route search iterations and by the engine's candidate-route reviews.
+route search iterations and by the engine's candidate-route reviews.  It
+also keeps ``dijkstra_bdt``'s last search per first-hop restriction, with the
+departures at which that search would repeat itself, so that a later call in
+that window reuses its hops (see ``routesearch.dijkstra_bdt``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cgrlab.contactplan import ContactPlan
 
 
 @dataclass
 class ContactGraph:
-    """Contact graph for one source/destination pair."""
+    """Contact graph for one source/destination pair.
+
+    ``searches`` maps a ``via`` neighbour (or None) to ``(depart, slack,
+    hops)``: the hops ``dijkstra_bdt`` found departing at ``depart`` (None
+    when it found none), which a search departing up to ``slack`` seconds
+    later finds again.
+    """
 
     plan: ContactPlan
     source: str
     dest: str
     computing_counter: int = 0
+    searches: dict[str | None, tuple[float, float, list[int] | None]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
 
 def build_contact_graph(plan: ContactPlan, source: str, dest: str) -> ContactGraph:

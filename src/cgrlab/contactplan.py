@@ -5,8 +5,9 @@ topology horizon.  Plans are parsed from an ION-style text format (one
 directive per line) or built programmatically.  A plan is treated as an
 immutable value after construction; the only mutable field is each contact's
 residual volume, which only the single-threaded simulation engine touches.
-The light-time lower bounds of ``ContactPlan.owlt_to`` are filled on first
-use; they read only the immutable fields.
+The light-time lower bounds of ``ContactPlan.owlt_to`` and the light-time
+test of ``ContactPlan.whole_light_times`` are filled on first use; they read
+only the immutable fields.
 
 Text format, one directive per line, ``#`` starts a comment::
 
@@ -124,6 +125,7 @@ class ContactPlan:
     _into: list[list[tuple[float, int]]] | None = field(
         init=False, repr=False, compare=False, default=None
     )
+    _whole_owlt: bool | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         by_id: dict[int, Contact] = {}
@@ -185,6 +187,20 @@ class ContactPlan:
                     heapq.heappush(heap, (reach, frm))
         self._owlt_to[dest] = h
         return h
+
+    def whole_light_times(self) -> bool:
+        """Whether every light time is a whole number and their sum is below 2**52.
+
+        Then every arrival a search labels from a whole-second departure in
+        ``[0, 2**52)`` is a whole number below 2**53, so it is exact.
+        Computed on first use and kept with the plan.
+        """
+        whole = self._whole_owlt
+        if whole is None:
+            whole = self._whole_owlt = all(
+                float(c.owlt).is_integer() for c in self.contacts
+            ) and sum(c.owlt for c in self.contacts) < 2.0**52
+        return whole
 
     @classmethod
     def build(

@@ -22,6 +22,13 @@ last route that can still be accepted; the returned routes are unchanged.
 The earliest-arrival search runs on the plan's integer node indices, which
 follow the node names' string order, so equal arrivals break ties as they
 would on the names.
+
+``dijkstra_bdt`` keeps each search's hops on its ``ContactGraph``, one per
+first-hop restriction, with the window of later departures at which the
+same search would make the same decisions: whole-second departures on a plan
+of whole-second light times, while no label it settled would have to wait
+for a window to open or would miss one that closes.  A call in that window
+re-evaluates the kept hops instead of searching again.
 """
 
 from __future__ import annotations
@@ -118,6 +125,7 @@ def _search(
     banned_first: frozenset[int],
     bound: float = math.inf,
     h: list[float] | None = None,
+    state: list | None = None,
 ) -> list[int] | None:
     """Earliest-arrival search between node indices; returns the hops or None.
 
@@ -131,6 +139,9 @@ def _search(
     at node ``to`` is kept only when ``reach + h[to] <= bound``; ``yen_plus``
     argues at its prune site why that returns what the unbounded search
     returns whenever that arrives by ``bound``.
+
+    When ``state`` is given, the search appends its ``best`` labels and its
+    ``done`` flags to it on return.
     """
     adjacency = plan.adjacency
     best = [math.inf] * len(adjacency)
@@ -152,6 +163,8 @@ def _search(
                 cid, node = parent[node]
                 hops.append(cid)
             hops.reverse()
+            if state is not None:
+                state += (best, done)
             return hops
         edges = adjacency[node]
         if node == start and banned_first:
@@ -167,7 +180,43 @@ def _search(
                 best[to] = reach
                 parent[to] = (cid, node)
                 heappush(heap, (reach, to))
+    if state is not None:
+        state += (best, done)
     return None
+
+
+def _shift_slack(
+    plan: ContactPlan,
+    start: int,
+    dest: int,
+    banned_first: frozenset[int],
+    best: list[float],
+    done: bytearray,
+) -> float:
+    """How much later a finished search could depart and decide the same.
+
+    Reads the settled labels of a search from ``start`` and returns the
+    least ``last - label`` over the edges feasible from a settled node
+    other than ``dest``, or ``-inf`` when one of them waited for its window
+    to open.  ``dijkstra_bdt`` argues why that bounds the reuse window.
+    Every edge of a settled node counts, whether or not the search relaxed
+    it, so the window can only come out shorter than it might be.
+    """
+    slack = math.inf
+    for node, settled in enumerate(done):
+        if not settled or node == dest:
+            continue
+        label = best[node]
+        for cid, t_start, last, _, _ in plan.adjacency[node]:
+            if label > last or t_start > last:
+                continue  # infeasible now and at every later departure
+            if node == start and cid in banned_first:
+                continue
+            if label < t_start:
+                return -math.inf
+            if last - label < slack:
+                slack = last - label
+    return slack
 
 
 def dijkstra_bdt(
@@ -180,15 +229,59 @@ def dijkstra_bdt(
     ``via`` restricts the first hop to contacts into that neighbour node,
     which yields the best route through it.  Returns None when the
     destination is unreachable.
+
+    The graph keeps the last search for each ``via`` (None included) with
+    the window of later departures that would find the same hops; a call
+    departing in that window evaluates the kept hops at its own departure
+    instead of searching.  The result is the same either way.
     """
     plan = graph.plan
+    # A search from t0 and the same search from t1 = t0 + delta, delta >= 0,
+    # make the same decisions, so they return the same hops or both None,
+    # when:
+    # (a) t0, t1 and every light time are whole numbers, the departures in
+    #     [0, 2**52) and the light times summing below 2**52, so that every
+    #     label is an exact whole number below 2**53 (`whole_light_times`);
+    # (b) no edge relaxed from a settled node u waits: label(u) < t_start
+    #     <= last never holds;
+    # (c) no window closes: delta <= last - label(u) on every relaxed edge
+    #     with label(u) <= last.
+    # By induction over the pops, the t1 search pops the same entries in
+    # the same order with every label shifted by exactly delta.  At a pop
+    # of u at label(u) + delta, an edge with label(u) > last or t_start >
+    # last stays infeasible; by (b) every other edge leaves at label(u)
+    # (+ delta), and by (c) it stays feasible.  Each reach is shifted by
+    # delta, so every `reach < best[to]` test, the strict `<` that keeps
+    # the first parent on a tie, and the `(arrival, index)` order of the
+    # heap come out as before, exactly by (a).  `done` flags and the
+    # first-hop ban are the same, so the pops match, and with them the
+    # return.  `evaluate_route` at t1 is then what a fresh search returns.
+    # `_shift_slack` computes the least `last - label` of (c) from the
+    # settled labels, after the search and only on a miss, so the shared
+    # per-edge loop of `_search` does no extra work; a wait makes the window
+    # empty.  Given (a), `last - label` with 0 <= label <= last is exact, or
+    # rounds only above 2**53, beyond any delta, so `delta <= slack` tests
+    # (c) exactly.
+    reusable = (
+        0 <= depart < 2.0**52 and float(depart).is_integer() and plan.whole_light_times()
+    )
+    if reusable:
+        kept = graph.searches.get(via)
+        if kept is not None and 0 <= depart - kept[0] <= kept[1]:
+            hops = kept[2]
+            return None if hops is None else evaluate_route(plan, hops, depart)
     banned_first: frozenset[int] = frozenset()
     if via is not None:
         banned_first = frozenset(
             c.id for c in plan.contacts_from(graph.source) if c.to_node != via
         )
     index = plan.node_index
-    hops = _search(plan, index[graph.source], depart, index[graph.dest], [], banned_first)
+    start, dest = index[graph.source], index[graph.dest]
+    state: list | None = [] if reusable else None
+    hops = _search(plan, start, depart, dest, [], banned_first, math.inf, None, state)
+    if state is not None:
+        slack = _shift_slack(plan, start, dest, banned_first, *state)
+        graph.searches[via] = (depart, slack, hops)
     if hops is None:
         return None
     return evaluate_route(plan, hops, depart)

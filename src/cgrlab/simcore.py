@@ -374,7 +374,9 @@ class _Engine:
 
         The search reads only the static plan, so its hops are the same for
         every copy reviewed at one node for one destination and instant; they
-        are searched once per instant.  The evaluated route is kept with the
+        are looked up once per instant, and ``dijkstra_bdt`` searches again
+        only once its graph's kept search for that neighbour can no longer
+        repeat itself.  The evaluated route is kept with the
         engine version and re-evaluated against the current residual volumes
         only once the version has moved.  Each use still counts one
         computation.
@@ -565,7 +567,8 @@ class _Engine:
             # moves, so this attempt would read what that one read, and equal
             # inputs give equal outputs.  The caches it reads are pure:
             # hop_memo holds what the search and `evaluate_route` return at
-            # this instant and version, and the route-cache live filter writes
+            # this instant and version, a graph's kept searches give what a
+            # fresh search returns, and the route-cache live filter writes
             # back a list that filtering again at the same or a later `now`
             # leaves as it is.  So the attempt would end as the last one did,
             # having counted the same computations on this graph, where all
@@ -702,7 +705,12 @@ class _Engine:
                 row = self._sample(s)
                 computed += 1
             else:
-                row = replace(row, t=s)
+                # the constructor, not dataclasses.replace, which costs about
+                # twice as much per row
+                row = MetricsRow(
+                    s, row.r_o, row.computing_cum, row.storage_bundles, row.mb_to_send,
+                    row.mb_at_sending, row.mb_sent, row.delivered, row.failed,
+                )
             self.rows.append(row)
             s += 1.0
         return s

@@ -2,19 +2,34 @@
 
 The engine skips an attempt that repeats, at the same instant and engine
 version, an attempt of the same copy that changed nothing, and it reuses a
-memoised route while the version holds.  ``FullSelectionEngine`` is the same
-engine with every attempt run in full and every memoised hop sequence
-re-evaluated on each use, as selection ran before either shortcut.
+memoised route while the version holds.  ``dijkstra_bdt`` reuses a search
+kept on the engine's graph at later instants.  ``FullSelectionEngine`` is the
+same engine with every attempt run in full, every memoised hop sequence
+re-evaluated on each use and every ``dijkstra_bdt`` call searching, as
+selection ran before these shortcuts.
 """
 
 from __future__ import annotations
 
+from cgrlab.contactgraph import ContactGraph
 from cgrlab.forwarding import POLICY_STANDARD
 from cgrlab.routesearch import dijkstra_bdt, evaluate_route
 from cgrlab.simcore import SimulationMetrics, _Engine
 
 
+class _KeepNothing(dict):
+    """A graph's search store that never keeps a search."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 class FullSelectionEngine(_Engine):
+    def _graph(self, node: str, dest: str) -> ContactGraph:
+        graph = super()._graph(node, dest)
+        graph.searches = _KeepNothing()
+        return graph
+
     def _attempt_forward(self, copy, now):
         if copy.copy_id not in self.alive or copy.queued_on is not None or copy.in_flight:
             return

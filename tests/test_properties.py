@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sampling_oracle import per_second_run
 from selection_oracle import FullSelectionEngine
 
+from cgrlab import routesearch, simcore
 from cgrlab.contactplan import Contact, ContactPlan
 from cgrlab.forwarding import Bundle
 from cgrlab.simcore import POLICIES, POLICY_RMDG, POLICY_STANDARD, _Engine, run_simulation
@@ -22,7 +23,14 @@ light_times = st.one_of(
 
 
 @st.composite
-def scenarios(draw, starts=st.integers(0, HORIZON - 1), max_contacts=8, gens=st.integers(0, 40)):
+def scenarios(
+    draw,
+    starts=st.integers(0, HORIZON - 1),
+    max_contacts=8,
+    gens=st.integers(0, 40),
+    whole_horizon=False,
+    owlts=light_times,
+):
     nodes = [f"N{i}" for i in range(draw(st.integers(2, 5)))]
     pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(
         lambda p: p[0] != p[1]
@@ -30,12 +38,14 @@ def scenarios(draw, starts=st.integers(0, HORIZON - 1), max_contacts=8, gens=st.
     contacts = []
     for cid in range(1, draw(st.integers(0, max_contacts)) + 1):
         frm, to = draw(pairs)
-        t_start = draw(starts)
-        t_end = draw(st.integers(t_start + 1, HORIZON))
+        t_start, t_end = 0, HORIZON
+        if not whole_horizon:
+            t_start = draw(starts)
+            t_end = draw(st.integers(t_start + 1, HORIZON))
         contacts.append(
             Contact(
                 id=cid, from_node=frm, to_node=to, t_start=t_start, t_end=t_end,
-                rate=draw(st.sampled_from([0.5, 1.0, 2.0])), owlt=draw(light_times),
+                rate=draw(st.sampled_from([0.5, 1.0, 2.0])), owlt=draw(owlts),
             )
         )
     plan = ContactPlan(contacts=tuple(contacts), horizon=HORIZON, node_ids=frozenset(nodes))
@@ -133,6 +143,47 @@ def test_selection_matches_full_attempts():
 
     check()
     assert skipped == set(POLICIES)
+
+
+def test_selection_matches_full_attempts_across_instants(monkeypatch):
+    # every contact spans the horizon and every light time is whole, so a
+    # per-neighbour search kept on the engine's graph is reused at later
+    # instants; the oracle searches every time
+    real_search, real_bdt = routesearch._search, simcore.dijkstra_bdt
+    searches, reused = [], []
+
+    def search(*args):
+        searches.append(args)
+        return real_search(*args)
+
+    def bdt(graph, depart, via):
+        before = len(searches)
+        route = real_bdt(graph, depart=depart, via=via)
+        if len(searches) == before:
+            reused.append(depart - graph.searches[via][0])
+        return route
+
+    monkeypatch.setattr(routesearch, "_search", search)
+    monkeypatch.setattr(simcore, "dijkstra_bdt", bdt)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        scenario=scenarios(
+            max_contacts=12, whole_horizon=True, owlts=st.sampled_from([0.0, 1.0, 2.0])
+        ),
+        owlt_mode=st.sampled_from(["file", "uniform"]),
+    )
+    def check(scenario, owlt_mode):
+        plan, bundles = scenario
+        bundles = [replace(b, priority=2, critical=True) for b in bundles]
+        metrics = _Engine(plan, bundles, POLICY_STANDARD, 0, 4, owlt_mode).run()
+        expected = FullSelectionEngine(plan, bundles, POLICY_STANDARD, 0, 4, owlt_mode).run()
+        assert metrics.fingerprint() == expected.fingerprint()
+        assert metrics.computing_total == expected.computing_total
+        assert metrics.dispatch_log == expected.dispatch_log
+
+    check()
+    assert reused and max(reused) > 0
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

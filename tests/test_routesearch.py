@@ -311,14 +311,19 @@ class TestOracleEquivalence:
         assert checked == 1500
 
 
+TIE_WINDOWS = ((0, 10), (0, 20), (5, 15), (10, 30), (0, 30))
+
+
 @st.composite
-def tie_heavy_plans(draw, node_count=(2, 5), max_contacts=10, light_times=(0, 1, 2)):
+def tie_heavy_plans(
+    draw, node_count=(2, 5), max_contacts=10, light_times=(0, 1, 2), windows=TIE_WINDOWS
+):
     """Random plans where equal windows and few light times make ties common."""
     nodes = [f"N{i}" for i in range(draw(st.integers(*node_count)))]
     pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(
         lambda p: p[0] != p[1]
     )
-    windows = st.sampled_from([(0, 10), (0, 20), (5, 15), (10, 30), (0, 30)])
+    windows = st.sampled_from(list(windows))
     contacts = []
     for cid in range(1, draw(st.integers(1, max_contacts)) + 1):
         frm, to = draw(pairs)
@@ -390,3 +395,87 @@ class TestBoundedSpurs:
 
         check()
         assert cut and all(b < math.inf for b in cut)
+
+
+def _fractional(value) -> bool:
+    return not float(value).is_integer()
+
+
+def _departures(walk) -> list[float]:
+    """Rising departures: whole-second steps, mostly of one second so that they
+    land on window edges, and a 0.5 step probes half a second past the
+    current departure without moving it."""
+    t, steps = walk
+    out = [t]
+    for step in steps:
+        if step == 0.5:
+            out.append(t + 0.5)
+        else:
+            t += step
+            out.append(t)
+    return out
+
+
+class TestSearchReuse:
+    def test_matches_fresh_search(self, monkeypatch):
+        """Searches reused at later departures return what a fresh graph returns.
+
+        One graph answers a rising sequence of whole and half-second
+        departures, with and without ``via``; each answer is compared with a
+        fresh graph's.  Whole-horizon windows let reuse fire, windows that
+        open together and close apart let it end where a route closes, and
+        windows that open apart make searches wait for a window.  Half-second
+        light times and departures must never reuse a search.  The spy
+        records how much later than the kept search each call departed that
+        was answered without a search.
+        """
+        search = routesearch._search
+        calls = []
+
+        def spy(*args):
+            calls.append(args[2])
+            return search(*args)
+
+        monkeypatch.setattr(routesearch, "_search", spy)
+        reused = []
+
+        @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+        @given(
+            plan=st.one_of(
+                tie_heavy_plans(node_count=(2, 4), max_contacts=10, windows=[(0, 30)]),
+                tie_heavy_plans(
+                    node_count=(2, 4), max_contacts=10, windows=[(0, 10), (0, 20), (0, 30)]
+                ),
+                tie_heavy_plans(
+                    node_count=(2, 4), max_contacts=10, windows=[(0, 30), (10, 30), (20, 30)]
+                ),
+                tie_heavy_plans(node_count=(2, 4), max_contacts=10, light_times=(0, 0.5, 1)),
+                tie_heavy_plans(
+                    node_count=(2, 4), max_contacts=10, light_times=(0, 0.5, 1),
+                    windows=[(0, 30)],
+                ),
+            ),
+            departures=st.tuples(
+                st.integers(0, 10), st.lists(st.sampled_from([1, 1, 1, 2, 5, 0.5]), max_size=14)
+            ).map(_departures),
+            vias=st.lists(st.sampled_from([None, "N1", "N2", "N3"]), min_size=1, max_size=3),
+        )
+        def check(plan, departures, vias):
+            graph = build_contact_graph(plan, "N0", "N1")
+            fractional_plan = any(_fractional(c.owlt) for c in plan.contacts)
+            for depart in departures:
+                for via in vias:
+                    searched = len(calls)
+                    got = dijkstra_bdt(graph, depart=depart, via=via)
+                    if len(calls) == searched:
+                        assert not fractional_plan and not _fractional(depart)
+                        reused.append(depart - graph.searches[via][0])
+                    fresh = build_contact_graph(plan, "N0", "N1")
+                    assert got == dijkstra_bdt(fresh, depart=depart, via=via)
+                    if via in fresh.searches:
+                        # reused hops are those a fresh search finds, even
+                        # where neither evaluates to a route
+                        assert graph.searches[via][2] == fresh.searches[via][2]
+
+        check()
+        assert reused and max(reused) > 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cgrlab import simcore
+from cgrlab import routesearch, simcore
 from cgrlab.contactplan import Contact, ContactPlan, make_demo_plan, with_transit_margin
 from cgrlab.forwarding import POLICY_RMDG, POLICY_STANDARD, Bundle
 from cgrlab.simcore import (
@@ -412,6 +412,61 @@ class TestRepeatSelections:
         engine._attempt_forward(held, 5.0)
         assert len(reviews) == 6
         assert sum(g.computing_counter for g in engine.graphs.values()) == 4 * self.ATTEMPT
+
+
+class TestSearchReuse:
+    # S reaches D through A: A -> D closes at t=20, A -> B -> D stays open.
+    # A critical copy at S is reviewed through its one neighbour A, one
+    # bundle generated at each instant below.
+
+    def _log(self, monkeypatch):
+        """Log (depart, searched, hops) of each dijkstra_bdt call from S."""
+        searches, log = [], []
+        real_search = routesearch._search
+        real_bdt = simcore.dijkstra_bdt
+
+        def search(*args):
+            searches.append(args)
+            return real_search(*args)
+
+        def bdt(graph, depart, via):
+            before = len(searches)
+            route = real_bdt(graph, depart=depart, via=via)
+            if graph.source == "S":
+                assert via == "A"
+                log.append((depart, len(searches) > before, route and route.hops))
+            return route
+
+        monkeypatch.setattr(routesearch, "_search", search)
+        monkeypatch.setattr(simcore, "dijkstra_bdt", bdt)
+        return log
+
+    def _run(self, links, t_gens):
+        plan = ContactPlan.build(
+            [
+                Contact(id=cid, from_node=frm, to_node=to, t_start=ts, t_end=te, rate=1.0, owlt=1)
+                for cid, (frm, to, ts, te) in enumerate(links, start=1)
+            ]
+        )
+        bundles = [
+            _bundle(bid=i, priority=2, critical=True, t_gen=t)
+            for i, t in enumerate(t_gens, start=1)
+        ]
+        run_simulation(plan, bundles, POLICY_STANDARD)
+
+    def test_reused_up_to_the_last_departure_the_window_allows(self, monkeypatch):
+        log = self._log(monkeypatch)
+        links = [("S", "A", 0, 60), ("A", "D", 0, 20), ("A", "B", 0, 60), ("B", "D", 0, 60)]
+        self._run(links, [0.0, 18.0, 19.0])
+        # from S at t0 the search settles A at t0 + 1, whose contact to D
+        # leaves by 19, so the window ends at t0 + 18 - t0 = 18
+        short, long = (1, 2), (1, 3, 4)
+        assert log[:3] == [(0.0, True, short), (18.0, False, short), (19.0, True, long)]
+
+    def test_search_that_waits_is_never_reused(self, monkeypatch):
+        log = self._log(monkeypatch)
+        self._run([("S", "A", 10, 60), ("A", "D", 0, 60)], [0.0, 1.0, 2.0])
+        assert [searched for t, searched, _ in log if t < 10] == [True] * 3
 
 
 class TestMetricsSeries:
