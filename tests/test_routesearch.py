@@ -433,7 +433,7 @@ class TestSearchReuse:
         calls = []
 
         def spy(*args):
-            calls.append(args[2])
+            calls.append(args)
             return search(*args)
 
         monkeypatch.setattr(routesearch, "_search", spy)

@@ -458,8 +458,9 @@ class TestSearchReuse:
         log = self._log(monkeypatch)
         links = [("S", "A", 0, 60), ("A", "D", 0, 20), ("A", "B", 0, 60), ("B", "D", 0, 60)]
         self._run(links, [0.0, 18.0, 19.0])
-        # from S at t0 the search settles A at t0 + 1, whose contact to D
-        # leaves by 19, so the window ends at t0 + 18 - t0 = 18
+        # from S at t0 the search settles A at t0 + 1, and A's contact to D
+        # must be left by 19, so the slack is 19 - (t0 + 1) and the window
+        # ends at 18
         short, long = (1, 2), (1, 3, 4)
         assert log[:3] == [(0.0, True, short), (18.0, False, short), (19.0, True, long)]
 
