@@ -81,6 +81,11 @@ def _parse_seeds(value: str) -> list[int]:
             seeds.append(int(part))
     if not seeds:
         raise argparse.ArgumentTypeError("no seeds given")
+    seen: set[int] = set()
+    for seed in seeds:
+        if seed in seen:
+            raise argparse.ArgumentTypeError(f"seed {seed} repeated")
+        seen.add(seed)
     return seeds
 
 
@@ -252,9 +257,28 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_summary(path: Path) -> dict[int, dict]:
+_COMPARED = ("delivery_rate", "mean_early_margin", "mean_r_o", "computing", "peak_at_sending")
+# the summary columns compare reads, with their parsers
+_COMPARE_COLUMNS = (("seed", int),) + tuple((f, float) for f in _COMPARED)
+
+
+def _read_summary(path: Path) -> dict[int, dict[str, float]]:
+    """Each seed's compared fields in a summary file.
+
+    Raises ValueError naming the file, line and field when a row lacks a
+    field or a field does not parse, and when a seed repeats.
+    """
+    summary: dict[int, dict[str, float]] = {}
     with path.open() as fh:
-        return {int(row["seed"]): row for row in csv.DictReader(fh)}
+        reader = csv.DictReader(fh)
+        for row in reader:
+            where = f"{path} line {reader.line_num}"
+            values = traffic.parse_fields(row, _COMPARE_COLUMNS, where)
+            seed = values.pop("seed")
+            if seed in summary:
+                raise ValueError(f"{where}: seed {seed} repeated")
+            summary[seed] = values
+    return summary
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -263,13 +287,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     shared = sorted(set(a) & set(b))
     if not shared:
         raise SystemExit2("the two summaries share no seeds")
-    fields = ("delivery_rate", "mean_early_margin", "mean_r_o", "computing", "peak_at_sending")
-    lines = ["seed," + ",".join(f"delta_{f}" for f in fields)]
-    deltas = {f: 0.0 for f in fields}
+    lines = ["seed," + ",".join(f"delta_{f}" for f in _COMPARED)]
+    deltas = {f: 0.0 for f in _COMPARED}
     for seed in shared:
         row = [str(seed)]
-        for f in fields:
-            d = float(b[seed][f]) - float(a[seed][f])
+        for f in _COMPARED:
+            d = b[seed][f] - a[seed][f]
             deltas[f] += d
             row.append(f"{d:g}")
         lines.append(",".join(row))
@@ -281,7 +304,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     n = len(shared)
     print(
         f"# mean deltas (b - a) over {n} seed(s): "
-        + ", ".join(f"{f} {deltas[f] / n:+.4f}" for f in fields),
+        + ", ".join(f"{f} {deltas[f] / n:+.4f}" for f in _COMPARED),
         file=sys.stderr,
     )
     return 0

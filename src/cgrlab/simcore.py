@@ -25,6 +25,10 @@ copy that changed nothing is skipped, and memoised routes are reused while
 the version holds.  The ``computing`` metric still counts every attempt: a
 skipped one adds the computations its first run counted (see
 ``_Engine._attempt_forward``).
+
+A copy is stored at its node, queued on a contact, in flight, or retired.
+Only ``_Engine._move`` changes that state; it refuses any move outside
+``_MOVES`` and keeps the live-copy and per-node store indices in step.
 """
 
 from __future__ import annotations
@@ -70,10 +74,19 @@ OUTCOME_DELIVERED = "delivered"
 OUTCOME_EXPIRED = "expired_in_transit"
 OUTCOME_NEVER_ROUTED = "never_routed"
 
+# a copy's states and the moves between them (see _Engine._move)
+_STORED, _QUEUED, _IN_FLIGHT, _RETIRED = "stored", "queued", "in_flight", "retired"
+_MOVES = {
+    _STORED: (_QUEUED, _RETIRED),
+    _QUEUED: (_STORED, _IN_FLIGHT, _RETIRED),
+    _IN_FLIGHT: (_STORED, _RETIRED),
+    _RETIRED: (),
+}
+
 
 @dataclass
 class NodeState:
-    """Per-node bookkeeping: cached copies and critical-holder knowledge."""
+    """Per-node bookkeeping: stored copies and critical-holder knowledge."""
 
     node_id: str
     stored: dict[int, "_Copy"] = field(default_factory=dict)
@@ -88,7 +101,8 @@ class _Copy:
     bundle: Bundle
     at_node: str
     first_tx_at: float | None = None
-    in_flight: bool = False
+    # changed only by _Engine._move; queued_on is the contact while queued
+    state: str = _STORED
     queued_on: int | None = None
     no_rollback_to: str | None = None
     # (now, version, computing delta) of its last attempt that changed nothing
@@ -261,8 +275,8 @@ class _Engine:
         self.busy_until: dict[int, float] = {c.id: -1.0 for c in self.plan.contacts}
         self.nodes = {n: NodeState(n) for n in sorted(self.plan.node_ids)}
         self.records = {b.id: BundleRecord(b) for b in self.bundles}
+        # the copies not retired, in copy-id order
         self.alive: dict[int, _Copy] = {}
-        self.bundle_copies: dict[int, list[_Copy]] = {b.id: [] for b in self.bundles}
 
         self.graphs: dict[tuple[str, str], ContactGraph] = {}
         self.route_cache: dict[tuple[str, str], tuple[float, list[Route]]] = {}
@@ -418,34 +432,42 @@ class _Engine:
     def _new_copy(
         self, bundle: Bundle, at_node: str, first_tx_at: float | None = None
     ) -> _Copy:
+        """A new copy, stored at ``at_node`` until something moves it."""
         self.copy_seq += 1
         copy = _Copy(
             copy_id=self.copy_seq, bundle=bundle, at_node=at_node, first_tx_at=first_tx_at
         )
         self.alive[copy.copy_id] = copy
-        self.bundle_copies[bundle.id].append(copy)
+        self.nodes[at_node].stored[copy.copy_id] = copy
         return copy
 
-    def _retire(self, copy: _Copy) -> None:
-        if self.alive.pop(copy.copy_id, None) is None:
-            return
-        self.nodes[copy.at_node].stored.pop(copy.copy_id, None)
+    def _move(self, copy: _Copy, state: str, now: float, queued_on: int | None = None) -> None:
+        """Move ``copy`` to ``state``; a copy coming back into a store is sent
+        to selection.
 
-    def _store(self, copy: _Copy) -> None:
-        self.nodes[copy.at_node].stored[copy.copy_id] = copy
+        A copy is stored from its creation or arrival on, not only once its
+        first selection fails, and no event can tell: stores are read only by
+        the re-attempts of contact starts and transmission ends (ranks 1 and
+        2).  A copy created in a selection batch is attempted in that batch.
+        An arrival pops once no rank 1 or 2 event is left at its instant and
+        pushes only its copy's selection, which pops before any re-attempt.
+        """
+        if state not in _MOVES[copy.state]:
+            raise AssertionError(f"copy {copy.copy_id}: illegal move {copy.state} -> {state}")
+        stored = self.nodes[copy.at_node].stored
+        if copy.state == _STORED:
+            del stored[copy.copy_id]
+        copy.state = state
+        copy.queued_on = queued_on
+        if state == _STORED:
+            stored[copy.copy_id] = copy
+            self._push(now, _R_SELECT, copy)
+        elif state == _RETIRED:
+            del self.alive[copy.copy_id]
 
     def _reattempt_stored(self, node: str, now: float) -> None:
-        for copy_id in sorted(self.nodes[node].stored):
-            copy = self.nodes[node].stored[copy_id]
-            if copy.copy_id in self.alive and copy.queued_on is None and not copy.in_flight:
-                self._push(now, _R_SELECT, copy)
-
-    def _return_to_selection(self, copy_id: int, now: float) -> None:
-        """Send a copy whose booking was dropped back to route selection."""
-        copy = self.alive[copy_id]
-        copy.queued_on = None
-        self._store(copy)
-        self._push(now, _R_SELECT, copy)
+        for _, copy in sorted(self.nodes[node].stored.items()):
+            self._push(now, _R_SELECT, copy)
 
     # -- dispatch ---------------------------------------------------------
 
@@ -465,10 +487,9 @@ class _Engine:
             self.dispatch_log.append(
                 (now, self.alive[victim.copy_id].bundle.id, contact.from_node, contact.to_node, contact.id, self.policy, "overbook_displace")
             )
-            self._return_to_selection(victim.copy_id, now)
+            self._move(self.alive[victim.copy_id], _STORED, now)
         queue.append(booking)
-        copy.queued_on = contact.id
-        self.nodes[copy.at_node].stored.pop(copy.copy_id, None)
+        self._move(copy, _QUEUED, now, queued_on=contact.id)
         if bundle.critical:
             self.nodes[copy.at_node].seen_critical[bundle.id].add(contact.to_node)
         self.dispatch_log.append(
@@ -483,16 +504,15 @@ class _Engine:
             booking = min(queue, key=lambda b: (-b.priority, b.seq))
             queue.remove(booking)
             self.version += 1
+            copy = self.alive[booking.copy_id]
             duration = booking.mb / c.rate
             if now + duration > c.t_end:
                 # no longer fits in the remaining window: back to selection
-                self._return_to_selection(booking.copy_id, now)
+                self._move(copy, _STORED, now)
                 continue
-            copy = self.alive[booking.copy_id]
-            copy.queued_on = None
             if copy.first_tx_at is None:
                 copy.first_tx_at = now
-            copy.in_flight = True
+            self._move(copy, _IN_FLIGHT, now)
             self.records[copy.bundle.id].first_tx = True
             c.residual_volume -= booking.mb
             self.busy_until[c.id] = now + duration
@@ -515,11 +535,9 @@ class _Engine:
                 if self._enqueue(child, contact, now, "critical_copy"):
                     sent += 1
                 else:
-                    self._retire(child)
+                    self._move(child, _RETIRED, now)
             if sent:
-                self._retire(copy)
-            else:
-                self._store(copy)
+                self._move(copy, _RETIRED, now)
             return
         # non-critical: single best admissible candidate, next-best on refusal
         admissible = sorted(
@@ -529,31 +547,23 @@ class _Engine:
             contact = self.plan.contact(cand.route.first_hop)
             if self._enqueue(copy, contact, now, "select"):
                 return
-        self._rollback_or_store(copy, now)
+        self._rollback(copy, now)
 
-    def _rollback_or_store(self, copy: _Copy, now: float) -> None:
-        bundle = copy.bundle
-        node = copy.at_node
-        found = find_rollback_contact(self.plan, bundle, node, now, self.queues)
+    def _rollback(self, copy: _Copy, now: float) -> None:
+        found = find_rollback_contact(self.plan, copy.bundle, copy.at_node, now, self.queues)
         if found is not None:
             upstream, contact = found
-            if upstream != copy.no_rollback_to:
-                if self._enqueue(copy, contact, now, "rollback"):
-                    copy.no_rollback_to = node
-                    return
-        self._store(copy)
+            if upstream != copy.no_rollback_to and self._enqueue(copy, contact, now, "rollback"):
+                copy.no_rollback_to = copy.at_node
 
     # -- event handlers ----------------------------------------------------
 
     def _attempt_forward(self, copy: _Copy, now: float) -> None:
-        if copy.copy_id not in self.alive or copy.queued_on is not None or copy.in_flight:
+        if copy.state != _STORED:
             return
         bundle = copy.bundle
-        if now > bundle.t_exp:
-            self._retire(copy)
-            return
-        if copy.at_node == bundle.dest:
-            self._retire(copy)
+        if now > bundle.t_exp or copy.at_node == bundle.dest:
+            self._move(copy, _RETIRED, now)
             return
         graph = self._graph(copy.at_node, bundle.dest)
         idle = copy.idle_attempt
@@ -584,13 +594,12 @@ class _Engine:
         if cands:
             self._dispatch_candidates(copy, cands, now)
         else:
-            self._rollback_or_store(copy, now)
+            self._rollback(copy, now)
         if (self.version, self.booking_seq, self.copy_seq) == before:
             copy.idle_attempt = (now, self.version, graph.computing_counter - counted)
 
     def _handle_arrival(self, copy: _Copy, contact: Contact, now: float) -> None:
         from_node, to_node = contact.from_node, contact.to_node
-        copy.in_flight = False
         copy.at_node = to_node
         copy.bundle = replace(copy.bundle, hop_trace=copy.bundle.hop_trace + (to_node,))
         bundle = copy.bundle
@@ -599,40 +608,32 @@ class _Engine:
             holders.add(from_node)
             holders.add(to_node)
         record = self.records[bundle.id]
-        if now > bundle.t_exp:
-            self._retire(copy)
-            return
-        if to_node == bundle.dest:
-            if record.outcome is None:
-                record.outcome = OUTCOME_DELIVERED
-                record.t_delivered = now
-                self.delivered += 1
-                self.mb_sent += bundle.size
-            self._retire(copy)
-            return
-        self._push(now, _R_SELECT, copy)
+        expired = now > bundle.t_exp
+        if to_node == bundle.dest and not expired and record.outcome is None:
+            record.outcome = OUTCOME_DELIVERED
+            record.t_delivered = now
+            self.delivered += 1
+            self.mb_sent += bundle.size
+        self._move(copy, _RETIRED if expired or to_node == bundle.dest else _STORED, now)
 
     def _handle_expire(self, bundle_id: int, now: float) -> None:
         record = self.records[bundle_id]
         if record.outcome is None:
             record.outcome = OUTCOME_EXPIRED if record.first_tx else OUTCOME_NEVER_ROUTED
             self.failed += 1
-        for copy in self.bundle_copies[bundle_id]:
-            if copy.copy_id not in self.alive:
-                continue
-            if copy.in_flight:
-                continue  # retires on arrival
-            if copy.queued_on is not None:
+        # a copy in flight retires on arrival
+        for copy in [c for c in self.alive.values() if c.bundle.id == bundle_id]:
+            if copy.state == _QUEUED:
                 queue = self.queues[copy.queued_on]
                 queue[:] = [b for b in queue if b.copy_id != copy.copy_id]
-                copy.queued_on = None
-            self._retire(copy)
+            if copy.state != _IN_FLIGHT:
+                self._move(copy, _RETIRED, now)
 
     def _handle_contact_end(self, c: Contact, now: float) -> None:
         flushed = self.queues[c.id]
         self.queues[c.id] = []
         for booking in flushed:
-            self._return_to_selection(booking.copy_id, now)
+            self._move(self.alive[booking.copy_id], _STORED, now)
 
     def _sample(self, t: float) -> MetricsRow:
         # a transfer in progress at t started no later than t and ends within
@@ -644,7 +645,7 @@ class _Engine:
         mb_to_send = 0.0
         mb_at_sending = 0.0
         for copy in self.alive.values():
-            if not copy.in_flight:
+            if copy.state != _IN_FLIGHT:
                 storage += 1
             # a bundle is counted in transit only once bits left its
             # origin strictly before the sample instant
@@ -771,9 +772,7 @@ class _Engine:
     def _process_selection_batch(self, batch: list[Bundle | _Copy], now: float) -> None:
         """Route a same-instant batch of generated bundles and copies to select."""
         ready: list[tuple[tuple, _Copy]] = []
-        order = 0
-        for payload in batch:
-            order += 1
+        for order, payload in enumerate(batch, 1):
             if isinstance(payload, Bundle):
                 copy = self._new_copy(payload, payload.source)
                 if payload.critical:

@@ -154,6 +154,23 @@ def write_tasks(bundles: list[Bundle]) -> str:
     return out.getvalue()
 
 
+def parse_fields(row: dict, columns, where: str) -> dict:
+    """Parse a CSV row's ``(name, parser)`` columns by name.
+
+    Raises ValueError naming ``where`` and the field when the row lacks a
+    field or a field does not parse.
+    """
+    values = {}
+    for name, parse in columns:
+        raw = row.get(name)
+        try:
+            values[name] = parse(raw)
+        except (TypeError, ValueError):
+            problem = "missing" if raw in (None, "") else f"unparsable ({raw!r})"
+            raise ValueError(f"{where}: field {name!r} {problem}") from None
+    return values
+
+
 def read_tasks(text: str) -> list[Bundle]:
     """Parse the task CSV format back into bundles.
 
@@ -163,16 +180,7 @@ def read_tasks(text: str) -> list[Bundle]:
     reader = csv.DictReader(io.StringIO(text))
     bundles = []
     for row in reader:
-        values = {}
-        for name, parse in _TASK_COLUMNS:
-            raw = row.get(name)
-            try:
-                values[name] = parse(raw)
-            except (TypeError, ValueError):
-                problem = "missing" if raw in (None, "") else f"unparsable ({raw!r})"
-                raise ValueError(
-                    f"tasks line {reader.line_num}: field {name!r} {problem}"
-                ) from None
+        values = parse_fields(row, _TASK_COLUMNS, f"tasks line {reader.line_num}")
         bundles.append(
             Bundle(
                 id=values["bundle_id"],

@@ -14,7 +14,7 @@ from __future__ import annotations
 from cgrlab.contactgraph import ContactGraph
 from cgrlab.forwarding import POLICY_STANDARD
 from cgrlab.routesearch import dijkstra_bdt, evaluate_route
-from cgrlab.simcore import SimulationMetrics, _Engine
+from cgrlab.simcore import _RETIRED, _STORED, SimulationMetrics, _Engine
 
 
 class _KeepNothing(dict):
@@ -31,18 +31,18 @@ class FullSelectionEngine(_Engine):
         return graph
 
     def _attempt_forward(self, copy, now):
-        if copy.copy_id not in self.alive or copy.queued_on is not None or copy.in_flight:
+        if copy.state != _STORED:
             return
         bundle = copy.bundle
         if now > bundle.t_exp or copy.at_node == bundle.dest:
-            self._retire(copy)
+            self._move(copy, _RETIRED, now)
             return
         if bundle.critical and self.policy == POLICY_STANDARD:
             cands = self._critical_candidates(copy, now)
         else:
             cands = self._candidates(copy, now)
         if not cands:
-            self._rollback_or_store(copy, now)
+            self._rollback(copy, now)
             return
         self._dispatch_candidates(copy, cands, now)
 

@@ -11,6 +11,11 @@ from cgrlab.contactplan import parse_contact_plan
 
 
 TASK_HEADER = "bundle_id,source,dest,size_mb,priority,critical,t_gen,t_exp\n"
+SUMMARY_HEADER = (
+    "seed,policy,generated,delivered,failed,delivery_rate,mean_r_o,computing,"
+    "peak_at_sending,mean_early_margin\n"
+)
+SUMMARY_ROW = "1,rmdg,10,9,1,0.9,0.25,100,5,3\n"
 
 
 def run_cli(capsys, *argv):
@@ -339,6 +344,45 @@ class TestSimulateAndCompare:
         other.write_text("\n".join([text[0]] + [line.replace("1,", "9,", 1) for line in text[1:2]]) + "\n")
         code, _, err = run_cli(capsys, "compare", "--a", str(base), "--b", str(other))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (SUMMARY_HEADER.replace("seed,", "") + SUMMARY_ROW.split(",", 1)[1],
+             "line 2: field 'seed' missing"),
+            (SUMMARY_HEADER.replace("computing,", "") + SUMMARY_ROW.replace("100,", ""),
+             "line 2: field 'computing' missing"),
+            (SUMMARY_HEADER + SUMMARY_ROW.replace("0.9,", ","),
+             "line 2: field 'delivery_rate' missing"),
+            (SUMMARY_HEADER + SUMMARY_ROW.replace("0.9,", "high,"),
+             "line 2: field 'delivery_rate' unparsable ('high')"),
+            (SUMMARY_HEADER + SUMMARY_ROW.replace("1,", "one,", 1),
+             "line 2: field 'seed' unparsable ('one')"),
+            (SUMMARY_HEADER + SUMMARY_ROW + SUMMARY_ROW, "line 3: seed 1 repeated"),
+        ],
+        ids=["no-seed", "no-field", "empty-field", "unparsable-field", "unparsable-seed",
+             "repeated-seed"],
+    )
+    def test_bad_summary_is_runtime_error(self, tmp_path, capsys, text, message):
+        bad, ok = tmp_path / "s.csv", tmp_path / "ok.csv"
+        bad.write_text(text)
+        ok.write_text(SUMMARY_HEADER + SUMMARY_ROW)
+        for a, b in ((bad, ok), (ok, bad)):
+            code, out, err = run_cli(capsys, "compare", "--a", str(a), "--b", str(b))
+            assert (code, out) == (1, "")
+            assert err == f"error: {bad} {message}\n"
+
+    @pytest.mark.parametrize("seeds, repeated", [("1,1", 1), ("1..3,2", 2)])
+    def test_repeated_seed_is_usage_error(self, tmp_path, capsys, monkeypatch, seeds, repeated):
+        monkeypatch.delenv("CGRLAB_OUT", raising=False)
+        outdir = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--demo-plan", "--policy", "rmdg", "--source", "A",
+                  "--seed", seeds, "--out", str(outdir)])
+        assert exc.value.code == 2
+        err_lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(err_lines) == 1 and err_lines[0].endswith(f"seed {repeated} repeated")
+        assert not outdir.exists()
 
     def test_tasks_file_input(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("CGRLAB_OUT", raising=False)

@@ -3,7 +3,7 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sampling_oracle import per_second_run
 from selection_oracle import FullSelectionEngine
@@ -30,8 +30,10 @@ def scenarios(
     gens=st.integers(0, 40),
     whole_horizon=False,
     owlts=light_times,
+    max_bundles=6,
+    node_counts=st.integers(2, 5),
 ):
-    nodes = [f"N{i}" for i in range(draw(st.integers(2, 5)))]
+    nodes = [f"N{i}" for i in range(draw(node_counts))]
     pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(
         lambda p: p[0] != p[1]
     )
@@ -50,7 +52,7 @@ def scenarios(
         )
     plan = ContactPlan(contacts=tuple(contacts), horizon=HORIZON, node_ids=frozenset(nodes))
     bundles = []
-    for bid in range(1, draw(st.integers(0, 6)) + 1):
+    for bid in range(1, draw(st.integers(0, max_bundles)) + 1):
         source, dest = draw(pairs)
         priority = draw(st.integers(0, 2))
         t_gen = draw(gens)
@@ -102,6 +104,110 @@ def test_rows_match_per_second_sampling(scenario, policy, owlt_mode):
     plan, bundles = scenario
     metrics = run_simulation(plan, bundles, policy, owlt_mode=owlt_mode)
     assert metrics.rows == per_second_run(plan, bundles, policy, owlt_mode=owlt_mode).rows
+
+
+# the moves a copy can make between its states, written out independently of
+# the engine's own table
+LEGAL_MOVES = {
+    ("stored", "queued"), ("stored", "retired"),
+    ("queued", "stored"), ("queued", "in_flight"), ("queued", "retired"),
+    ("in_flight", "stored"), ("in_flight", "retired"),
+}
+
+
+class IndexSpyEngine(_Engine):
+    """Records every copy and move, and checks the copy indices after every
+    event and every selection attempt."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.copies, self.moves = [], []
+
+    def _new_copy(self, *args, **kwargs):
+        copy = super()._new_copy(*args, **kwargs)
+        self.copies.append(copy)
+        return copy
+
+    def _move(self, copy, state, now, queued_on=None):
+        self.moves.append((copy.state, state))
+        super()._move(copy, state, now, queued_on)
+
+    def _attempt_forward(self, copy, now):
+        super()._attempt_forward(copy, now)
+        self.check()
+
+    def _emit_rows(self, s, t):
+        self.check()
+        return super()._emit_rows(s, t)
+
+    def check(self):
+        live = [c for c in self.copies if c.state != "retired"]
+        assert list(self.alive.items()) == [(c.copy_id, c) for c in live]
+        for node, state in self.nodes.items():
+            assert state.stored == {
+                c.copy_id: c for c in live if c.state == "stored" and c.at_node == node
+            }
+        booked = [(cid, b.copy_id) for cid, queue in self.queues.items() for b in queue]
+        queued = [c for c in live if c.state == "queued"]
+        assert sorted(booked) == sorted((c.queued_on, c.copy_id) for c in queued)
+        assert all(c.queued_on is None for c in self.copies if c.state != "queued")
+        assert set(self.moves) <= LEGAL_MOVES
+
+
+def _bulk(bid, size, t_gen, priority=0, ttl=30.0):
+    return Bundle(
+        id=bid, source="S", dest="D", size=size, priority=priority, critical=False,
+        t_gen=t_gen, t_exp=t_gen + ttl,
+    )
+
+
+# S -> D open in [0, 10] and [20, 30]; at t=5 bundle 4 (priority 1) overtakes
+# bundle 3, which is queued on the first window until it closes (FLUSHED) or
+# until it expires at t=8 (EXPIRED)
+TWO_WINDOWS = ContactPlan.build(
+    [
+        Contact(id=cid, from_node="S", to_node="D", t_start=ts, t_end=ts + 10, rate=1, owlt=1)
+        for cid, ts in ((1, 0), (2, 20))
+    ]
+)
+FLUSHED = (TWO_WINDOWS, [_bulk(1, 1.0, 0.0), _bulk(2, 2.0, 4.0), _bulk(3, 1.0, 4.0),
+                         _bulk(4, 4.0, 5.0, priority=1)])
+EXPIRED = (TWO_WINDOWS, [_bulk(1, 1.0, 0.0), _bulk(2, 3.0, 3.0), _bulk(3, 1.0, 4.0, ttl=4.0),
+                         _bulk(4, 3.0, 5.0, priority=1)])
+
+
+def test_copy_indices_follow_the_state():
+    # copies are relayed in the plain scenarios; in the second strategy two or
+    # three nodes share short windows late in the horizon, so copies contend
+    # for them and some leave a queue untransmitted, as in FLUSHED and EXPIRED
+    seen = set()
+    for strategy in (
+        scenarios(),
+        scenarios(
+            starts=st.integers(45, 58), gens=st.integers(40, 55), max_bundles=16,
+            node_counts=st.integers(2, 3),
+        ),
+    ):
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(
+            scenario=strategy,
+            policy=st.sampled_from(POLICIES),
+            owlt_mode=st.sampled_from(["file", "uniform"]),
+        )
+        @example(scenario=FLUSHED, policy=POLICY_STANDARD, owlt_mode="uniform")
+        @example(scenario=EXPIRED, policy=POLICY_RMDG, owlt_mode="uniform")
+        def check(scenario, policy, owlt_mode):
+            plan, bundles = scenario
+            engine = IndexSpyEngine(plan, bundles, policy, 0, 4, owlt_mode)
+            metrics = engine.run()
+            engine.check()
+            assert metrics.fingerprint() == run_simulation(
+                plan, bundles, policy, owlt_mode=owlt_mode
+            ).fingerprint()
+            seen.update(engine.moves)
+
+        check()
+    assert seen == LEGAL_MOVES
 
 
 def count_selections(engine):

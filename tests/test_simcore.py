@@ -234,6 +234,21 @@ class TestQueuePaths:
         assert metrics.contact_usage[1] == 7.0 and metrics.contact_usage[3] == 2.0
 
 
+class TestCopyStates:
+    def test_move_refuses_illegal_transitions(self):
+        engine = simcore._Engine(_one_hop_plan(), [_bundle()], POLICY_STANDARD, 0, 4, "uniform")
+        copy = engine._new_copy(engine.bundles[0], "S")
+        assert copy.state == simcore._STORED and engine.nodes["S"].stored == {1: copy}
+        with pytest.raises(AssertionError, match="stored -> in_flight"):
+            engine._move(copy, simcore._IN_FLIGHT, 0.0)
+        engine._move(copy, simcore._RETIRED, 0.0)
+        assert not engine.alive and not engine.nodes["S"].stored
+        with pytest.raises(AssertionError, match="retired -> stored"):
+            engine._move(copy, simcore._STORED, 0.0)
+        assert copy.state == simcore._RETIRED
+        assert not engine.alive and not engine.nodes["S"].stored and not engine.heap
+
+
 class TestRollback:
     def _contested_run(self):
         # A commits to S->X->D, but while it crosses the first hop a local
@@ -400,7 +415,6 @@ class TestRepeatSelections:
         engine = simcore._Engine(self._plan(), [held_bundle, other], POLICY_STANDARD, 0, 4, "uniform")
         held = engine._new_copy(held_bundle, "A")
         engine.nodes["A"].seen_critical[held_bundle.id] = {"A"}
-        engine._store(held)
         # at t=5 no contact is open yet, so the enqueue starts no transmission
         engine._attempt_forward(held, 5.0)
         engine._attempt_forward(held, 5.0)
