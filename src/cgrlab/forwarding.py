@@ -1,12 +1,12 @@
 """Per-node dynamic route computation for bundles.
 
-Candidate routes pass four gates before a bundle is queued: basic checks
-(first hop alive, no revisit of a traversed node, delivery before expiry),
-the earliest transmission opportunity given queued higher-priority traffic,
-the projected last-byte arrival time, and the effective volume limit after
-higher-priority bookings.  Critical bundles are replicated according to the
-active policy; overbooked contacts displace lower-priority bookings; bundles
-with no usable candidate are rolled back to their upstream custodian.
+Candidate routes pass gates before a bundle is queued: basic checks (first
+hop alive, no revisit of a traversed node, delivery before expiry), the
+earliest transmission opportunity given queued higher-priority traffic, the
+projected last-byte arrival time and, for a non-critical bundle whose arrival
+meets expiry, the effective volume limit after higher-priority bookings.
+Critical bundles are replicated by policy; overbooked contacts displace
+lower-priority bookings; a bundle with no usable candidate rolls back upstream.
 
 All operations are pure given explicit node-state inputs; the simulation
 engine owns every mutation.
@@ -53,12 +53,9 @@ class Bundle:
 
 @dataclass(frozen=True)
 class CandidateRoute:
-    """A reviewed route with its transmission-opportunity figures."""
+    """A route past basic checks and PAT; kept when inadmissible too."""
 
     route: Route
-    eto: float
-    pat: float
-    evl: float
     admissible: bool
 
 
@@ -74,6 +71,11 @@ class Booking:
     mb: float
     priority: int
     seq: int = 0  # booking order, used for latest-booked eviction
+
+
+def booked_mb(queue: list[Booking], priority: int) -> float:
+    """Megabits booked in ``queue`` at or above ``priority``, summed in queue order."""
+    return sum(b.mb for b in queue if b.priority >= priority)
 
 
 def basic_checks(plan: ContactPlan, route: Route, bundle: Bundle, now: float) -> bool:
@@ -143,9 +145,7 @@ def compute_evl(
     evl = math.inf
     for cid in route.hops:
         c = plan.contact(cid)
-        booked = sum(
-            b.mb for b in bookings.get(cid, ()) if b.priority >= priority
-        )
+        booked = booked_mb(bookings.get(cid, ()), priority)
         evl = min(evl, max(0.0, c.residual_volume - booked))
     return evl
 
@@ -165,8 +165,8 @@ def forward_critical(
     neighbour is not already known to hold the bundle.
 
     Callers decide what admissible means for critical traffic; the engine
-    drops the volume gate there, since critical reservations displace
-    lower-priority ones instead of yielding to them.
+    admits a critical candidate on PAT alone, with no volume gate, since
+    critical reservations displace lower-priority ones instead of yielding.
     """
     if not bundle.critical:
         raise ValueError("forward_critical requires a critical bundle")
@@ -251,9 +251,7 @@ def find_rollback_contact(
         dep = now if now > c.t_start else c.t_start
         if dep + bundle.size / c.rate > c.t_end:
             continue
-        booked = sum(
-            b.mb for b in bookings.get(c.id, ()) if b.priority >= bundle.priority
-        )
+        booked = booked_mb(bookings.get(c.id, ()), bundle.priority)
         if c.residual_volume - booked < bundle.size:
             continue
         return upstream, c

@@ -9,7 +9,7 @@ queued transmission, delivery, expiry) under one of two forwarding policies:
   critical bundles travel as a single copy along the best candidate whose
   neighbour is not already known to hold them.
 
-Both policies share candidate review (basic checks, ETO, PAT, EVL), the
+Both policies share candidate review (``_Engine._review_route``), the
 priority transmission discipline, overbooking displacement and rollback.
 The engine is single-threaded and strictly deterministic: identical inputs
 produce bit-identical metrics and dispatch logs.  Metrics are sampled every
@@ -48,6 +48,7 @@ from cgrlab.forwarding import (
     Bundle,
     CandidateRoute,
     basic_checks,
+    booked_mb,
     compute_eto,
     compute_evl,
     compute_pat,
@@ -88,7 +89,6 @@ _MOVES = {
 class NodeState:
     """Per-node bookkeeping: stored copies and critical-holder knowledge."""
 
-    node_id: str
     stored: dict[int, "_Copy"] = field(default_factory=dict)
     seen_critical: dict[int, set[str]] = field(default_factory=dict)
 
@@ -273,7 +273,7 @@ class _Engine:
         # transmission in progress
         self.queues: dict[int, list[Booking]] = {c.id: [] for c in self.plan.contacts}
         self.busy_until: dict[int, float] = {c.id: -1.0 for c in self.plan.contacts}
-        self.nodes = {n: NodeState(n) for n in sorted(self.plan.node_ids)}
+        self.nodes = {n: NodeState() for n in sorted(self.plan.node_ids)}
         self.records = {b.id: BundleRecord(b) for b in self.bundles}
         # the copies not retired, in copy-id order
         self.alive: dict[int, _Copy] = {}
@@ -336,19 +336,18 @@ class _Engine:
     def _review_route(
         self, graph: ContactGraph, route: Route, bundle: Bundle, now: float
     ) -> CandidateRoute | None:
-        """Apply the four forwarding gates to one route for one bundle.
+        """Apply the forwarding gates to one route for one bundle.
 
-        Each review counts one computation on the graph the route came from.
-        Critical reservations oversubscribe: their volume gate is waived and
-        overbooked contacts displace lower priorities at enqueue instead.
+        None when basic checks fail or the first hop cannot carry the bundle.
+        Admissible when PAT meets expiry and, for a non-critical bundle only,
+        EVL, computed only then, holds the bundle: critical reservations
+        displace lower priorities at enqueue.  Each review counts one computation.
         """
         graph.computing_counter += 1
         if not basic_checks(self.plan, route, bundle, now):
             return None
         first = self.plan.contact(route.first_hop)
-        ahead = sum(
-            b.mb for b in self.queues[first.id] if b.priority >= bundle.priority
-        )
+        ahead = booked_mb(self.queues[first.id], bundle.priority)
         window_open = now if now > first.t_start else first.t_start
         busy_until = self.busy_until[first.id]
         if busy_until > window_open:
@@ -358,9 +357,11 @@ class _Engine:
             pat = compute_pat(self.plan, route, eto, bundle.size)
         except ValueError:
             return None
-        evl = compute_evl(self.plan, route, self.queues, bundle.priority)
-        admissible = pat <= bundle.t_exp and (bundle.critical or evl >= bundle.size)
-        return CandidateRoute(route, eto, pat, evl, admissible)
+        admissible = pat <= bundle.t_exp and (
+            bundle.critical
+            or compute_evl(self.plan, route, self.queues, bundle.priority) >= bundle.size
+        )
+        return CandidateRoute(route, admissible)
 
     def _candidates(self, copy: _Copy, now: float) -> list[CandidateRoute]:
         bundle = copy.bundle
@@ -377,7 +378,6 @@ class _Engine:
                     cands.append(cand)
             if cands or attempt == 1:
                 return cands
-        return []
 
     def _critical_candidates(self, copy: _Copy, now: float) -> list[CandidateRoute]:
         """Best route through every usable neighbour (blanket replication).

@@ -159,8 +159,8 @@ class TestEvl:
         assert compute_evl(plan, route, bookings, priority=1) == 0.0
 
 
-def _cand(route, admissible=True, pat=10.0):
-    return CandidateRoute(route=route, eto=0.0, pat=pat, evl=route.volume, admissible=admissible)
+def _cand(route, admissible=True):
+    return CandidateRoute(route=route, admissible=admissible)
 
 
 class TestForwardCritical:

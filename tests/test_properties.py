@@ -174,20 +174,44 @@ FLUSHED = (TWO_WINDOWS, [_bulk(1, 1.0, 0.0), _bulk(2, 2.0, 4.0), _bulk(3, 1.0, 4
                          _bulk(4, 4.0, 5.0, priority=1)])
 EXPIRED = (TWO_WINDOWS, [_bulk(1, 1.0, 0.0), _bulk(2, 3.0, 3.0), _bulk(3, 1.0, 4.0, ttl=4.0),
                          _bulk(4, 3.0, 5.0, priority=1)])
+# two or three nodes share short windows late in the horizon, so copies
+# contend for them and some leave a queue untransmitted, as in FLUSHED and
+# EXPIRED
+CONTENDED = scenarios(
+    starts=st.integers(45, 58), gens=st.integers(40, 55), max_bundles=16,
+    node_counts=st.integers(2, 3),
+)
+
+
+def under_contention(check):
+    """``check(scenario, policy, owlt_mode)`` as a test over CONTENDED, FLUSHED and EXPIRED."""
+    check = example(scenario=EXPIRED, policy=POLICY_RMDG, owlt_mode="uniform")(check)
+    check = example(scenario=FLUSHED, policy=POLICY_STANDARD, owlt_mode="uniform")(check)
+    check = given(
+        scenario=CONTENDED,
+        policy=st.sampled_from(POLICIES),
+        owlt_mode=st.sampled_from(["file", "uniform"]),
+    )(check)
+    return settings(max_examples=300, deadline=None, derandomize=True, database=None)(check)
+
+
+def spy_moves(monkeypatch):
+    """The set of (from, to) copy moves any engine makes from now on."""
+    moves = set()
+    real_move = _Engine._move
+
+    def move(engine, copy, state, now, queued_on=None):
+        moves.add((copy.state, state))
+        real_move(engine, copy, state, now, queued_on)
+
+    monkeypatch.setattr(_Engine, "_move", move)
+    return moves
 
 
 def test_copy_indices_follow_the_state():
-    # copies are relayed in the plain scenarios; in the second strategy two or
-    # three nodes share short windows late in the horizon, so copies contend
-    # for them and some leave a queue untransmitted, as in FLUSHED and EXPIRED
+    # copies are relayed in the plain scenarios and contend in CONTENDED
     seen = set()
-    for strategy in (
-        scenarios(),
-        scenarios(
-            starts=st.integers(45, 58), gens=st.integers(40, 55), max_bundles=16,
-            node_counts=st.integers(2, 3),
-        ),
-    ):
+    for strategy in (scenarios(), CONTENDED):
         @settings(max_examples=300, deadline=None, derandomize=True, database=None)
         @given(
             scenario=strategy,
@@ -249,6 +273,37 @@ def test_selection_matches_full_attempts():
 
     check()
     assert skipped == set(POLICIES)
+
+
+def test_selection_matches_full_attempts_under_contention(monkeypatch):
+    # copies leave queues untransmitted: displaced, flushed at a contact's
+    # end, returned when they no longer fit, or expired while queued
+    moves = spy_moves(monkeypatch)
+
+    @under_contention
+    def check(scenario, policy, owlt_mode):
+        plan, bundles = scenario
+        metrics = _Engine(plan, bundles, policy, 0, 4, owlt_mode).run()
+        expected = FullSelectionEngine(plan, bundles, policy, 0, 4, owlt_mode).run()
+        assert metrics.fingerprint() == expected.fingerprint()
+        assert metrics.computing_total == expected.computing_total
+        assert metrics.dispatch_log == expected.dispatch_log
+
+    check()
+    assert ("queued", "stored") in moves
+
+
+def test_rows_match_per_second_sampling_under_contention(monkeypatch):
+    moves = spy_moves(monkeypatch)
+
+    @under_contention
+    def check(scenario, policy, owlt_mode):
+        plan, bundles = scenario
+        metrics = run_simulation(plan, bundles, policy, owlt_mode=owlt_mode)
+        assert metrics.rows == per_second_run(plan, bundles, policy, owlt_mode=owlt_mode).rows
+
+    check()
+    assert ("queued", "stored") in moves
 
 
 def test_selection_matches_full_attempts_across_instants(monkeypatch):

@@ -339,14 +339,14 @@ class TestCriticalReplication:
 
         def review(engine, graph, route, bundle, now):
             cand = real_review(engine, graph, route, bundle, now)
-            reviews.append((bundle.id, now, route.volume, cand.evl))
+            reviews.append((bundle.id, now, route.volume))
             return cand
 
         monkeypatch.setattr(simcore, "dijkstra_bdt", search)
         monkeypatch.setattr(simcore._Engine, "_review_route", review)
         bundles = [_bundle(bid=i, size=2.0, priority=2, critical=True) for i in (1, 2)]
         metrics = run_simulation(_one_hop_plan(te=10), bundles, POLICY_STANDARD)
-        assert reviews[:2] == [(1, 0.0, 10.0, 10.0), (2, 0.0, 8.0, 8.0)]
+        assert reviews[:2] == [(1, 0.0, 10.0), (2, 0.0, 8.0)]
         assert searches.count(("S", 0.0)) == 1
         assert metrics.rows[1].computing_cum == 4  # two searches, two reviews
 
@@ -355,6 +355,66 @@ class TestCriticalReplication:
         std = run_simulation(plan, [self._critical()], POLICY_STANDARD, owlt_mode="file")
         rmdg = run_simulation(plan, [self._critical()], POLICY_RMDG, owlt_mode="file")
         assert sum(std.contact_usage.values()) > sum(rmdg.contact_usage.values())
+
+
+class TestAdmission:
+    """EVL is computed only for a non-critical bundle whose PAT meets expiry."""
+
+    def _run(self, monkeypatch, plan, bundles, policy):
+        evl_calls, reviews = [], []
+        real_evl = simcore.compute_evl
+        real_review = simcore._Engine._review_route
+
+        def evl(*args):
+            evl_calls.append(args)
+            return real_evl(*args)
+
+        def review(engine, graph, route, bundle, now):
+            cand = real_review(engine, graph, route, bundle, now)
+            reviews.append((bundle.id, now, cand))
+            return cand
+
+        monkeypatch.setattr(simcore, "compute_evl", evl)
+        monkeypatch.setattr(simcore._Engine, "_review_route", review)
+        return run_simulation(plan, bundles, policy), evl_calls, reviews
+
+    @pytest.mark.parametrize("policy", [POLICY_STANDARD, POLICY_RMDG])
+    def test_critical_review_skips_evl(self, monkeypatch, policy):
+        bundle = _bundle(priority=2, critical=True)
+        metrics, evl_calls, reviews = self._run(monkeypatch, _one_hop_plan(), [bundle], policy)
+        assert metrics.records[1].outcome == OUTCOME_DELIVERED
+        assert reviews and not evl_calls
+
+    @pytest.mark.parametrize("policy", [POLICY_STANDARD, POLICY_RMDG])
+    def test_pat_past_expiry_skips_evl(self, monkeypatch, policy):
+        # the first byte can arrive at t=1, the last only at t=6
+        bundle = _bundle(size=5.0, ttl=4.0)
+        metrics, evl_calls, reviews = self._run(monkeypatch, _one_hop_plan(), [bundle], policy)
+        assert [cand.admissible for _, _, cand in reviews] == [False]
+        assert metrics.records[1].outcome == OUTCOME_NEVER_ROUTED
+        assert not evl_calls
+
+    @pytest.mark.parametrize("policy", [POLICY_STANDARD, POLICY_RMDG])
+    def test_booked_second_hop_fails_evl_and_keeps_the_copy_stored(self, monkeypatch, policy):
+        # a critical copy at R books all 2 Mb of R->D before it opens at t=10;
+        # bundle 2 (priority 1) at S meets its expiry over S->R->D, but no
+        # volume is left for it on the second hop
+        plan = ContactPlan.build(
+            [
+                Contact(id=1, from_node="S", to_node="R", t_start=0, t_end=60, rate=1, owlt=1),
+                Contact(id=2, from_node="R", to_node="D", t_start=10, t_end=12, rate=1, owlt=1),
+            ]
+        )
+        bundles = [
+            _bundle(bid=1, src="R", size=2.0, priority=2, critical=True),
+            _bundle(bid=2, priority=1),
+        ]
+        metrics, evl_calls, reviews = self._run(monkeypatch, plan, bundles, policy)
+        assert [(now, cand.admissible) for bid, now, cand in reviews if bid == 2] == [(0.0, False)]
+        assert len(evl_calls) == 1
+        assert metrics.records[1].outcome == OUTCOME_DELIVERED
+        assert metrics.records[2].outcome == OUTCOME_NEVER_ROUTED
+        assert [e[1] for e in metrics.dispatch_log] == [1]
 
 
 class TestRepeatSelections:
