@@ -7,9 +7,9 @@ storage edges, which encode storage opportunities, not links.
 
 The graph carries the computing-resource tally ``computing_counter``, fed by
 route search iterations and by the engine's candidate-route reviews.  It
-also keeps ``dijkstra_bdt``'s last search per first-hop restriction, with the
-departures at which that search would repeat itself, so that a later call in
-that window reuses its hops (see ``routesearch.dijkstra_bdt``).
+also keeps ``dijkstra_bdt``'s last search per first-hop restriction with the
+departures at which it would repeat itself, its own and a window after it,
+so that a call at one of them reuses its hops (see ``routesearch.dijkstra_bdt``).
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ class ContactGraph:
 
     ``searches`` maps a ``via`` neighbour (or None) to ``(depart, slack,
     hops)``: the hops ``dijkstra_bdt`` found departing at ``depart`` (None
-    when it found none), which a search departing up to ``slack`` seconds
-    later finds again.
+    when it found none), which a search departing then, or up to ``slack``
+    seconds later, finds again.
     """
 
     plan: ContactPlan

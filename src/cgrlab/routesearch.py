@@ -24,11 +24,11 @@ follow the node names' string order, so equal arrivals break ties as they
 would on the names.
 
 ``dijkstra_bdt`` keeps each search's hops on its ``ContactGraph``, one per
-first-hop restriction, with the window of later departures at which the
+first-hop restriction, and re-evaluates them instead of searching again at
+the same departure, on any plan, or at a later one in the window where the
 same search would make the same decisions: whole-second departures on a plan
 of whole-second light times, while no label it settled would have to wait
-for a window to open or would miss one that closes.  A call in that window
-re-evaluates the kept hops instead of searching again.
+for a window to open or would miss one that closes.
 """
 
 from __future__ import annotations
@@ -232,10 +232,12 @@ def dijkstra_bdt(
 
     The graph keeps the last search for each ``via`` (None included) with
     the window of later departures that would find the same hops; a call
-    departing in that window evaluates the kept hops at its own departure
-    instead of searching.  The result is the same either way.
+    departing then or in that window evaluates the kept hops at its own
+    departure instead of searching.  The result is the same either way.
     """
     plan = graph.plan
+    # A search reads only the static plan and its departure, so one at the
+    # kept departure repeats the kept one on any plan.
     # A search from t0 and the same search from t1 = t0 + delta, delta >= 0,
     # make the same decisions, so they return the same hops or both None,
     # when:
@@ -265,11 +267,10 @@ def dijkstra_bdt(
     reusable = (
         0 <= depart < 2.0**52 and float(depart).is_integer() and plan.whole_light_times()
     )
-    if reusable:
-        kept = graph.searches.get(via)
-        if kept is not None and 0 <= depart - kept[0] <= kept[1]:
-            hops = kept[2]
-            return None if hops is None else evaluate_route(plan, hops, depart)
+    kept = graph.searches.get(via)
+    if kept and (depart == kept[0] or reusable and 0 <= depart - kept[0] <= kept[1]):
+        hops = kept[2]
+        return None if hops is None else evaluate_route(plan, hops, depart)
     banned_first: frozenset[int] = frozenset()
     if via is not None:
         banned_first = frozenset(
@@ -279,9 +280,8 @@ def dijkstra_bdt(
     start, dest = index[graph.source], index[graph.dest]
     state: list | None = [] if reusable else None
     hops = _search(plan, start, depart, dest, [], banned_first, math.inf, None, state)
-    if state is not None:
-        slack = _shift_slack(plan, start, dest, banned_first, *state)
-        graph.searches[via] = (depart, slack, hops)
+    slack = _shift_slack(plan, start, dest, banned_first, *state) if reusable else -math.inf
+    graph.searches[via] = (depart, slack, hops)
     if hops is None:
         return None
     return evaluate_route(plan, hops, depart)

@@ -21,10 +21,10 @@ A stored copy is re-attempted once per contact start or transmission end at
 its node, so it is often attempted several times at one instant.  The engine
 keeps a ``version`` that moves on every change an attempt can read; an
 attempt that repeats, at the same instant and version, an attempt of the same
-copy that changed nothing is skipped, and memoised routes are reused while
-the version holds.  The ``computing`` metric still counts every attempt: a
-skipped one adds the computations its first run counted (see
-``_Engine._attempt_forward``).
+copy that changed nothing is skipped.  Per-neighbour routes are memoised
+until the instant changes or a transmission start lowers a residual volume.
+The ``computing`` metric still counts every attempt: a skipped one adds the
+computations its first run counted (see ``_Engine._attempt_forward``).
 
 A copy is stored at its node, queued on a contact, in flight, or retired.
 Only ``_Engine._move`` changes that state; it refuses any move outside
@@ -37,7 +37,7 @@ import csv
 import hashlib
 import heapq
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from cgrlab.contactgraph import ContactGraph, build_contact_graph
 from cgrlab.contactplan import Contact, ContactPlan, occupancy_rate
@@ -280,14 +280,14 @@ class _Engine:
 
         self.graphs: dict[tuple[str, str], ContactGraph] = {}
         self.route_cache: dict[tuple[str, str], tuple[float, list[Route]]] = {}
-        # (node, dest, neighbour) -> (version, best route through that
-        # neighbour evaluated at that version, or None), valid for the instant
-        # hop_memo_t only; the route is re-evaluated once the version moves
-        self.hop_memo: dict[tuple[str, str, str], tuple[int, Route | None]] = {}
+        # (node, dest, neighbour) -> what dijkstra_bdt returns through that
+        # neighbour at the instant hop_memo_t and the current residual
+        # volumes; cleared when either changes
+        self.hop_memo: dict[tuple[str, str, str], Route | None] = {}
         self.hop_memo_t: float | None = None
         # moves on every change a selection attempt can read: each non-select
-        # event, accepted enqueue, booking leaving a queue in _try_start, and
-        # route-cache recompute
+        # event, accepted enqueue and route-cache recompute; _try_start runs
+        # only right after an event or an accepted enqueue
         self.version = 0
         self.booking_seq = 0
         self.copy_seq = 0
@@ -386,14 +386,11 @@ class _Engine:
         proximate node rather than taken from the K-route list, so a copy can
         be launched through each neighbour that still has a path.
 
-        The search reads only the static plan, so its hops are the same for
-        every copy reviewed at one node for one destination and instant; they
-        are looked up once per instant, and ``dijkstra_bdt`` searches again
-        only once its graph's kept search for that neighbour can no longer
-        repeat itself.  The evaluated route is kept with the
-        engine version and re-evaluated against the current residual volumes
-        only once the version has moved.  Each use still counts one
-        computation.
+        A route reads only the departure, the static plan and residual
+        volumes, so ``hop_memo`` keeps it for every copy reviewed at this node
+        for this destination until the instant changes or a transmission
+        starts; ``dijkstra_bdt`` then answers the same departure from its
+        kept search.  Each use still counts one computation.
         """
         bundle = copy.bundle
         node = copy.at_node
@@ -406,20 +403,15 @@ class _Engine:
             for c in self.plan.contacts_from(node)
             if c.t_end - 1 >= now and c.to_node not in bundle.hop_trace
         }
-        version = self.version
+        memo = self.hop_memo
         cands: list[CandidateRoute] = []
         for neighbor in sorted(neighbors):
             graph.computing_counter += 1
             key = (node, bundle.dest, neighbor)
-            memo = self.hop_memo.get(key)
-            if memo is None:
-                route = dijkstra_bdt(graph, depart=now, via=neighbor)
-                self.hop_memo[key] = (version, route)
+            if key in memo:
+                route = memo[key]
             else:
-                evaluated_at, route = memo
-                if route is not None and evaluated_at != version:
-                    route = evaluate_route(self.plan, route.hops, now)
-                    self.hop_memo[key] = (version, route)
+                route = memo[key] = dijkstra_bdt(graph, depart=now, via=neighbor)
             if route is None:
                 continue
             cand = self._review_route(graph, route, bundle, now)
@@ -503,7 +495,6 @@ class _Engine:
         while queue and self.busy_until[c.id] <= now and c.t_start <= now < c.t_end:
             booking = min(queue, key=lambda b: (-b.priority, b.seq))
             queue.remove(booking)
-            self.version += 1
             copy = self.alive[booking.copy_id]
             duration = booking.mb / c.rate
             if now + duration > c.t_end:
@@ -515,6 +506,7 @@ class _Engine:
             self._move(copy, _IN_FLIGHT, now)
             self.records[copy.bundle.id].first_tx = True
             c.residual_volume -= booking.mb
+            self.hop_memo.clear()
             self.busy_until[c.id] = now + duration
             self._push(now + duration, _R_TX_COMPLETE, (c, copy))
             return
@@ -573,16 +565,16 @@ class _Engine:
             # and copy sequences, so it dispatched nothing and left the copy
             # stored.  Everything an attempt reads (the copy and its bundle,
             # the queues, residual volumes, busy_until, the holder sets and
-            # the route-cache timestamp) changes only where the version
-            # moves, so this attempt would read what that one read, and equal
-            # inputs give equal outputs.  The caches it reads are pure:
-            # hop_memo holds what the search and `evaluate_route` return at
-            # this instant and version, a graph's kept searches give what a
-            # fresh search returns, and the route-cache live filter writes
-            # back a list that filtering again at the same or a later `now`
-            # leaves as it is.  So the attempt would end as the last one did,
-            # having counted the same computations on this graph, where all
-            # of an attempt's counts land.
+            # the route-cache timestamp) changes only where the version moves
+            # or in the _try_start right after, so this attempt would read
+            # what that one read, and equal inputs give equal outputs.  The
+            # caches it reads are pure: hop_memo holds what the search returns
+            # at this instant and these residual volumes, a graph's kept
+            # searches give what a fresh search returns, and the route-cache
+            # live filter writes back a list that filtering again at the same
+            # or a later `now` leaves as it is.  So the attempt would end as
+            # the last one did, having counted the same computations on this
+            # graph, where all of an attempt's counts land.
             graph.computing_counter += idle[2]
             return
         before = (self.version, self.booking_seq, self.copy_seq)
@@ -601,8 +593,9 @@ class _Engine:
     def _handle_arrival(self, copy: _Copy, contact: Contact, now: float) -> None:
         from_node, to_node = contact.from_node, contact.to_node
         copy.at_node = to_node
-        copy.bundle = replace(copy.bundle, hop_trace=copy.bundle.hop_trace + (to_node,))
-        bundle = copy.bundle
+        b = copy.bundle  # the constructor, not dataclasses.replace, as in _emit_rows
+        bundle = copy.bundle = Bundle(b.id, b.source, b.dest, b.size, b.priority, b.critical,
+                                      b.t_gen, b.t_exp, b.hop_trace + (to_node,))
         if bundle.critical:
             holders = self.nodes[to_node].seen_critical.setdefault(bundle.id, set())
             holders.add(from_node)

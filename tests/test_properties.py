@@ -74,6 +74,11 @@ def scenarios(
     owlt_mode=st.sampled_from(["file", "uniform"]),
 )
 def test_engine_invariants(scenario, policy, owlt_mode):
+    check_engine_invariants(scenario, policy, owlt_mode)
+
+
+def check_engine_invariants(scenario, policy, owlt_mode):
+    """Replay determinism, volume accounting, causality, rows and conservation."""
     plan, bundles = scenario
     # a conservation breach raises AssertionError out of the run itself
     metrics = run_simulation(plan, bundles, policy, owlt_mode=owlt_mode)
@@ -193,6 +198,11 @@ def under_contention(check):
         owlt_mode=st.sampled_from(["file", "uniform"]),
     )(check)
     return settings(max_examples=300, deadline=None, derandomize=True, database=None)(check)
+
+
+@under_contention
+def test_engine_invariants_under_contention(scenario, policy, owlt_mode):
+    check_engine_invariants(scenario, policy, owlt_mode)
 
 
 def spy_moves(monkeypatch):

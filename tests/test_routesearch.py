@@ -425,9 +425,9 @@ class TestSearchReuse:
         fresh graph's.  Whole-horizon windows let reuse fire, windows that
         open together and close apart let it end where a route closes, and
         windows that open apart make searches wait for a window.  Half-second
-        light times and departures must never reuse a search.  The spy
-        records how much later than the kept search each call departed that
-        was answered without a search.
+        light times and departures reuse a search only at its own departure.
+        The spy records how much later than the kept search each call
+        departed that was answered without a search.
         """
         search = routesearch._search
         calls = []
@@ -468,14 +468,44 @@ class TestSearchReuse:
                     searched = len(calls)
                     got = dijkstra_bdt(graph, depart=depart, via=via)
                     if len(calls) == searched:
-                        assert not fractional_plan and not _fractional(depart)
-                        reused.append(depart - graph.searches[via][0])
+                        kept_at = graph.searches[via][0]
+                        assert depart == kept_at or not (
+                            fractional_plan or _fractional(depart)
+                        )
+                        reused.append(depart - kept_at)
                     fresh = build_contact_graph(plan, "N0", "N1")
                     assert got == dijkstra_bdt(fresh, depart=depart, via=via)
-                    if via in fresh.searches:
-                        # reused hops are those a fresh search finds, even
-                        # where neither evaluates to a route
-                        assert graph.searches[via][2] == fresh.searches[via][2]
+                    # reused hops are those a fresh search finds, even where
+                    # neither evaluates to a route
+                    assert graph.searches[via][2] == fresh.searches[via][2]
 
         check()
         assert reused and max(reused) > 0
+
+    def test_equal_departure_reuses_on_fractional_light_times(self, monkeypatch):
+        # half-second light times rule out the shift window, but a call at the
+        # kept search's own departure runs the identical search; it still
+        # evaluates the hops against the current residual volumes
+        search = routesearch._search
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(routesearch, "_search", spy)
+        plan = ContactPlan.build(
+            [
+                Contact(id=1, from_node="S", to_node="A", t_start=0, t_end=30, rate=1, owlt=0.5),
+                Contact(id=2, from_node="A", to_node="D", t_start=0, t_end=30, rate=1, owlt=0.5),
+            ]
+        )
+        graph = build_contact_graph(plan, "S", "D")
+        first = dijkstra_bdt(graph, depart=3, via="A")
+        plan.contact(1).residual_volume -= 5
+        again = dijkstra_bdt(graph, depart=3, via="A")
+        assert len(calls) == 1
+        assert again.hops == first.hops == (1, 2)
+        assert (first.volume, again.volume) == (26.5, 25)
+        dijkstra_bdt(graph, depart=4, via="A")
+        assert len(calls) == 2

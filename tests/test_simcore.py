@@ -325,30 +325,53 @@ class TestCriticalReplication:
                 assert to not in sent_to.get(frm, set())
                 sent_to.setdefault(frm, set()).add(to)
 
-    def test_same_instant_reviews_see_current_volume(self, monkeypatch):
-        # two critical bundles reviewed at S at t=0: the first starts
-        # transmitting on the only contact, so the second must be reviewed
-        # against the contact's reduced residual volume, from one search
-        searches, reviews = [], []
-        real_search = simcore.dijkstra_bdt
+    def _spy_reviews(self, monkeypatch):
+        """Log (bundle id, now, route volume) of each review."""
+        reviews = []
         real_review = simcore._Engine._review_route
-
-        def search(graph, depart, via):
-            searches.append((graph.source, depart))
-            return real_search(graph, depart=depart, via=via)
 
         def review(engine, graph, route, bundle, now):
             cand = real_review(engine, graph, route, bundle, now)
             reviews.append((bundle.id, now, route.volume))
             return cand
 
-        monkeypatch.setattr(simcore, "dijkstra_bdt", search)
         monkeypatch.setattr(simcore._Engine, "_review_route", review)
+        return reviews
+
+    def test_same_instant_reviews_see_current_volume(self, monkeypatch):
+        # two critical bundles reviewed at S at t=0: the first starts
+        # transmitting on the only contact, so the second must be reviewed
+        # against the contact's reduced residual volume, from one search
+        reviews, searches = self._spy_reviews(monkeypatch), []
+        real_search = routesearch._search
+
+        def search(plan, start, start_time, *args):
+            searches.append((start, start_time))
+            return real_search(plan, start, start_time, *args)
+
+        monkeypatch.setattr(routesearch, "_search", search)
         bundles = [_bundle(bid=i, size=2.0, priority=2, critical=True) for i in (1, 2)]
-        metrics = run_simulation(_one_hop_plan(te=10), bundles, POLICY_STANDARD)
+        plan = _one_hop_plan(te=10)
+        metrics = run_simulation(plan, bundles, POLICY_STANDARD)
         assert reviews[:2] == [(1, 0.0, 10.0), (2, 0.0, 8.0)]
-        assert searches.count(("S", 0.0)) == 1
+        assert searches.count((plan.node_index["S"], 0.0)) == 1
         assert metrics.rows[1].computing_cum == 4  # two searches, two reviews
+
+    def test_route_is_re_evaluated_only_after_a_transmission_start(self, monkeypatch):
+        # bundle 1 starts transmitting at t=0 and lowers the residual volume;
+        # bundle 2 queues behind it and leaves the volume as it is, so bundle
+        # 3 is reviewed on the route evaluated for bundle 2
+        reviews, evaluations = self._spy_reviews(monkeypatch), []
+        for module in (simcore, routesearch):
+            def evaluate(plan, hops, depart, real=module.evaluate_route):
+                evaluations.append(depart)
+                return real(plan, hops, depart)
+
+            monkeypatch.setattr(module, "evaluate_route", evaluate)
+        bundles = [_bundle(bid=i, size=2.0, priority=2, critical=True) for i in (1, 2, 3)]
+        run_simulation(_one_hop_plan(te=10), bundles, POLICY_STANDARD)
+        assert reviews == [(1, 0.0, 10.0), (2, 0.0, 8.0), (3, 0.0, 8.0)]
+        assert evaluations == [0.0, 0.0]
 
     def test_standard_uses_more_transmissions(self):
         plan = make_demo_plan()
