@@ -7,16 +7,20 @@ storage edges, which encode storage opportunities, not links.
 
 The graph carries the computing-resource tally ``computing_counter``, fed by
 route search iterations and by the engine's candidate-route reviews.  It
-also keeps ``dijkstra_bdt``'s last search per first-hop restriction with the
-departures at which it would repeat itself, its own and a window after it,
-so that a call at one of them reuses its hops (see ``routesearch.dijkstra_bdt``).
+also keeps ``dijkstra_bdt``'s last search and last route per first-hop
+restriction, so that a call reuses them where they are what it would compute
+(see ``routesearch.dijkstra_bdt``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from cgrlab.contactplan import ContactPlan
+
+if TYPE_CHECKING:
+    from cgrlab.routesearch import Route
 
 
 @dataclass
@@ -24,18 +28,19 @@ class ContactGraph:
     """Contact graph for one source/destination pair.
 
     ``searches`` maps a ``via`` neighbour (or None) to ``(depart, slack,
-    hops)``: the hops ``dijkstra_bdt`` found departing at ``depart`` (None
-    when it found none), which a search departing then, or up to ``slack``
-    seconds later, finds again.
+    hops, answered, route)``: the hops ``dijkstra_bdt`` found departing at
+    ``depart`` (None when it found none), which a search departing then, or
+    up to ``slack`` seconds later, finds again, and the route it last
+    returned, for a call departing at ``answered``.
     """
 
     plan: ContactPlan
     source: str
     dest: str
     computing_counter: int = 0
-    searches: dict[str | None, tuple[float, float, list[int] | None]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    searches: dict[
+        str | None, tuple[float, float, list[int] | None, float, Route | None]
+    ] = field(default_factory=dict, repr=False, compare=False)
 
 
 def build_contact_graph(plan: ContactPlan, source: str, dest: str) -> ContactGraph:

@@ -4,7 +4,7 @@ A contact plan is the full schedule of one-way transmission windows over a
 topology horizon.  Plans are parsed from an ION-style text format (one
 directive per line) or built programmatically.  A plan is treated as an
 immutable value after construction; the only mutable field is each contact's
-residual volume, which only the single-threaded simulation engine touches.
+residual volume, which only falls: only the simulation engine lowers it.
 The light-time lower bounds of ``ContactPlan.owlt_to`` and the light-time
 test of ``ContactPlan.whole_light_times`` are filled on first use; they read
 only the immutable fields.

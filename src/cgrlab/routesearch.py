@@ -23,12 +23,9 @@ The earliest-arrival search runs on the plan's integer node indices, which
 follow the node names' string order, so equal arrivals break ties as they
 would on the names.
 
-``dijkstra_bdt`` keeps each search's hops on its ``ContactGraph``, one per
-first-hop restriction, and re-evaluates them instead of searching again at
-the same departure, on any plan, or at a later one in the window where the
-same search would make the same decisions: whole-second departures on a plan
-of whole-second light times, while no label it settled would have to wait
-for a window to open or would miss one that closes.
+``dijkstra_bdt`` keeps each search's hops and its last route on its
+``ContactGraph``, one per first-hop restriction, and answers from them where
+a fresh search would return the same route (see its docstring).
 """
 
 from __future__ import annotations
@@ -230,14 +227,26 @@ def dijkstra_bdt(
     which yields the best route through it.  Returns None when the
     destination is unreachable.
 
-    The graph keeps the last search for each ``via`` (None included) with
-    the window of later departures that would find the same hops; a call
-    departing then or in that window evaluates the kept hops at its own
-    departure instead of searching.  The result is the same either way.
+    The graph keeps the last search for each ``via`` (None included) and the
+    last route returned.  A call at that route's departure returns it while
+    each hop's residual volume still covers its volume.  Otherwise a call at
+    the search's departure, on any plan, or at a later one inside the window
+    where the same search would make the same decisions (whole-second
+    departures and light times, no settled label waiting for a window to
+    open or missing one that closes) evaluates the kept hops instead of
+    searching.  The result is the same either way.
     """
     plan = graph.plan
+    kept = graph.searches.get(via)
     # A search reads only the static plan and its departure, so one at the
-    # kept departure repeats the kept one on any plan.
+    # kept departure repeats the kept one on any plan, and at one departure
+    # a route moves only with residual volumes.  They only fall, and
+    # `Route.volume` is the least of fixed window terms and the hops'
+    # residuals, so the kept route holds while each residual covers it.
+    if kept and depart == kept[3]:
+        route = kept[4]
+        if route is None or min(plan.contact(h).residual_volume for h in route.hops) >= route.volume:
+            return route
     # A search from t0 and the same search from t1 = t0 + delta, delta >= 0,
     # make the same decisions, so they return the same hops or both None,
     # when:
@@ -267,24 +276,19 @@ def dijkstra_bdt(
     reusable = (
         0 <= depart < 2.0**52 and float(depart).is_integer() and plan.whole_light_times()
     )
-    kept = graph.searches.get(via)
-    if kept and (depart == kept[0] or reusable and 0 <= depart - kept[0] <= kept[1]):
-        hops = kept[2]
-        return None if hops is None else evaluate_route(plan, hops, depart)
-    banned_first: frozenset[int] = frozenset()
-    if via is not None:
+    if not (kept and (depart == kept[0] or reusable and 0 <= depart - kept[0] <= kept[1])):
         banned_first = frozenset(
-            c.id for c in plan.contacts_from(graph.source) if c.to_node != via
+            c.id for c in plan.contacts_from(graph.source) if via is not None and c.to_node != via
         )
-    index = plan.node_index
-    start, dest = index[graph.source], index[graph.dest]
-    state: list | None = [] if reusable else None
-    hops = _search(plan, start, depart, dest, [], banned_first, math.inf, None, state)
-    slack = _shift_slack(plan, start, dest, banned_first, *state) if reusable else -math.inf
-    graph.searches[via] = (depart, slack, hops)
-    if hops is None:
-        return None
-    return evaluate_route(plan, hops, depart)
+        index = plan.node_index
+        start, dest = index[graph.source], index[graph.dest]
+        state: list | None = [] if reusable else None
+        hops = _search(plan, start, depart, dest, [], banned_first, math.inf, None, state)
+        slack = _shift_slack(plan, start, dest, banned_first, *state) if reusable else -math.inf
+        kept = (depart, slack, hops)
+    route = None if kept[2] is None else evaluate_route(plan, kept[2], depart)
+    graph.searches[via] = kept[:3] + (depart, route)
+    return route
 
 
 def yen_plus(

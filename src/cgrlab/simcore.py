@@ -21,10 +21,10 @@ A stored copy is re-attempted once per contact start or transmission end at
 its node, so it is often attempted several times at one instant.  The engine
 keeps a ``version`` that moves on every change an attempt can read; an
 attempt that repeats, at the same instant and version, an attempt of the same
-copy that changed nothing is skipped.  Per-neighbour routes are memoised
-until the instant changes or a transmission start lowers a residual volume.
-The ``computing`` metric still counts every attempt: a skipped one adds the
-computations its first run counted (see ``_Engine._attempt_forward``).
+copy that changed nothing is skipped.  Per-neighbour routes are reused
+through ``routesearch.dijkstra_bdt``'s kept searches.  The ``computing``
+metric still counts every attempt: a skipped one adds the computations its
+first run counted (see ``_Engine._attempt_forward``).
 
 A copy is stored at its node, queued on a contact, in flight, or retired.
 Only ``_Engine._move`` changes that state; it refuses any move outside
@@ -37,6 +37,7 @@ import csv
 import hashlib
 import heapq
 import io
+import math
 from dataclasses import dataclass, field
 
 from cgrlab.contactgraph import ContactGraph, build_contact_graph
@@ -250,6 +251,8 @@ class _Engine:
                     raise ValueError(f"bundle {b.id} references unknown node {node!r}")
             if not 0 <= b.t_gen <= plan.horizon:
                 raise ValueError(f"bundle {b.id} generated outside the plan horizon")
+            if not (math.isfinite(b.size) and math.isfinite(b.t_exp)):
+                raise ValueError(f"bundle {b.id} has a non-finite size or expiry")
         # private plan copy: the engine mutates residual volumes
         contacts = tuple(
             Contact(
@@ -280,11 +283,6 @@ class _Engine:
 
         self.graphs: dict[tuple[str, str], ContactGraph] = {}
         self.route_cache: dict[tuple[str, str], tuple[float, list[Route]]] = {}
-        # (node, dest, neighbour) -> what dijkstra_bdt returns through that
-        # neighbour at the instant hop_memo_t and the current residual
-        # volumes; cleared when either changes
-        self.hop_memo: dict[tuple[str, str, str], Route | None] = {}
-        self.hop_memo_t: float | None = None
         # moves on every change a selection attempt can read: each non-select
         # event, accepted enqueue and route-cache recompute; _try_start runs
         # only right after an event or an accepted enqueue
@@ -386,32 +384,21 @@ class _Engine:
         proximate node rather than taken from the K-route list, so a copy can
         be launched through each neighbour that still has a path.
 
-        A route reads only the departure, the static plan and residual
-        volumes, so ``hop_memo`` keeps it for every copy reviewed at this node
-        for this destination until the instant changes or a transmission
-        starts; ``dijkstra_bdt`` then answers the same departure from its
-        kept search.  Each use still counts one computation.
+        ``dijkstra_bdt`` answers a repeat at this instant from the route it
+        kept on the graph; each call still counts one computation.
         """
         bundle = copy.bundle
         node = copy.at_node
         graph = self._graph(node, bundle.dest)
-        if self.hop_memo_t != now:
-            self.hop_memo.clear()
-            self.hop_memo_t = now
         neighbors = {
             c.to_node
             for c in self.plan.contacts_from(node)
             if c.t_end - 1 >= now and c.to_node not in bundle.hop_trace
         }
-        memo = self.hop_memo
         cands: list[CandidateRoute] = []
         for neighbor in sorted(neighbors):
             graph.computing_counter += 1
-            key = (node, bundle.dest, neighbor)
-            if key in memo:
-                route = memo[key]
-            else:
-                route = memo[key] = dijkstra_bdt(graph, depart=now, via=neighbor)
+            route = dijkstra_bdt(graph, depart=now, via=neighbor)
             if route is None:
                 continue
             cand = self._review_route(graph, route, bundle, now)
@@ -506,7 +493,6 @@ class _Engine:
             self._move(copy, _IN_FLIGHT, now)
             self.records[copy.bundle.id].first_tx = True
             c.residual_volume -= booking.mb
-            self.hop_memo.clear()
             self.busy_until[c.id] = now + duration
             self._push(now + duration, _R_TX_COMPLETE, (c, copy))
             return
@@ -568,12 +554,11 @@ class _Engine:
             # the route-cache timestamp) changes only where the version moves
             # or in the _try_start right after, so this attempt would read
             # what that one read, and equal inputs give equal outputs.  The
-            # caches it reads are pure: hop_memo holds what the search returns
-            # at this instant and these residual volumes, a graph's kept
-            # searches give what a fresh search returns, and the route-cache
-            # live filter writes back a list that filtering again at the same
-            # or a later `now` leaves as it is.  So the attempt would end as
-            # the last one did, having counted the same computations on this
+            # caches it reads are pure: a graph's kept searches and routes
+            # give what a fresh search returns, and the route-cache live
+            # filter writes back a list that filtering again at the same or a
+            # later `now` leaves as it is.  So the attempt would end as the
+            # last one did, having counted the same computations on this
             # graph, where all of an attempt's counts land.
             graph.computing_counter += idle[2]
             return
@@ -647,11 +632,7 @@ class _Engine:
             else:
                 mb_to_send += copy.bundle.size
         generated = sum(1 for b in self.bundles if b.t_gen <= t)
-        live = sum(
-            1
-            for b in self.bundles
-            if b.t_gen <= t and self.records[b.id].outcome is None
-        )
+        live = sum(1 for b in self.bundles if b.t_gen <= t and self.records[b.id].outcome is None)
         if generated != self.delivered + self.failed + live:
             raise AssertionError(
                 f"conservation violated at t={t}: {generated} generated vs "
@@ -769,9 +750,7 @@ class _Engine:
             if isinstance(payload, Bundle):
                 copy = self._new_copy(payload, payload.source)
                 if payload.critical:
-                    self.nodes[payload.source].seen_critical.setdefault(
-                        payload.id, set()
-                    ).add(payload.source)
+                    self.nodes[payload.source].seen_critical[payload.id] = {payload.source}
             else:
                 copy = payload
             b = copy.bundle
@@ -798,6 +777,5 @@ def run_simulation(
     ``UNIFORM_OWLT`` seconds on every contact (the constellation-scale
     default), ``file`` keeps each contact's own range value.
     """
-    engine = _Engine(plan, bundles, policy, seed, k, owlt_mode)
-    return engine.run()
+    return _Engine(plan, bundles, policy, seed, k, owlt_mode).run()
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import random
 from dataclasses import dataclass
 
@@ -129,16 +130,28 @@ def _node_id(raw: str) -> str:
     return raw
 
 
+def _finite(raw: str) -> float:
+    if not math.isfinite(float(raw)):
+        raise ValueError(f"not finite: {raw!r}")
+    return float(raw)
+
+
+def _flag(raw: str) -> bool:
+    if int(raw) not in (0, 1):
+        raise ValueError(f"not 0 or 1: {raw!r}")
+    return int(raw) == 1
+
+
 # task CSV columns, in file order, with the parser of each field
 _TASK_COLUMNS = (
     ("bundle_id", int),
     ("source", _node_id),
     ("dest", _node_id),
-    ("size_mb", float),
+    ("size_mb", _finite),
     ("priority", int),
-    ("critical", int),
-    ("t_gen", float),
-    ("t_exp", float),
+    ("critical", _flag),
+    ("t_gen", _finite),
+    ("t_exp", _finite),
 )
 
 
@@ -188,7 +201,7 @@ def read_tasks(text: str) -> list[Bundle]:
                 dest=values["dest"],
                 size=values["size_mb"],
                 priority=values["priority"],
-                critical=bool(values["critical"]),
+                critical=values["critical"],
                 t_gen=values["t_gen"],
                 t_exp=values["t_exp"],
             )

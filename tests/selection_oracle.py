@@ -1,12 +1,11 @@
 """Route selection without repeat skipping or route reuse, kept as a test oracle.
 
 The engine skips an attempt that repeats, at the same instant and engine
-version, an attempt of the same copy that changed nothing, and it memoises
-per-neighbour routes while the instant and the residual volumes hold.
-``dijkstra_bdt`` reuses a search kept on the engine's graph at its own and
-later departures.  ``FullSelectionEngine`` is the same engine with every
-attempt run in full, its memo keeping nothing and every ``dijkstra_bdt`` call
-searching, as selection ran before these shortcuts.
+version, an attempt of the same copy that changed nothing.  ``dijkstra_bdt``
+reuses a search kept on the engine's graph at its own and later departures,
+and the route it last returned while the residual volumes it read cover it.
+``FullSelectionEngine`` is the same engine with every attempt run in full and
+every ``dijkstra_bdt`` call searching, as selection ran before these shortcuts.
 """
 
 from __future__ import annotations
@@ -24,10 +23,6 @@ class _KeepNothing(dict):
 
 
 class FullSelectionEngine(_Engine):
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.hop_memo = _KeepNothing()
-
     def _graph(self, node: str, dest: str) -> ContactGraph:
         graph = super()._graph(node, dest)
         graph.searches = _KeepNothing()

@@ -431,8 +431,27 @@ class TestSimulateAndCompare:
                 TASK_HEADER + "1,A,F,1,1,0,500,540\n",
                 "error: bundle 1 generated outside the plan horizon\n",
             ),
+            (
+                TASK_HEADER + "1,A,F,1,1,0,0,inf\n",
+                "error: tasks line 2: field 't_exp' unparsable ('inf')\n",
+            ),
+            (
+                TASK_HEADER + "1,A,F,1,1,0,0,nan\n",
+                "error: tasks line 2: field 't_exp' unparsable ('nan')\n",
+            ),
+            (
+                TASK_HEADER + "1,A,F,inf,1,0,0,40\n",
+                "error: tasks line 2: field 'size_mb' unparsable ('inf')\n",
+            ),
+            (
+                TASK_HEADER + "1,A,F,1,2,7,0,40\n",
+                "error: tasks line 2: field 'critical' unparsable ('7')\n",
+            ),
         ],
-        ids=["missing-field", "unparsable-field", "duplicate-id", "past-horizon"],
+        ids=[
+            "missing-field", "unparsable-field", "duplicate-id", "past-horizon",
+            "inf-expiry", "nan-expiry", "inf-size", "critical-7",
+        ],
     )
     def test_bad_tasks_file_is_runtime_error(self, tmp_path, capsys, monkeypatch, text, message):
         monkeypatch.delenv("CGRLAB_OUT", raising=False)

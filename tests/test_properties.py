@@ -179,6 +179,26 @@ FLUSHED = (TWO_WINDOWS, [_bulk(1, 1.0, 0.0), _bulk(2, 2.0, 4.0), _bulk(3, 1.0, 4
                          _bulk(4, 4.0, 5.0, priority=1)])
 EXPIRED = (TWO_WINDOWS, [_bulk(1, 1.0, 0.0), _bulk(2, 3.0, 3.0), _bulk(3, 1.0, 4.0, ttl=4.0),
                          _bulk(4, 3.0, 5.0, priority=1)])
+# S reaches D via A (S -> A in [0, 20], A -> D in [0, 6]) and via B (S -> B in
+# [0, 8], B -> D in [0, 20]), both by t=2.  Critical bundle 1 (4 Mb) cannot
+# clear A -> D in time, so it goes via B and lowers S -> B's residual volume
+# from 8 to 4; at the same instant bundle 2 (1 Mb) then ranks A (volume 5)
+# before B (volume 4), and a route kept at the old volume would not
+LOWERED = (
+    ContactPlan.build(
+        [
+            Contact(id=cid, from_node=frm, to_node=to, t_start=0, t_end=t_end, rate=1, owlt=1)
+            for cid, (frm, to, t_end) in enumerate(
+                [("S", "A", 20), ("S", "B", 8), ("A", "D", 6), ("B", "D", 20)], start=1
+            )
+        ]
+    ),
+    [
+        Bundle(id=bid, source="S", dest="D", size=size, priority=2, critical=True,
+               t_gen=0.0, t_exp=30.0)
+        for bid, size in ((1, 4.0), (2, 1.0))
+    ],
+)
 # two or three nodes share short windows late in the horizon, so copies
 # contend for them and some leave a queue untransmitted, as in FLUSHED and
 # EXPIRED
@@ -189,7 +209,9 @@ CONTENDED = scenarios(
 
 
 def under_contention(check):
-    """``check(scenario, policy, owlt_mode)`` as a test over CONTENDED, FLUSHED and EXPIRED."""
+    """``check(scenario, policy, owlt_mode)`` as a test over CONTENDED, FLUSHED,
+    EXPIRED and LOWERED."""
+    check = example(scenario=LOWERED, policy=POLICY_STANDARD, owlt_mode="uniform")(check)
     check = example(scenario=EXPIRED, policy=POLICY_RMDG, owlt_mode="uniform")(check)
     check = example(scenario=FLUSHED, policy=POLICY_STANDARD, owlt_mode="uniform")(check)
     check = given(
@@ -301,6 +323,12 @@ def test_selection_matches_full_attempts_under_contention(monkeypatch):
 
     check()
     assert ("queued", "stored") in moves
+
+
+def test_lowered_residual_volume_reorders_same_instant_dispatches():
+    plan, bundles = LOWERED
+    log = run_simulation(plan, bundles, POLICY_STANDARD).dispatch_log
+    assert [e[1:4] for e in log if e[0] == 0.0] == [(1, "S", "B"), (2, "S", "A"), (2, "S", "B")]
 
 
 def test_rows_match_per_second_sampling_under_contention(monkeypatch):

@@ -509,3 +509,71 @@ class TestSearchReuse:
         assert (first.volume, again.volume) == (26.5, 25)
         dijkstra_bdt(graph, depart=4, via="A")
         assert len(calls) == 2
+
+    def _kept_route(self, monkeypatch, lowered):
+        """Route S -> A -> D at t=3, and again after contact 1's residual
+        volume drops by ``lowered``.
+
+        Returns both routes and the calls the second one made to ``_search``
+        and ``evaluate_route``.
+        """
+        search, evaluate = routesearch._search, routesearch.evaluate_route
+        calls = []
+
+        def spy(name, real):
+            def wrapped(*args):
+                calls.append(name)
+                return real(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(routesearch, "_search", spy("search", search))
+        monkeypatch.setattr(routesearch, "evaluate_route", spy("evaluate", evaluate))
+        plan = ContactPlan.build(
+            [
+                Contact(id=1, from_node="S", to_node="A", t_start=0, t_end=30, rate=1, owlt=1),
+                Contact(id=2, from_node="A", to_node="D", t_start=0, t_end=30, rate=1, owlt=1),
+            ]
+        )
+        graph = build_contact_graph(plan, "S", "D")
+        first = dijkstra_bdt(graph, depart=3, via="A")
+        assert calls == ["search", "evaluate"]
+        plan.contact(1).residual_volume -= lowered
+        calls.clear()
+        return first, dijkstra_bdt(graph, depart=3, via="A"), calls
+
+    @pytest.mark.parametrize("lowered", [0, 4])
+    def test_kept_route_returned_while_residuals_cover_it(self, monkeypatch, lowered):
+        # the route's volume is its 26 s window at rate 1, and contact 1's
+        # residual volume stays at least that
+        first, again, calls = self._kept_route(monkeypatch, lowered)
+        assert first.volume == 26
+        assert again is first
+        assert calls == []
+
+    def test_kept_route_re_evaluated_below_its_volume(self, monkeypatch):
+        first, again, calls = self._kept_route(monkeypatch, 5)
+        assert calls == ["evaluate"]
+        assert again.hops == first.hops == (1, 2)
+        assert (first.volume, again.volume) == (26, 25)
+
+    def test_kept_none_is_answered_without_a_search(self, monkeypatch):
+        search = routesearch._search
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(routesearch, "_search", spy)
+        # D is in the plan but no contact reaches it
+        plan = ContactPlan.build(
+            [
+                Contact(id=1, from_node="S", to_node="A", t_start=0, t_end=30, rate=1, owlt=1),
+                Contact(id=2, from_node="D", to_node="S", t_start=0, t_end=30, rate=1, owlt=1),
+            ]
+        )
+        graph = build_contact_graph(plan, "S", "D")
+        assert dijkstra_bdt(graph, depart=3, via="A") is None
+        assert dijkstra_bdt(graph, depart=3, via="A") is None
+        assert len(calls) == 1

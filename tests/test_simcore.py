@@ -1,5 +1,7 @@
 """Simulation engine: lifecycles, discipline invariants, metrics, determinism."""
 
+import math
+
 import pytest
 
 from cgrlab import routesearch, simcore
@@ -56,6 +58,17 @@ class TestSingleBundle:
     def test_generation_outside_horizon_rejected(self):
         with pytest.raises(ValueError, match="horizon"):
             run_simulation(_one_hop_plan(), [_bundle(t_gen=100.0)], POLICY_STANDARD)
+
+    @pytest.mark.parametrize(
+        "size, t_exp",
+        [(math.inf, 30.0), (1.0, math.inf), (1.0, math.nan)],
+        ids=["inf-size", "inf-expiry", "nan-expiry"],
+    )
+    def test_non_finite_size_or_expiry_rejected_before_start(self, size, t_exp):
+        bundle = Bundle(id=3, source="S", dest="D", size=size, priority=0, critical=False,
+                        t_gen=0.0, t_exp=t_exp)
+        with pytest.raises(ValueError, match="bundle 3 has a non-finite size or expiry"):
+            run_simulation(_one_hop_plan(), [bundle], POLICY_STANDARD)
 
     def test_unreachable_destination_never_routed(self):
         plan = ContactPlan.build(
