@@ -75,8 +75,10 @@ def _parse_seeds(value: str) -> list[int]:
     for part in value.split(","):
         part = part.strip()
         if ".." in part:
-            lo, hi = part.split("..")
-            seeds.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(end) for end in part.split(".."))
+            if lo > hi:
+                raise argparse.ArgumentTypeError(f"seed range {part} runs backwards")
+            seeds.extend(range(lo, hi + 1))
         elif part:
             seeds.append(int(part))
     if not seeds:

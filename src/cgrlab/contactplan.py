@@ -5,9 +5,9 @@ topology horizon.  Plans are parsed from an ION-style text format (one
 directive per line) or built programmatically.  A plan is treated as an
 immutable value after construction; the only mutable field is each contact's
 residual volume, which only falls: only the simulation engine lowers it.
-The light-time lower bounds of ``ContactPlan.owlt_to`` and the light-time
-test of ``ContactPlan.whole_light_times`` are filled on first use; they read
-only the immutable fields.
+The light-time lower bounds of ``ContactPlan.owlt_to``, its light-time test
+``whole_light_times`` and its sorted ``window_bounds`` are filled on first
+use; they read only the immutable fields.
 
 Text format, one directive per line, ``#`` starts a comment::
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 
 LIGHT_SPEED_KM_S = 299792.458
@@ -109,6 +110,7 @@ class ContactPlan:
     two indices orders them as their names; ``adjacency[i]`` lists
     ``contacts_from`` of node ``i`` as ``(id, t_start, t_end - 1, owlt,
     to_index)`` tuples, the fields route search reads per edge.
+    ``owlt_to`` and ``window_bounds`` are filled on first use and kept.
     """
 
     contacts: tuple[Contact, ...]
@@ -126,6 +128,9 @@ class ContactPlan:
         init=False, repr=False, compare=False, default=None
     )
     _whole_owlt: bool | None = field(init=False, repr=False, compare=False, default=None)
+    _bounds: tuple[list[float], list[float]] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         by_id: dict[int, Contact] = {}
@@ -202,6 +207,13 @@ class ContactPlan:
             ) and sum(c.owlt for c in self.contacts) < 2.0**52
         return whole
 
+    def window_bounds(self) -> tuple[list[float], list[float]]:
+        """Every contact's ``t_start``, then every ``t_end``, each list sorted."""
+        if self._bounds is None:
+            self._bounds = (sorted(c.t_start for c in self.contacts),
+                            sorted(c.t_end for c in self.contacts))
+        return self._bounds
+
     @classmethod
     def build(
         cls, contacts: list[Contact] | tuple[Contact, ...], horizon: float | None = None
@@ -239,14 +251,17 @@ def available_contacts(plan: ContactPlan, t: float) -> set[int]:
 def occupancy_rate(plan: ContactPlan, t: float, active: set[int]) -> float:
     """Fraction of currently available contacts with a transfer in progress.
 
-    Returns 0 when no contact is available at ``t``.
+    Returns 0 when no contact is available at ``t``.  The available contacts
+    are counted as those starting at or before ``t`` less those ending before
+    it, which all start before it too; only ``active``'s windows are read.
     """
-    avail = available_contacts(plan, t)
-    if not active <= avail:
-        raise ValueError(f"active contacts {active - avail} not available at t={t}")
-    if not avail:
-        return 0.0
-    return len(active) / len(avail)
+    by_id = plan._by_id
+    off = {i for i in active if i not in by_id or not by_id[i].t_start <= t <= by_id[i].t_end}
+    if off:
+        raise ValueError(f"active contacts {off} not available at t={t}")
+    starts, ends = plan.window_bounds()
+    avail = bisect_right(starts, t) - bisect_left(ends, t)
+    return len(active) / avail if avail else 0.0
 
 
 def _parse_time(token: str, lineno: int) -> int:

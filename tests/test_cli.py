@@ -384,6 +384,20 @@ class TestSimulateAndCompare:
         assert len(err_lines) == 1 and err_lines[0].endswith(f"seed {repeated} repeated")
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("seeds, reversed_range", [("1,5..3", "5..3"), ("5..3", "5..3")])
+    def test_reversed_seed_range_is_usage_error(self, tmp_path, capsys, monkeypatch, seeds,
+                                                reversed_range):
+        monkeypatch.delenv("CGRLAB_OUT", raising=False)
+        outdir = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--demo-plan", "--policy", "rmdg", "--source", "A",
+                  "--seed", seeds, "--out", str(outdir)])
+        assert exc.value.code == 2
+        err_lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(err_lines) == 1
+        assert err_lines[0].endswith(f"seed range {reversed_range} runs backwards")
+        assert not outdir.exists()
+
     def test_tasks_file_input(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("CGRLAB_OUT", raising=False)
         tasks = tmp_path / "tasks.csv"

@@ -1,8 +1,12 @@
 """Contact plan parsing, light-time arithmetic and availability queries."""
 
 import math
+import re
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgrlab.contactplan import (
     Contact,
@@ -272,3 +276,53 @@ class TestOccupancy:
         for t in range(0, 61, 3):
             avail = available_contacts(plan, t)
             assert 0.0 <= occupancy_rate(plan, t, avail) <= 1.0
+
+
+@st.composite
+def plans_and_instants(draw):
+    """A small random plan and an instant at, just before, just after or between its edges."""
+    contacts = []
+    for cid in range(1, draw(st.integers(0, 6)) + 1):
+        t_start = draw(st.integers(0, 40)) / 2
+        t_end = t_start + draw(st.integers(0, 20)) / 2
+        contacts.append(Contact(id=cid, from_node="A", to_node="B", t_start=t_start,
+                                t_end=t_end, rate=1))
+    plan = ContactPlan.build(contacts, horizon=40)
+    edges = sorted({0.0, 40.0} | {t for c in contacts for t in (c.t_start, c.t_end)})
+    i = draw(st.integers(0, len(edges) - 1))
+    t = draw(st.sampled_from([
+        edges[i],
+        math.nextafter(edges[i], -math.inf),
+        math.nextafter(edges[i], math.inf),
+        (edges[i] + edges[min(i + 1, len(edges) - 1)]) / 2,
+    ]))
+    return plan, t
+
+
+class TestOccupancyMatchesAvailability:
+    """``occupancy_rate`` counts by bisection; ``available_contacts`` is its reference."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(plans_and_instants())
+    def test_every_available_subset(self, case):
+        plan, t = case
+        avail = available_contacts(plan, t)
+        for n in range(len(avail) + 1):
+            for active in combinations(sorted(avail), n):
+                expected = len(active) / len(avail) if avail else 0.0
+                assert occupancy_rate(plan, t, set(active)) == expected
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(plans_and_instants(), st.data())
+    def test_unavailable_active_contacts_are_named(self, case, data):
+        plan, t = case
+        avail = available_contacts(plan, t)
+        # 99 is no contact of the plan at all
+        unavailable = sorted({c.id for c in plan.contacts} - avail | {99})
+        off = set(data.draw(st.lists(st.sampled_from(unavailable), min_size=1)))
+        on = data.draw(st.lists(st.sampled_from(sorted(avail)))) if avail else []
+        active = off | set(on)
+        with pytest.raises(ValueError) as exc:
+            occupancy_rate(plan, t, active)
+        named = re.fullmatch(r"active contacts \{(.*)\} not available at t=.*", str(exc.value))
+        assert named and {int(cid) for cid in named.group(1).split(",")} == off

@@ -516,7 +516,7 @@ class TestRepeatSelections:
         engine._attempt_forward(held, 5.0)
         assert len(reviews) == 3
         assert engine._enqueue(engine._new_copy(other, "A"), engine.plan.contact(1), 5.0, "select")
-        assert engine.queues[1] and engine.busy_until[1] < 5.0
+        assert engine.queues[1] and engine.busy_until.get(1, -1.0) < 5.0
         engine._attempt_forward(held, 5.0)
         assert len(reviews) == 6
         engine._attempt_forward(held, 5.0)
@@ -587,6 +587,30 @@ class TestMetricsSeries:
         assert row.t == 0 and row.computing_cum == 0
         assert row.r_o == 0 and row.storage_bundles == 0
         assert row.mb_to_send == 0 and row.mb_at_sending == 0 and row.mb_sent == 0
+
+    def test_each_sample_calls_occupancy_rate_once_by_its_imported_name(self, monkeypatch):
+        # the bench traces the contactplan.occupancy_rate layer through this name
+        calls = []
+        per_sample = []
+        rate = simcore.occupancy_rate
+        sample = simcore._Engine._sample
+
+        def counted_rate(plan, t, active):
+            calls.append(t)
+            return rate(plan, t, active)
+
+        def counted_sample(engine, t):
+            before = len(calls)
+            row = sample(engine, t)
+            per_sample.append(len(calls) - before)
+            return row
+
+        monkeypatch.setattr(simcore, "occupancy_rate", counted_rate)
+        monkeypatch.setattr(simcore._Engine, "_sample", counted_sample)
+        metrics = run_simulation(_one_hop_plan(), [_bundle(size=5.0)], POLICY_STANDARD)
+        assert any(row.r_o > 0 for row in metrics.rows)
+        assert per_sample and per_sample == [1] * len(per_sample)
+        assert len(calls) == len(per_sample) < len(metrics.rows)
 
     def test_idle_run_samples_every_second_to_last_contact_end(self):
         metrics = run_simulation(_one_hop_plan(), [], POLICY_STANDARD)
