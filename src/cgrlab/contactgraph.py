@@ -6,10 +6,11 @@ data cached there can still leave through v.  Route search follows these
 storage edges, which encode storage opportunities, not links.
 
 The graph carries the computing-resource tally ``computing_counter``, fed by
-route search iterations and by the engine's candidate-route reviews.  It
-also keeps ``dijkstra_bdt``'s last search and last route per first-hop
-restriction, so that a call reuses them where they are what it would compute
-(see ``routesearch.dijkstra_bdt``).
+route search iterations and by the engine's candidate-route reviews, and the
+residual volume table its routes are evaluated against.  It also keeps
+``dijkstra_bdt``'s last search and last route per first-hop restriction, so
+that a call reuses them where they are what it would compute (see
+``routesearch.dijkstra_bdt``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ if TYPE_CHECKING:
 class ContactGraph:
     """Contact graph for one source/destination pair.
 
-    ``searches`` maps a ``via`` neighbour (or None) to ``(depart, slack,
+    ``residual`` maps each contact id to the volume left on it; a run passes
+    its own table, which it lowers as it commits data.  ``searches`` maps a ``via`` neighbour (or None) to ``(depart, slack,
     hops, answered, route)``: the hops ``dijkstra_bdt`` found departing at
     ``depart`` (None when it found none), which a search departing then, or
     up to ``slack`` seconds later, finds again, and the route it last
@@ -37,17 +39,24 @@ class ContactGraph:
     plan: ContactPlan
     source: str
     dest: str
+    residual: dict[int, float] = field(repr=False, compare=False)
     computing_counter: int = 0
     searches: dict[
         str | None, tuple[float, float, list[int] | None, float, Route | None]
     ] = field(default_factory=dict, repr=False, compare=False)
 
 
-def build_contact_graph(plan: ContactPlan, source: str, dest: str) -> ContactGraph:
-    """The contact graph from ``source`` to ``dest`` over ``plan``."""
+def build_contact_graph(
+    plan: ContactPlan, source: str, dest: str, residual: dict[int, float] | None = None
+) -> ContactGraph:
+    """The contact graph from ``source`` to ``dest`` over ``plan``.
+
+    ``residual`` is the volume table routes are evaluated against; without
+    one, every contact has its full volume.
+    """
     for node in (source, dest):
         if node not in plan.node_ids:
             raise ValueError(f"unknown node id {node!r}")
     if source == dest:
         raise ValueError("source and destination must differ")
-    return ContactGraph(plan=plan, source=source, dest=dest)
+    return ContactGraph(plan, source, dest, plan.volumes() if residual is None else residual)

@@ -2,12 +2,12 @@
 
 A contact plan is the full schedule of one-way transmission windows over a
 topology horizon.  Plans are parsed from an ION-style text format (one
-directive per line) or built programmatically.  A plan is treated as an
-immutable value after construction; the only mutable field is each contact's
-residual volume, which only falls: only the simulation engine lowers it.
+directive per line) or built programmatically.  Nothing writes a plan after
+construction, so runs and route searches can share one: the volume a run has
+left on each contact is the run's own table (see ``ContactPlan.volumes``).
 The light-time lower bounds of ``ContactPlan.owlt_to``, its light-time test
-``whole_light_times`` and its sorted ``window_bounds`` are filled on first
-use; they read only the immutable fields.
+``whole_light_times``, its sorted ``window_bounds`` and its ``uniform``
+variant are filled on first use and kept with the plan.
 
 Text format, one directive per line, ``#`` starts a comment::
 
@@ -28,6 +28,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 
 LIGHT_SPEED_KM_S = 299792.458
+
+# light time on every contact of ``ContactPlan.uniform``
+UNIFORM_OWLT = 1.0
 
 
 class ContactPlanError(ValueError):
@@ -62,9 +65,9 @@ class Contact:
     """One directed transmission opportunity between two nodes.
 
     Times are integer seconds; ``rate`` is megabits/second; ``owlt`` is the
-    one-way light time (range) in light-seconds.  ``residual_volume`` starts
-    at the full window capacity and is decremented by the simulator as data
-    is committed to the contact.
+    one-way light time (range) in light-seconds.  A contact is never
+    written after construction; the volume a run commits to it is counted in
+    the run's own residual table.
     """
 
     id: int
@@ -74,7 +77,6 @@ class Contact:
     t_end: float
     rate: float
     owlt: float = 0.0
-    residual_volume: float | None = None
 
     def __post_init__(self) -> None:
         for name in ("t_start", "t_end", "rate", "owlt"):
@@ -90,8 +92,6 @@ class Contact:
             raise ContactPlanError(f"contact {self.id}: rate must be positive")
         if self.owlt < 0:
             raise ContactPlanError(f"contact {self.id}: owlt must be non-negative")
-        if self.residual_volume is None:
-            self.residual_volume = self.volume
 
     @property
     def volume(self) -> float:
@@ -110,7 +110,8 @@ class ContactPlan:
     two indices orders them as their names; ``adjacency[i]`` lists
     ``contacts_from`` of node ``i`` as ``(id, t_start, t_end - 1, owlt,
     to_index)`` tuples, the fields route search reads per edge.
-    ``owlt_to`` and ``window_bounds`` are filled on first use and kept.
+    ``owlt_to``, ``window_bounds`` and ``uniform`` are filled on first use
+    and kept.
     """
 
     contacts: tuple[Contact, ...]
@@ -131,6 +132,7 @@ class ContactPlan:
     _bounds: tuple[list[float], list[float]] | None = field(
         init=False, repr=False, compare=False, default=None
     )
+    _uniform: ContactPlan | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         by_id: dict[int, Contact] = {}
@@ -213,6 +215,24 @@ class ContactPlan:
             self._bounds = (sorted(c.t_start for c in self.contacts),
                             sorted(c.t_end for c in self.contacts))
         return self._bounds
+
+    def uniform(self) -> ContactPlan:
+        """This plan with every light time set to ``UNIFORM_OWLT``.
+
+        Built on first use and kept with the plan, so every run on one plan
+        shares the derived plan and the tables it fills in turn.
+        """
+        if self._uniform is None:
+            # the constructor, not dataclasses.replace, which costs more
+            self._uniform = ContactPlan(
+                tuple(Contact(c.id, c.from_node, c.to_node, c.t_start, c.t_end, c.rate,
+                              UNIFORM_OWLT) for c in self.contacts),
+                self.horizon, self.node_ids)
+        return self._uniform
+
+    def volumes(self) -> dict[int, float]:
+        """A fresh table of every contact's full volume by id, for a caller to lower."""
+        return {c.id: c.volume for c in self.contacts}
 
     @classmethod
     def build(
@@ -347,29 +367,11 @@ def parse_contact_plan(text: str) -> ContactPlan:
         if owlt is None:
             owlt = lookup_owlt(t_start, t_end, frm, to)
         try:
-            contacts.append(
-                Contact(
-                    id=idx,
-                    from_node=frm,
-                    to_node=to,
-                    t_start=t_start,
-                    t_end=t_end,
-                    rate=rate,
-                    owlt=owlt,
-                )
-            )
+            contacts.append(Contact(id=idx, from_node=frm, to_node=to, t_start=t_start,
+                                    t_end=t_end, rate=rate, owlt=owlt))
         except ContactPlanError as exc:
             raise ContactPlanError(f"line {lineno}: {exc}") from None
-
-    horizon = (
-        horizon_override
-        if horizon_override is not None
-        else max((c.t_end for c in contacts), default=0)
-    )
-    try:
-        return ContactPlan.build(contacts, horizon=horizon)
-    except ContactPlanError as exc:
-        raise ContactPlanError(str(exc)) from None
+    return ContactPlan.build(contacts, horizon=horizon_override)
 
 
 def _fmt(value: float) -> str:
@@ -410,20 +412,9 @@ _DEMO_LINKS = (
 
 def make_demo_plan() -> ContactPlan:
     """Reference six-node plan used by the route-search examples and tests."""
-    contacts = []
-    next_id = 1
-    for a, b, ts, te in _DEMO_LINKS:
-        for frm, to in ((a, b), (b, a)):
-            contacts.append(
-                Contact(
-                    id=next_id,
-                    from_node=frm,
-                    to_node=to,
-                    t_start=ts,
-                    t_end=te,
-                    rate=1.0,
-                    owlt=1.0,
-                )
-            )
-            next_id += 1
+    pairs = [(frm, to, ts, te) for a, b, ts, te in _DEMO_LINKS for frm, to in ((a, b), (b, a))]
+    contacts = [
+        Contact(id=cid, from_node=frm, to_node=to, t_start=ts, t_end=te, rate=1.0, owlt=1.0)
+        for cid, (frm, to, ts, te) in enumerate(pairs, 1)
+    ]
     return ContactPlan.build(contacts, horizon=60)

@@ -8,8 +8,9 @@ meets expiry, the effective volume limit after higher-priority bookings.
 Critical bundles are replicated by policy; overbooked contacts displace
 lower-priority bookings; a bundle with no usable candidate rolls back upstream.
 
-All operations are pure given explicit node-state inputs; the simulation
-engine owns every mutation.
+All operations are pure: node state (bookings) and each contact's residual
+volume come in as explicit arguments, and only the simulation engine changes
+them.  Nothing here writes the contact plan.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ class Bundle:
             raise ValueError(f"bundle {self.id}: priority must be 0, 1 or 2")
         if self.critical and self.priority != 2:
             raise ValueError(f"bundle {self.id}: critical bundles carry priority 2")
+        if self.source == self.dest:
+            raise ValueError(f"bundle {self.id}: source and destination must differ")
         if self.t_exp <= self.t_gen:
             raise ValueError(f"bundle {self.id}: t_exp must exceed t_gen")
         if self.size <= 0:
@@ -131,7 +134,7 @@ def compute_pat(plan: ContactPlan, route: Route, eto: float, size: float) -> flo
 
 
 def compute_evl(
-    plan: ContactPlan,
+    residual: dict[int, float],
     route: Route,
     bookings: dict[int, list[Booking]],
     priority: int,
@@ -144,9 +147,8 @@ def compute_evl(
     """
     evl = math.inf
     for cid in route.hops:
-        c = plan.contact(cid)
         booked = booked_mb(bookings.get(cid, ()), priority)
-        evl = min(evl, max(0.0, c.residual_volume - booked))
+        evl = min(evl, max(0.0, residual[cid] - booked))
     return evl
 
 
@@ -190,19 +192,19 @@ def forward_critical(
 
 
 def handle_overbooking(
-    contact: Contact, bookings: list[Booking], incoming: Booking
+    capacity: float, bookings: list[Booking], incoming: Booking
 ) -> tuple[bool, list[Booking]]:
     """Resolve an incoming booking against a contact's reservation list.
 
-    When the contact has spare volume the booking is accepted outright.
-    Otherwise strictly lower-priority bookings are displaced, lowest priority
-    and latest-booked first, until the incoming booking fits; if displacing
-    every outranked booking still cannot make room, the incoming booking is
-    rejected and nothing is displaced.
+    ``capacity`` is the contact's residual volume.  When the bookings leave
+    room for the incoming one it is accepted outright.  Otherwise strictly
+    lower-priority bookings are displaced, lowest priority and latest-booked
+    first, until the incoming booking fits; if displacing every outranked
+    booking still cannot make room, the incoming booking is rejected and
+    nothing is displaced.
 
     Returns (accepted, displaced bookings).
     """
-    capacity = contact.residual_volume
     booked = sum(b.mb for b in bookings)
     if booked + incoming.mb <= capacity:
         return True, []
@@ -224,6 +226,7 @@ def handle_overbooking(
 
 def find_rollback_contact(
     plan: ContactPlan,
+    residual: dict[int, float],
     bundle: Bundle,
     at_node: str,
     now: float,
@@ -233,9 +236,9 @@ def find_rollback_contact(
 
     The upstream node is the hop-trace predecessor of the current node.  A
     usable reverse contact must fit the whole bundle within its remaining
-    window and volume (rollback consumes real capacity).  Returns None when
-    there is no upstream node or no usable contact, in which case the bundle
-    stays stored until expiry.
+    window and residual volume (rollback consumes real capacity).  Returns
+    None when there is no upstream node or no usable contact, in which case
+    the bundle stays stored until expiry.
     """
     trace = bundle.hop_trace
     upstream = None
@@ -252,7 +255,7 @@ def find_rollback_contact(
         if dep + bundle.size / c.rate > c.t_end:
             continue
         booked = booked_mb(bookings.get(c.id, ()), bundle.priority)
-        if c.residual_volume - booked < bundle.size:
+        if residual[c.id] - booked < bundle.size:
             continue
         return upstream, c
     return None

@@ -69,6 +69,7 @@ class Route:
 
 def evaluate_route(
     plan: ContactPlan,
+    residual: dict[int, float],
     hops: tuple[int, ...] | list[int],
     depart: float,
 ) -> Route | None:
@@ -78,7 +79,8 @@ def evaluate_route(
     first byte lands after the one-way light time; a hop is feasible while at
     least one whole second of its window remains.  Backward pass finds the
     latest workable departure per hop, which bounds both the VTI and each
-    hop's usable capacity.
+    hop's usable capacity; ``residual`` maps each contact id to the volume
+    left on it, which bounds that capacity too.
     """
     contacts = [plan.contact(h) for h in hops]
     if not contacts:
@@ -101,7 +103,7 @@ def evaluate_route(
         nxt = ld
     volume = math.inf
     for c, dep, ld in zip(contacts, departures, last_deps):
-        volume = min(volume, (ld - dep + 1) * c.rate, c.residual_volume)
+        volume = min(volume, (ld - dep + 1) * c.rate, residual[c.id])
 
     return Route(
         hops=tuple(hops),
@@ -230,22 +232,22 @@ def dijkstra_bdt(
     The graph keeps the last search for each ``via`` (None included) and the
     last route returned.  A call at that route's departure returns it while
     each hop's residual volume still covers its volume.  Otherwise a call at
-    the search's departure, on any plan, or at a later one inside the window
-    where the same search would make the same decisions (whole-second
-    departures and light times, no settled label waiting for a window to
-    open or missing one that closes) evaluates the kept hops instead of
-    searching.  The result is the same either way.
+    the search's departure, whatever the residual volumes, or at a later one
+    inside the window where the same search would make the same decisions
+    (whole-second departures and light times, no settled label waiting for a
+    window to open or missing one that closes) evaluates the kept hops
+    instead of searching.  The result is the same either way.
     """
-    plan = graph.plan
+    plan, residual = graph.plan, graph.residual
     kept = graph.searches.get(via)
-    # A search reads only the static plan and its departure, so one at the
-    # kept departure repeats the kept one on any plan, and at one departure
-    # a route moves only with residual volumes.  They only fall, and
-    # `Route.volume` is the least of fixed window terms and the hops'
-    # residuals, so the kept route holds while each residual covers it.
+    # A search reads only the plan and its departure, so one at the kept
+    # departure repeats the kept one whatever the residual volumes, and at
+    # one departure a route moves only with residual volumes.  They only
+    # fall, and `Route.volume` is the least of fixed window terms and the
+    # hops' residuals, so the kept route holds while each residual covers it.
     if kept and depart == kept[3]:
         route = kept[4]
-        if route is None or min(plan.contact(h).residual_volume for h in route.hops) >= route.volume:
+        if route is None or min(residual[h] for h in route.hops) >= route.volume:
             return route
     # A search from t0 and the same search from t1 = t0 + delta, delta >= 0,
     # make the same decisions, so they return the same hops or both None,
@@ -286,7 +288,7 @@ def dijkstra_bdt(
         hops = _search(plan, start, depart, dest, [], banned_first, math.inf, None, state)
         slack = _shift_slack(plan, start, dest, banned_first, *state) if reusable else -math.inf
         kept = (depart, slack, hops)
-    route = None if kept[2] is None else evaluate_route(plan, kept[2], depart)
+    route = None if kept[2] is None else evaluate_route(plan, residual, kept[2], depart)
     graph.searches[via] = kept[:3] + (depart, route)
     return route
 
@@ -329,7 +331,7 @@ def yen_plus(
     # never compare beyond it
     pool: list[tuple[tuple, int, Route, int]] = []
     seq = 0
-    plan = graph.plan
+    plan, residual = graph.plan, graph.residual
     index = plan.node_index
     source = index[graph.source]
     dest = index[graph.dest]
@@ -436,7 +438,7 @@ def yen_plus(
             total = root_hops + tuple(spur)
             if total in seen:
                 continue
-            route = evaluate_route(plan, total, depart)
+            route = evaluate_route(plan, residual, total, depart)
             if route is None:
                 continue
             seen.add(total)

@@ -70,9 +70,6 @@ _R_ARRIVAL = 3
 _R_SELECT = 4
 _R_EXPIRE = 5
 
-# light time on every contact when the run does not keep the plan's own
-UNIFORM_OWLT = 1.0
-
 OUTCOME_DELIVERED = "delivered"
 OUTCOME_EXPIRED = "expired_in_transit"
 OUTCOME_NEVER_ROUTED = "never_routed"
@@ -253,28 +250,18 @@ class _Engine:
                 raise ValueError(f"bundle {b.id} generated outside the plan horizon")
             if not (math.isfinite(b.size) and math.isfinite(b.t_exp)):
                 raise ValueError(f"bundle {b.id} has a non-finite size or expiry")
-        # private plan copy: the engine mutates residual volumes
-        contacts = tuple(
-            Contact(
-                id=c.id,
-                from_node=c.from_node,
-                to_node=c.to_node,
-                t_start=c.t_start,
-                t_end=c.t_end,
-                rate=c.rate,
-                owlt=UNIFORM_OWLT if owlt_mode == "uniform" else c.owlt,
-            )
-            for c in plan.contacts
-        )
-        self.plan = ContactPlan(contacts=contacts, horizon=plan.horizon, node_ids=plan.node_ids)
+        # nothing writes a plan, so runs share it and the tables it fills
+        self.plan = plan.uniform() if owlt_mode == "uniform" else plan
         self.policy = policy
         self.seed = seed
         self.k = k
         self.bundles = sorted(bundles, key=lambda b: b.id)
 
-        # each contact's reservations in booking order, and the end of its
-        # last transmission, kept only for contacts that have started one
+        # each contact's reservations in booking order, the volume it has
+        # left, and the end of its last transmission, kept only for contacts
+        # that have started one
         self.queues: dict[int, list[Booking]] = {c.id: [] for c in self.plan.contacts}
+        self.residual = self.plan.volumes()
         self.busy_until: dict[int, float] = {}
         self.nodes = {n: NodeState() for n in sorted(self.plan.node_ids)}
         self.records = {b.id: BundleRecord(b) for b in self.bundles}
@@ -311,7 +298,7 @@ class _Engine:
         key = (node, dest)
         graph = self.graphs.get(key)
         if graph is None:
-            graph = self.graphs[key] = build_contact_graph(self.plan, node, dest)
+            graph = self.graphs[key] = build_contact_graph(self.plan, node, dest, self.residual)
         return graph
 
     def _routes(self, graph: ContactGraph, now: float, force: bool = False) -> list[Route]:
@@ -357,7 +344,7 @@ class _Engine:
             return None
         admissible = pat <= bundle.t_exp and (
             bundle.critical
-            or compute_evl(self.plan, route, self.queues, bundle.priority) >= bundle.size
+            or compute_evl(self.residual, route, self.queues, bundle.priority) >= bundle.size
         )
         return CandidateRoute(route, admissible)
 
@@ -368,7 +355,7 @@ class _Engine:
             routes = self._routes(graph, now, force=attempt == 1)
             cands: list[CandidateRoute] = []
             for route in routes:
-                fresh = evaluate_route(self.plan, route.hops, now)
+                fresh = evaluate_route(self.plan, self.residual, route.hops, now)
                 if fresh is None:
                     continue
                 cand = self._review_route(graph, fresh, bundle, now)
@@ -457,7 +444,7 @@ class _Engine:
         booking = Booking(
             copy_id=copy.copy_id, mb=bundle.size, priority=bundle.priority, seq=self.booking_seq
         )
-        accepted, displaced = handle_overbooking(contact, queue, booking)
+        accepted, displaced = handle_overbooking(self.residual[contact.id], queue, booking)
         if not accepted:
             return False
         self.version += 1
@@ -492,7 +479,7 @@ class _Engine:
                 copy.first_tx_at = now
             self._move(copy, _IN_FLIGHT, now)
             self.records[copy.bundle.id].first_tx = True
-            c.residual_volume -= booking.mb
+            self.residual[c.id] -= booking.mb
             self.busy_until[c.id] = now + duration
             self._push(now + duration, _R_TX_COMPLETE, (c, copy))
             return
@@ -528,7 +515,9 @@ class _Engine:
         self._rollback(copy, now)
 
     def _rollback(self, copy: _Copy, now: float) -> None:
-        found = find_rollback_contact(self.plan, copy.bundle, copy.at_node, now, self.queues)
+        found = find_rollback_contact(
+            self.plan, self.residual, copy.bundle, copy.at_node, now, self.queues
+        )
         if found is not None:
             upstream, contact = found
             if upstream != copy.no_rollback_to and self._enqueue(copy, contact, now, "rollback"):
@@ -540,7 +529,9 @@ class _Engine:
         if copy.state != _STORED:
             return
         bundle = copy.bundle
-        if now > bundle.t_exp or copy.at_node == bundle.dest:
+        # never at its destination: a bundle's source is not its destination,
+        # and an arrival there retires the copy
+        if now > bundle.t_exp:
             self._move(copy, _RETIRED, now)
             return
         graph = self._graph(copy.at_node, bundle.dest)
@@ -550,10 +541,11 @@ class _Engine:
             # changed nothing: it moved neither the version nor the booking
             # and copy sequences, so it dispatched nothing and left the copy
             # stored.  Everything an attempt reads (the copy and its bundle,
-            # the queues, residual volumes, busy_until, the holder sets and
-            # the route-cache timestamp) changes only where the version moves
-            # or in the _try_start right after, so this attempt would read
-            # what that one read, and equal inputs give equal outputs.  The
+            # the queues, the residual table the graphs share, busy_until,
+            # the holder sets and the route-cache timestamp) changes only
+            # where the version moves or in the _try_start right after, so
+            # this attempt would read what that one read, and equal inputs
+            # give equal outputs; the plan is never written.  The
             # caches it reads are pure: a graph's kept searches and routes
             # give what a fresh search returns, and the route-cache live
             # filter writes back a list that filtering again at the same or a
@@ -736,7 +728,7 @@ class _Engine:
             records=self.records,
             dispatch_log=self.dispatch_log,
             computing_total=self.rows[-1].computing_cum,
-            contact_usage={c.id: c.volume - c.residual_volume for c in self.plan.contacts},
+            contact_usage={c.id: c.volume - self.residual[c.id] for c in self.plan.contacts},
         )
 
     def _process_selection_batch(self, batch: list[Bundle | _Copy], now: float) -> None:
@@ -770,8 +762,10 @@ def run_simulation(
     """Execute one deterministic simulation run and return its metrics.
 
     ``owlt_mode`` selects the propagation delay source: ``uniform`` applies
-    ``UNIFORM_OWLT`` seconds on every contact (the constellation-scale
-    default), ``file`` keeps each contact's own range value.
+    ``contactplan.UNIFORM_OWLT`` seconds on every contact (the
+    constellation-scale default) through ``plan.uniform()``, which is built
+    once per plan; ``file`` keeps each contact's own range value.  The plan
+    is only read, so runs may share it.
     """
     return _Engine(plan, bundles, policy, seed, k, owlt_mode).run()
 

@@ -142,7 +142,8 @@ def _flag(raw: str) -> bool:
     return int(raw) == 1
 
 
-# task CSV columns, in file order, with the parser of each field
+# task CSV columns, in file order, with the parser of each field; the order
+# is that of Bundle's fields, which read_tasks fills positionally
 _TASK_COLUMNS = (
     ("bundle_id", int),
     ("source", _node_id),
@@ -188,22 +189,16 @@ def read_tasks(text: str) -> list[Bundle]:
     """Parse the task CSV format back into bundles.
 
     Raises ValueError naming the line and the field when a row lacks a
-    field or a field does not parse.
+    field or a field does not parse, and naming the line when the fields
+    do not make a valid ``Bundle``.
     """
     reader = csv.DictReader(io.StringIO(text))
     bundles = []
     for row in reader:
-        values = parse_fields(row, _TASK_COLUMNS, f"tasks line {reader.line_num}")
-        bundles.append(
-            Bundle(
-                id=values["bundle_id"],
-                source=values["source"],
-                dest=values["dest"],
-                size=values["size_mb"],
-                priority=values["priority"],
-                critical=values["critical"],
-                t_gen=values["t_gen"],
-                t_exp=values["t_exp"],
-            )
-        )
+        where = f"tasks line {reader.line_num}"
+        values = parse_fields(row, _TASK_COLUMNS, where)
+        try:
+            bundles.append(Bundle(*values.values()))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return bundles

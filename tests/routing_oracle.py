@@ -54,8 +54,9 @@ def timing_of(plan, hops, depart=0.0):
         c = contacts[i]
         lasts[i] = min(c.t_end - 1, bound - c.owlt)
         bound = lasts[i]
+    # the full volume: the oracle times routes on plans no run has used
     volume = min(
-        min((ld - dep + 1) * c.rate, c.residual_volume)
+        min((ld - dep + 1) * c.rate, c.volume)
         for c, dep, ld in zip(contacts, deps, lasts)
     )
     route = {

@@ -3,7 +3,8 @@
 The engine skips an attempt that repeats, at the same instant and engine
 version, an attempt of the same copy that changed nothing.  ``dijkstra_bdt``
 reuses a search kept on the engine's graph at its own and later departures,
-and the route it last returned while the residual volumes it read cover it.
+and the route it last returned while the engine's residual volume table, which
+every graph of the run shares, still covers it on each hop.
 ``FullSelectionEngine`` is the same engine with every attempt run in full and
 every ``dijkstra_bdt`` call searching, as selection ran before these shortcuts.
 """

@@ -57,7 +57,7 @@ def yen_full_loop(graph, k, depart=0.0, confirm=True):
             total = root_hops + tuple(spur)
             if total in seen:
                 continue
-            route = evaluate_route(plan, total, depart)
+            route = evaluate_route(plan, graph.residual, total, depart)
             if route is None:
                 continue
             seen.add(total)

@@ -461,10 +461,19 @@ class TestSimulateAndCompare:
                 TASK_HEADER + "1,A,F,1,2,7,0,40\n",
                 "error: tasks line 2: field 'critical' unparsable ('7')\n",
             ),
+            (
+                TASK_HEADER + "1,A,F,1,1,0,0,40\n2,A,F,1,0,0,40,30\n",
+                "error: tasks line 3: bundle 2: t_exp must exceed t_gen\n",
+            ),
+            (
+                TASK_HEADER + "1,A,A,1,0,0,0,30\n",
+                "error: tasks line 2: bundle 1: source and destination must differ\n",
+            ),
         ],
         ids=[
             "missing-field", "unparsable-field", "duplicate-id", "past-horizon",
-            "inf-expiry", "nan-expiry", "inf-size", "critical-7",
+            "inf-expiry", "nan-expiry", "inf-size", "critical-7", "expiry-before-generation",
+            "source-is-destination",
         ],
     )
     def test_bad_tasks_file_is_runtime_error(self, tmp_path, capsys, monkeypatch, text, message):

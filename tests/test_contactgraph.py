@@ -66,7 +66,7 @@ class TestSuccessors:
             ]
         )
         g = build_contact_graph(plan, "S", "D")
-        assert evaluate_route(plan, (1, 2), depart=0) is None
+        assert evaluate_route(plan, g.residual, (1, 2), depart=0) is None
         assert yen_plus(g, 3) == []
 
     def test_parallel_successors_both_returned(self):

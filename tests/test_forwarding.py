@@ -128,35 +128,41 @@ class TestPat:
                 Contact(id=2, from_node="M", to_node="D", t_start=0, t_end=4, rate=1, owlt=1),
             ]
         )
-        route = evaluate_route(plan, (1, 2), depart=0)
+        route = evaluate_route(plan, plan.volumes(), (1, 2), depart=0)
         assert compute_pat(plan, route, eto=0.0, size=3.0) == math.inf
 
 
 class TestEvl:
     def test_no_bookings_gives_route_volume(self):
         plan, route = _demo_route()
-        assert compute_evl(plan, route, {}, priority=0) == 10.0
+        assert compute_evl(plan.volumes(), route, {}, priority=0) == 10.0
 
     def test_higher_priority_bookings_subtract(self):
         plan = _one_hop_plan(te=10)
         g = build_contact_graph(plan, "S", "D")
         route = dijkstra_bdt(g, depart=0)
         bookings = {1: [Booking(copy_id=9, mb=4.0, priority=2)]}
-        assert compute_evl(plan, route, bookings, priority=1) == 6.0
+        assert compute_evl(plan.volumes(), route, bookings, priority=1) == 6.0
+
+    def test_residual_volume_caps(self):
+        plan = _one_hop_plan(te=10)
+        route = dijkstra_bdt(build_contact_graph(plan, "S", "D"), depart=0)
+        bookings = {1: [Booking(copy_id=9, mb=4.0, priority=2)]}
+        assert compute_evl({1: 7.0}, route, bookings, priority=1) == 3.0
 
     def test_lower_priority_bookings_ignored(self):
         plan = _one_hop_plan(te=10)
         g = build_contact_graph(plan, "S", "D")
         route = dijkstra_bdt(g, depart=0)
         bookings = {1: [Booking(copy_id=9, mb=4.0, priority=0)]}
-        assert compute_evl(plan, route, bookings, priority=1) == 10.0
+        assert compute_evl(plan.volumes(), route, bookings, priority=1) == 10.0
 
     def test_overbooked_contact_clamps_to_zero(self):
         plan = _one_hop_plan(te=10)
         g = build_contact_graph(plan, "S", "D")
         route = dijkstra_bdt(g, depart=0)
         bookings = {1: [Booking(copy_id=9, mb=15.0, priority=2)]}
-        assert compute_evl(plan, route, bookings, priority=1) == 0.0
+        assert compute_evl(plan.volumes(), route, bookings, priority=1) == 0.0
 
 
 def _cand(route, admissible=True):
@@ -211,60 +217,54 @@ class TestForwardCritical:
 
 
 class TestOverbooking:
-    def _contact(self, te=10):
-        return Contact(id=1, from_node="S", to_node="D", t_start=0, t_end=te, rate=1)
+    # the full volume of a 10 s contact at 1 Mb/s
+    CAPACITY = 10.0
 
     def test_spare_volume_accepts_without_displacement(self):
-        contact = self._contact()
         incoming = Booking(copy_id=2, mb=3.0, priority=0, seq=2)
         existing = [Booking(copy_id=1, mb=4.0, priority=0, seq=1)]
-        accepted, displaced = handle_overbooking(contact, existing, incoming)
+        accepted, displaced = handle_overbooking(self.CAPACITY, existing, incoming)
         assert accepted and displaced == []
 
     def test_high_priority_displaces_low(self):
-        contact = self._contact()
         existing = [Booking(copy_id=1, mb=10.0, priority=0, seq=1)]
         incoming = Booking(copy_id=2, mb=2.0, priority=2, seq=2)
-        accepted, displaced = handle_overbooking(contact, existing, incoming)
+        accepted, displaced = handle_overbooking(self.CAPACITY, existing, incoming)
         assert accepted
         assert [b.copy_id for b in displaced] == [1]
 
     def test_low_priority_rejected_by_full_contact(self):
-        contact = self._contact()
         existing = [Booking(copy_id=1, mb=10.0, priority=1, seq=1)]
         incoming = Booking(copy_id=2, mb=2.0, priority=0, seq=2)
-        accepted, displaced = handle_overbooking(contact, existing, incoming)
+        accepted, displaced = handle_overbooking(self.CAPACITY, existing, incoming)
         assert not accepted and displaced == []
 
     def test_equal_priority_not_displaced(self):
-        contact = self._contact()
         existing = [Booking(copy_id=1, mb=10.0, priority=1, seq=1)]
         incoming = Booking(copy_id=2, mb=2.0, priority=1, seq=2)
-        accepted, displaced = handle_overbooking(contact, existing, incoming)
+        accepted, displaced = handle_overbooking(self.CAPACITY, existing, incoming)
         assert not accepted and displaced == []
 
     def test_latest_booked_evicted_first(self):
-        contact = self._contact(te=10)
         existing = [
             Booking(copy_id=1, mb=5.0, priority=0, seq=1),
             Booking(copy_id=2, mb=5.0, priority=0, seq=2),
         ]
         incoming = Booking(copy_id=3, mb=4.0, priority=1, seq=3)
-        accepted, displaced = handle_overbooking(contact, existing, incoming)
+        accepted, displaced = handle_overbooking(self.CAPACITY, existing, incoming)
         assert accepted
         assert [b.copy_id for b in displaced] == [2]
 
     def test_conservation_after_resolution(self):
-        contact = self._contact()
         existing = [
             Booking(copy_id=1, mb=6.0, priority=0, seq=1),
             Booking(copy_id=2, mb=4.0, priority=1, seq=2),
         ]
         incoming = Booking(copy_id=3, mb=5.0, priority=2, seq=3)
-        accepted, displaced = handle_overbooking(contact, existing, incoming)
+        accepted, displaced = handle_overbooking(self.CAPACITY, existing, incoming)
         assert accepted
         kept = [b for b in existing if b not in displaced] + [incoming]
-        assert sum(b.mb for b in kept) <= contact.residual_volume
+        assert sum(b.mb for b in kept) <= self.CAPACITY
 
 
 class TestRollback:
@@ -276,7 +276,7 @@ class TestRollback:
             ]
         )
         bundle = _bundle(hop_trace=("S", "X"))
-        found = find_rollback_contact(plan, bundle, "X", now=5.0, bookings={})
+        found = find_rollback_contact(plan, plan.volumes(), bundle, "X", now=5.0, bookings={})
         assert found is not None
         upstream, contact = found
         assert upstream == "S" and contact.id == 2
@@ -284,7 +284,8 @@ class TestRollback:
     def test_no_upstream_at_source(self):
         plan = _one_hop_plan()
         bundle = _bundle(hop_trace=("S",))
-        assert find_rollback_contact(plan, bundle, "S", now=0.0, bookings={}) is None
+        found = find_rollback_contact(plan, plan.volumes(), bundle, "S", now=0.0, bookings={})
+        assert found is None
 
     def test_expired_reverse_contact_unusable(self):
         plan = ContactPlan.build(
@@ -294,7 +295,8 @@ class TestRollback:
             ]
         )
         bundle = _bundle(hop_trace=("S", "X"))
-        assert find_rollback_contact(plan, bundle, "X", now=20.0, bookings={}) is None
+        found = find_rollback_contact(plan, plan.volumes(), bundle, "X", now=20.0, bookings={})
+        assert found is None
 
     def test_fully_booked_reverse_contact_unusable(self):
         plan = ContactPlan.build(
@@ -305,4 +307,17 @@ class TestRollback:
         )
         bundle = _bundle(hop_trace=("S", "X"), size=5.0)
         bookings = {2: [Booking(copy_id=7, mb=58.0, priority=2, seq=1)]}
-        assert find_rollback_contact(plan, bundle, "X", now=0.0, bookings=bookings) is None
+        found = find_rollback_contact(plan, plan.volumes(), bundle, "X", now=0.0, bookings=bookings)
+        assert found is None
+
+    def test_spent_reverse_contact_unusable(self):
+        plan = ContactPlan.build(
+            [
+                Contact(id=1, from_node="S", to_node="X", t_start=0, t_end=60, rate=1, owlt=1),
+                Contact(id=2, from_node="X", to_node="S", t_start=0, t_end=60, rate=1, owlt=1),
+            ]
+        )
+        bundle = _bundle(hop_trace=("S", "X"), size=5.0)
+        residual = plan.volumes()
+        residual[2] = 4.0
+        assert find_rollback_contact(plan, residual, bundle, "X", now=0.0, bookings={}) is None

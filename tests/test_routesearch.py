@@ -213,7 +213,7 @@ class TestRouteVolume:
     def test_demo_fastest_route_volume(self):
         plan, g = _demo_graph()
         r = dijkstra_bdt(g, depart=0)
-        assert evaluate_route(plan, r.hops, r.vti[0]).volume == 10
+        assert evaluate_route(plan, g.residual, r.hops, r.vti[0]).volume == 10
 
     def test_symmetric_hops(self):
         plan = ContactPlan.build(
@@ -224,18 +224,19 @@ class TestRouteVolume:
         )
         g = build_contact_graph(plan, "S", "D")
         r = dijkstra_bdt(g, depart=0)
-        assert evaluate_route(plan, r.hops, r.vti[0]).volume == 20
+        assert evaluate_route(plan, g.residual, r.hops, r.vti[0]).volume == 20
 
     def test_residual_volume_caps(self):
         contacts = [
             Contact(id=1, from_node="S", to_node="M", t_start=0, t_end=10, rate=1, owlt=1),
-            Contact(id=2, from_node="M", to_node="D", t_start=0, t_end=10, rate=1, owlt=1,
-                    residual_volume=3),
+            Contact(id=2, from_node="M", to_node="D", t_start=0, t_end=10, rate=1, owlt=1),
         ]
         plan = ContactPlan.build(contacts)
-        g = build_contact_graph(plan, "S", "D")
+        residual = {1: 10.0, 2: 3.0}
+        g = build_contact_graph(plan, "S", "D", residual)
         r = dijkstra_bdt(g, depart=0)
-        assert evaluate_route(plan, r.hops, r.vti[0]).volume == 3
+        assert r.volume == 3
+        assert evaluate_route(plan, residual, r.hops, r.vti[0]).volume == 3
 
 
 class TestEvaluateRoute:
@@ -243,15 +244,15 @@ class TestEvaluateRoute:
         plan = ContactPlan.build(
             [Contact(id=1, from_node="S", to_node="D", t_start=0, t_end=10, rate=1, owlt=1)]
         )
-        assert evaluate_route(plan, (1,), depart=10) is None
-        assert evaluate_route(plan, (1,), depart=9) is not None
+        assert evaluate_route(plan, plan.volumes(), (1,), depart=10) is None
+        assert evaluate_route(plan, plan.volumes(), (1,), depart=9) is not None
 
     def test_margin_inflates_arrival(self):
         plan = ContactPlan.build(
             [Contact(id=1, from_node="S", to_node="D", t_start=0, t_end=100, rate=1, owlt=10)]
         )
-        plain = evaluate_route(plan, (1,), depart=0)
-        padded = evaluate_route(with_transit_margin(plan), (1,), depart=0)
+        plain = evaluate_route(plan, plan.volumes(), (1,), depart=0)
+        padded = evaluate_route(with_transit_margin(plan), plan.volumes(), (1,), depart=0)
         assert padded.bdt > plain.bdt
         assert padded.bdt == 10 + 2 * (40 * 10 / 18600)
 
@@ -502,7 +503,7 @@ class TestSearchReuse:
         )
         graph = build_contact_graph(plan, "S", "D")
         first = dijkstra_bdt(graph, depart=3, via="A")
-        plan.contact(1).residual_volume -= 5
+        graph.residual[1] -= 5
         again = dijkstra_bdt(graph, depart=3, via="A")
         assert len(calls) == 1
         assert again.hops == first.hops == (1, 2)
@@ -538,7 +539,7 @@ class TestSearchReuse:
         graph = build_contact_graph(plan, "S", "D")
         first = dijkstra_bdt(graph, depart=3, via="A")
         assert calls == ["search", "evaluate"]
-        plan.contact(1).residual_volume -= lowered
+        graph.residual[1] -= lowered
         calls.clear()
         return first, dijkstra_bdt(graph, depart=3, via="A"), calls
 

@@ -1,11 +1,18 @@
 """Simulation engine: lifecycles, discipline invariants, metrics, determinism."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from cgrlab import routesearch, simcore
-from cgrlab.contactplan import Contact, ContactPlan, make_demo_plan, with_transit_margin
+from cgrlab.contactplan import (
+    Contact,
+    ContactPlan,
+    make_demo_plan,
+    serialize_contact_plan,
+    with_transit_margin,
+)
 from cgrlab.forwarding import POLICY_RMDG, POLICY_STANDARD, Bundle
 from cgrlab.simcore import (
     OUTCOME_DELIVERED,
@@ -376,9 +383,9 @@ class TestCriticalReplication:
         # 3 is reviewed on the route evaluated for bundle 2
         reviews, evaluations = self._spy_reviews(monkeypatch), []
         for module in (simcore, routesearch):
-            def evaluate(plan, hops, depart, real=module.evaluate_route):
+            def evaluate(plan, residual, hops, depart, real=module.evaluate_route):
                 evaluations.append(depart)
-                return real(plan, hops, depart)
+                return real(plan, residual, hops, depart)
 
             monkeypatch.setattr(module, "evaluate_route", evaluate)
         bundles = [_bundle(bid=i, size=2.0, priority=2, critical=True) for i in (1, 2, 3)]
@@ -698,10 +705,10 @@ class TestMetricsSeries:
 
 
 class TestDeterminismAndIsolation:
-    def _bundles(self):
+    def _bundles(self, ttl=24.0):
         return [
             Bundle(id=i, source="A", dest="F", size=1.0 + (i % 3), priority=i % 3,
-                   critical=i % 3 == 2, t_gen=float(i % 5), t_exp=float(i % 5) + 24.0)
+                   critical=i % 3 == 2, t_gen=float(i % 5), t_exp=float(i % 5) + ttl)
             for i in range(1, 10)
         ]
 
@@ -713,9 +720,39 @@ class TestDeterminismAndIsolation:
 
     def test_input_plan_not_mutated(self):
         plan = make_demo_plan()
-        before = [(c.id, c.residual_volume) for c in plan.contacts]
-        run_simulation(plan, self._bundles(), POLICY_STANDARD, owlt_mode="file")
-        assert [(c.id, c.residual_volume) for c in plan.contacts] == before
+        contacts = [replace(c) for c in plan.contacts]
+        text = serialize_contact_plan(plan)
+        for owlt_mode in ("file", "uniform"):
+            run_simulation(plan, self._bundles(ttl=40.0), POLICY_STANDARD, owlt_mode=owlt_mode)
+        assert list(plan.contacts) == contacts
+        assert serialize_contact_plan(plan) == text
+
+    @pytest.mark.parametrize("owlt_mode", ["file", "uniform"])
+    @pytest.mark.parametrize("policy", [POLICY_STANDARD, POLICY_RMDG])
+    def test_runs_sharing_a_plan_match_a_fresh_plan(self, monkeypatch, policy, owlt_mode):
+        built = []
+        real_post_init = Contact.__post_init__
+
+        def post_init(contact):
+            built.append(contact.id)
+            real_post_init(contact)
+
+        # at this expiry bundles are delivered and contact volumes run out,
+        # so a run that saw another's residual volumes would differ
+        plan, bundles = make_demo_plan(), lambda: self._bundles(ttl=40.0)
+        monkeypatch.setattr(Contact, "__post_init__", post_init)
+        shared = [simcore._Engine(plan, bundles(), policy, 0, 4, owlt_mode) for _ in "ab"]
+        first, second = [engine.run() for engine in shared]
+        # only the first uniform engine derives a plan, and no run builds a contact
+        assert len(built) == (len(plan.contacts) if owlt_mode == "uniform" else 0)
+        assert first.delivered_count > 0
+        fresh = run_simulation(make_demo_plan(), bundles(), policy, owlt_mode=owlt_mode)
+        for metrics in (second, fresh):
+            assert metrics.fingerprint() == first.fingerprint()
+            assert metrics.computing_total == first.computing_total
+            assert metrics.dispatch_log == first.dispatch_log
+        assert shared[0].plan is shared[1].plan
+        assert (shared[0].plan is plan) == (owlt_mode == "file")
 
     def test_policies_may_diverge_but_each_repeats(self):
         plan = make_demo_plan()
