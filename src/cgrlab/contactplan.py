@@ -100,6 +100,8 @@ class Contact:
 
 
 Edge = tuple[int, float, float, float, int]
+# (t_start, t_end - 1, owlt, rate, to_index, t_end) of one contact
+Timing = tuple[float, float, float, float, int, float]
 
 
 @dataclass
@@ -110,6 +112,8 @@ class ContactPlan:
     two indices orders them as their names; ``adjacency[i]`` lists
     ``contacts_from`` of node ``i`` as ``(id, t_start, t_end - 1, owlt,
     to_index)`` tuples, the fields route search reads per edge.
+    ``timing`` maps each contact id to ``(t_start, t_end - 1, owlt, rate,
+    to_index, t_end)``, the fields route timing reads per hop.
     ``owlt_to``, ``window_bounds`` and ``uniform`` are filled on first use
     and kept.
     """
@@ -121,6 +125,7 @@ class ContactPlan:
     _by_from: dict[str, tuple[Contact, ...]] = field(init=False, repr=False)
     node_index: dict[str, int] = field(init=False, repr=False)
     adjacency: tuple[tuple[Edge, ...], ...] = field(init=False, repr=False)
+    timing: dict[int, Timing] = field(init=False, repr=False, compare=False)
     _owlt_to: dict[int, list[float]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
@@ -161,6 +166,10 @@ class ContactPlan:
             )
             for n in index
         )
+        self.timing = {
+            c.id: (c.t_start, c.t_end - 1, c.owlt, c.rate, index[c.to_node], c.t_end)
+            for c in self.contacts
+        }
 
     def owlt_to(self, dest: int) -> list[float]:
         """Least sum of light times from each node index to node index ``dest``.

@@ -116,20 +116,23 @@ def compute_pat(plan: ContactPlan, route: Route, eto: float, size: float) -> flo
     Store-and-forward recurrence: each hop departs at max(previous arrival,
     window start) and delivers size/rate plus the light time later.  Raises
     when the first hop cannot carry the bundle before its window closes;
-    returns infinity when a later hop cannot.
+    returns infinity when a later hop cannot.  Each hop's fields come from
+    its ``plan.timing`` row, whose ``t_end`` is the contact's own (``t_end -
+    1`` plus one can round on a fractional window).
     """
     arrival = eto
+    timing = plan.timing
     for idx, cid in enumerate(route.hops):
-        c = plan.contact(cid)
-        dep = arrival if arrival > c.t_start else c.t_start
-        tx = size / c.rate
-        if dep + tx > c.t_end:
+        t_start, _, owlt, rate, _, t_end = timing[cid]
+        dep = arrival if arrival > t_start else t_start
+        tx = size / rate
+        if dep + tx > t_end:
             if idx == 0:
                 raise ValueError(
-                    f"transmission start {dep} + {tx}s exceeds first hop end {c.t_end}"
+                    f"transmission start {dep} + {tx}s exceeds first hop end {t_end}"
                 )
             return math.inf
-        arrival = dep + tx + c.owlt
+        arrival = dep + tx + owlt
     return arrival
 
 

@@ -32,14 +32,15 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from collections.abc import Set
+from itertools import compress
+from typing import NamedTuple
 
 from cgrlab.contactgraph import ContactGraph
 from cgrlab.contactplan import ContactPlan
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     """An ordered contact sequence with its delivery-time cost terms.
 
     ``vti`` is the closed interval of feasible first-byte departure seconds
@@ -80,39 +81,47 @@ def evaluate_route(
     least one whole second of its window remains.  Backward pass finds the
     latest workable departure per hop, which bounds both the VTI and each
     hop's usable capacity; ``residual`` maps each contact id to the volume
-    left on it, which bounds that capacity too.
+    left on it, which bounds that capacity too.  Both passes read the hops'
+    rows of ``plan.timing``.
     """
-    contacts = [plan.contact(h) for h in hops]
-    if not contacts:
+    if not hops:
         return None
+    timing = plan.timing
+    rows = [timing[h] for h in hops]
     arrival = depart
     departures = []
-    for c in contacts:
-        dep = arrival if arrival > c.t_start else c.t_start
-        if dep > c.t_end - 1:
+    for t_start, last, owlt, _, _, _ in rows:
+        dep = arrival if arrival > t_start else t_start
+        if dep > last:
             return None
         departures.append(dep)
-        arrival = dep + c.owlt
+        arrival = dep + owlt
 
-    last_deps = [0.0] * len(contacts)
-    nxt = math.inf
-    for i in range(len(contacts) - 1, -1, -1):
-        c = contacts[i]
-        ld = min(c.t_end - 1, nxt - c.owlt)
-        last_deps[i] = ld
+    # Backward pass: each hop's latest departure min(last, next latest -
+    # owlt), which is `last` unless `nxt - owlt < last`, and the volume, the
+    # least of every hop's window term and residual.  `min` over them in
+    # forward order (window term, residual of hop 0, then of hop 1, ...)
+    # returns the first of equal least terms; walking that sequence
+    # backwards with `<=` lets the last visited of them, the same one, win.
+    # No term is NaN (contact fields and residuals are finite), so every
+    # comparison is decided and the result is the very value `min` takes,
+    # -0.0 against 0.0 or an int against an equal float included.
+    volume = nxt = math.inf
+    for h, (_, last, owlt, rate, _, _), dep in zip(
+        reversed(hops), reversed(rows), reversed(departures)
+    ):
+        ld = nxt - owlt
+        if not ld < last:
+            ld = last
+        left = residual[h]
+        if left <= volume:
+            volume = left
+        term = (ld - dep + 1) * rate
+        if term <= volume:
+            volume = term
         nxt = ld
-    volume = math.inf
-    for c, dep, ld in zip(contacts, departures, last_deps):
-        volume = min(volume, (ld - dep + 1) * c.rate, residual[c.id])
 
-    return Route(
-        hops=tuple(hops),
-        bdt=arrival,
-        vti=(departures[0], last_deps[0]),
-        volume=volume,
-        hop_cnt=len(contacts),
-        first_hop=contacts[0].id,
-    )
+    return Route(tuple(hops), arrival, (departures[0], nxt), volume, len(rows), hops[0])
 
 
 def _search(
@@ -121,7 +130,7 @@ def _search(
     start_time: float,
     dest: int,
     banned_nodes: list[int],
-    banned_first: frozenset[int],
+    banned_first: Set[int],
     bound: float = math.inf,
     h: list[float] | None = None,
     state: list | None = None,
@@ -188,7 +197,7 @@ def _shift_slack(
     plan: ContactPlan,
     start: int,
     dest: int,
-    banned_first: frozenset[int],
+    banned_first: Set[int],
     best: list[float],
     done: bytearray,
 ) -> float:
@@ -202,11 +211,12 @@ def _shift_slack(
     it, so the window can only come out shorter than it might be.
     """
     slack = math.inf
-    for node, settled in enumerate(done):
-        if not settled or node == dest:
+    adjacency = plan.adjacency
+    for node in compress(range(len(done)), done):
+        if node == dest:
             continue
         label = best[node]
-        for cid, t_start, last, _, _ in plan.adjacency[node]:
+        for cid, t_start, last, _, _ in adjacency[node]:
             if label > last or t_start > last:
                 continue  # infeasible now and at every later departure
             if node == start and cid in banned_first:
@@ -327,11 +337,14 @@ def yen_plus(
 
     accepted: list[Route] = [first]
     seen: set[tuple[int, ...]] = {first.hops}
+    # root prefix -> first hops after it of the accepted routes it starts
+    banned: dict[tuple[int, ...], set[int]] = {}
     # (sort_key, seq, route, deviation index); seq is unique, so entries
     # never compare beyond it
     pool: list[tuple[tuple, int, Route, int]] = []
     seq = 0
     plan, residual = graph.plan, graph.residual
+    timing = plan.timing
     index = plan.node_index
     source = index[graph.source]
     dest = index[graph.dest]
@@ -377,7 +390,10 @@ def yen_plus(
         #   B(X[:j]) gained X[j] or X[:j] is a new prefix; this round
         #   searches those and restores the invariant.
         # `seq` moves only on additions, so the pool entries, their order
-        # and every later round equal the full loop's.
+        # and every later round equal the full loop's.  `banned[R]` is B(R):
+        # X[j] joins B(X[:j]) as this round reaches j >= d, before its
+        # search, and nothing else changes a B.  The root walk repeats the
+        # forward rule of `evaluate_route` on the same `plan.timing` rows.
         graph.computing_counter += 1
         base = accepted[-1].hops
         spur_node = source
@@ -385,17 +401,16 @@ def yen_plus(
         root_nodes: list[int] = []
         for j in range(len(base)):
             if j:
-                c = plan.contact(base[j - 1])
+                t_start, _, owlt, _, to, _ = timing[base[j - 1]]
                 root_nodes.append(spur_node)
-                spur_node = index[c.to_node]
-                dep = start_time if start_time > c.t_start else c.t_start
-                start_time = dep + c.owlt
+                spur_node = to
+                dep = start_time if start_time > t_start else t_start
+                start_time = dep + owlt
             if j < deviation:
                 continue
             root_hops = base[:j]
-            banned_first = frozenset(
-                r.hops[j] for r in accepted if len(r.hops) > j and r.hops[:j] == root_hops
-            )
+            banned_first = banned.setdefault(root_hops, set())
+            banned_first.add(base[j])
             # Bounded spurs, in the non-confirming mode only.  Once the pool
             # holds m = k - len(accepted) entries, B* is the BDT of its m-th
             # best.  Each later round pops one entry and accepts it, those m

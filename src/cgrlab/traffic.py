@@ -190,15 +190,20 @@ def read_tasks(text: str) -> list[Bundle]:
 
     Raises ValueError naming the line and the field when a row lacks a
     field or a field does not parse, and naming the line when the fields
-    do not make a valid ``Bundle``.
+    do not make a valid ``Bundle`` or repeat an earlier row's bundle id.
     """
     reader = csv.DictReader(io.StringIO(text))
     bundles = []
+    ids = set()
     for row in reader:
         where = f"tasks line {reader.line_num}"
         values = parse_fields(row, _TASK_COLUMNS, where)
         try:
-            bundles.append(Bundle(*values.values()))
+            bundle = Bundle(*values.values())
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
+        if bundle.id in ids:
+            raise ValueError(f"{where}: duplicate bundle id {bundle.id}")
+        ids.add(bundle.id)
+        bundles.append(bundle)
     return bundles

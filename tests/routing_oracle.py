@@ -39,13 +39,18 @@ def enumerate_routes(plan, source, dest, depart=0.0):
 
 
 def timing_of(plan, hops, depart=0.0):
-    """Delivery time, transmission interval and volume of one contact sequence."""
+    """Delivery time, transmission interval and volume of one contact sequence.
+
+    None when the first byte reaches some hop with less than a whole second
+    of its window left.
+    """
     contacts = [plan.contact(h) for h in hops]
     arrival = depart
     deps = []
     for c in contacts:
         dep = max(arrival, c.t_start)
-        assert dep <= c.t_end - 1, "oracle asked to time an infeasible sequence"
+        if dep > c.t_end - 1:
+            return None
         deps.append(dep)
         arrival = dep + c.owlt
     lasts = [0.0] * len(contacts)
@@ -75,6 +80,28 @@ def timing_of(plan, hops, depart=0.0):
         hops[0],
     )
     return route
+
+
+def pat_of(plan, hops, eto, size):
+    """Last-byte arrival of a ``size`` Mb bundle sent along ``hops`` from ``eto``.
+
+    Each hop sends from max(previous arrival, window start) for size / rate
+    seconds and the last byte lands a light time later.  Raises ValueError
+    when the first hop's window closes before the bundle is sent; infinity
+    when a later hop's does.
+    """
+    arrival = eto
+    for i, h in enumerate(hops):
+        c = plan.contact(h)
+        dep = max(arrival, c.t_start)
+        if dep + size / c.rate > c.t_end:
+            if i == 0:
+                raise ValueError(
+                    f"transmission start {dep} + {size / c.rate}s exceeds first hop end {c.t_end}"
+                )
+            return math.inf
+        arrival = dep + size / c.rate + c.owlt
+    return arrival
 
 
 def signature(route_dict):

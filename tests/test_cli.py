@@ -439,7 +439,7 @@ class TestSimulateAndCompare:
             ),
             (
                 TASK_HEADER + "1,A,F,1,1,0,0,40\n1,A,E,1,1,0,0,40\n",
-                "error: duplicate bundle id 1\n",
+                "error: tasks line 3: duplicate bundle id 1\n",
             ),
             (
                 TASK_HEADER + "1,A,F,1,1,0,500,540\n",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cgrlab.constellation import IslConstraints, WalkerParams, generate_contact_plan
 from cgrlab.contactplan import (
     Contact,
     ContactPlan,
@@ -198,6 +199,28 @@ class TestEdges:
                 (c.id, c.t_start, c.t_end - 1, c.owlt, index[c.to_node])
                 for c in plan.contacts_from(node)
             )
+
+    @pytest.mark.parametrize("kind", ["demo", "parsed", "generated", "uniform"])
+    def test_timing_rows_match_contacts(self, kind):
+        if kind == "generated":
+            params = WalkerParams(sats_per_plane=4, planes=3, phase_factor=1,
+                                  altitude_km=1200.0, inclination_deg=55.0)
+            plan = generate_contact_plan(params, IslConstraints(4909.0, 4), 60.0, 7.5)
+        elif kind == "parsed":
+            plan = parse_contact_plan(
+                "a contact +0 +10 A B 2.5\na contact +3 +3 B A 1 0.25\n"
+                "a contact +4 +9 B C 0.5\na range +0 +20 A B 1.5\n"
+            )
+        else:
+            plan = make_demo_plan()
+            if kind == "uniform":
+                plan = plan.uniform()
+        assert plan.contacts
+        index = plan.node_index
+        assert plan.timing == {
+            c.id: (c.t_start, c.t_end - 1, c.owlt, c.rate, index[c.to_node], c.t_end)
+            for c in plan.contacts
+        }
 
     def test_owlt_to_is_least_light_time_sum(self):
         plan = ContactPlan.build(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cgrlab import routesearch
 from cgrlab.contactgraph import build_contact_graph
 from cgrlab.contactplan import Contact, ContactPlan, make_demo_plan, with_transit_margin
+from cgrlab.forwarding import compute_pat
 from cgrlab.routesearch import (
     Route,
     dijkstra_bdt,
@@ -18,7 +19,7 @@ from cgrlab.routesearch import (
     yen_plus,
 )
 
-from routing_oracle import enumerate_routes, signature
+from routing_oracle import enumerate_routes, pat_of, signature, timing_of
 from spur_oracle import yen_full_loop
 
 
@@ -255,6 +256,73 @@ class TestEvaluateRoute:
         padded = evaluate_route(with_transit_margin(plan), plan.volumes(), (1,), depart=0)
         assert padded.bdt > plain.bdt
         assert padded.bdt == 10 + 2 * (40 * 10 / 18600)
+
+
+tenths = st.integers(0, 300).map(lambda n: n / 10)
+
+
+@st.composite
+def timed_sequences(draw):
+    """A plan with fractional windows and light times, a hop sequence over it
+    (any contacts, in any order, repeats allowed) and a residual table with
+    some volumes lowered, some to zero."""
+    nodes = ["N0", "N1", "N2", "N3"]
+    contacts = []
+    for cid in range(1, draw(st.integers(1, 6)) + 1):
+        frm, to = draw(st.permutations(nodes))[:2]
+        t_start = draw(tenths)
+        t_end = t_start + draw(st.integers(0, 200).map(lambda n: n / 10))
+        owlt = draw(st.one_of(
+            st.just(0.0), tenths.map(lambda t: t / 10),
+            st.floats(0.001, 2.5, allow_nan=False, allow_infinity=False),
+        ))
+        rate = draw(st.sampled_from([0.3, 0.5, 1.0, 2.0]))
+        contacts.append(Contact(cid, frm, to, t_start, t_end, rate, owlt))
+    plan = ContactPlan.build(contacts)
+    residual = plan.volumes()
+    for cid in residual:
+        residual[cid] *= draw(st.sampled_from([1.0, 1.0, 0.5, 0.1, 0.0]))
+    hops = draw(st.lists(st.sampled_from([c.id for c in contacts]), min_size=1, max_size=5))
+    return plan, residual, hops
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except ValueError as exc:
+        return "raises", str(exc)
+
+
+class TestTimingMatchesRecurrences:
+    """``evaluate_route`` and ``compute_pat`` against the oracle's restated
+    forward/backward and store-and-forward recurrences, field for field."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(case=timed_sequences(), depart=tenths)
+    def test_evaluate_route(self, case, depart):
+        plan, residual, hops = case
+        route = evaluate_route(plan, residual, hops, depart)
+        expected = timing_of(plan, hops, depart)
+        if expected is None:
+            assert route is None
+            return
+        assert route == Route(
+            hops=tuple(hops),
+            bdt=expected["bdt"],
+            vti=expected["vti"],
+            volume=min(expected["volume"], *(residual[h] for h in hops)),
+            hop_cnt=len(hops),
+            first_hop=hops[0],
+        )
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(case=timed_sequences(), eto=tenths, size=st.sampled_from([0.1, 0.5, 1.0, 2.5]))
+    def test_compute_pat(self, case, eto, size):
+        plan, _, hops = case
+        route = _route(hops=hops)
+        assert _outcome(compute_pat, plan, route, eto, size) == _outcome(
+            pat_of, plan, hops, eto, size
+        )
 
 
 class TestCsv:

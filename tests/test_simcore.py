@@ -705,10 +705,13 @@ class TestMetricsSeries:
 
 
 class TestDeterminismAndIsolation:
-    def _bundles(self, ttl=24.0):
+    def _bundles(self):
+        # the demo plan's routes from A reach F after t = 30, so these
+        # bundles, generated by t = 4 with a 40 s lifetime, can be delivered
+        # and use up contact volume
         return [
             Bundle(id=i, source="A", dest="F", size=1.0 + (i % 3), priority=i % 3,
-                   critical=i % 3 == 2, t_gen=float(i % 5), t_exp=float(i % 5) + ttl)
+                   critical=i % 3 == 2, t_gen=float(i % 5), t_exp=float(i % 5) + 40.0)
             for i in range(1, 10)
         ]
 
@@ -716,6 +719,7 @@ class TestDeterminismAndIsolation:
         plan = make_demo_plan()
         a = run_simulation(plan, self._bundles(), POLICY_RMDG, seed=3, owlt_mode="file")
         b = run_simulation(plan, self._bundles(), POLICY_RMDG, seed=3, owlt_mode="file")
+        assert a.delivered_count > 0
         assert a.fingerprint() == b.fingerprint()
 
     def test_input_plan_not_mutated(self):
@@ -723,7 +727,7 @@ class TestDeterminismAndIsolation:
         contacts = [replace(c) for c in plan.contacts]
         text = serialize_contact_plan(plan)
         for owlt_mode in ("file", "uniform"):
-            run_simulation(plan, self._bundles(ttl=40.0), POLICY_STANDARD, owlt_mode=owlt_mode)
+            run_simulation(plan, self._bundles(), POLICY_STANDARD, owlt_mode=owlt_mode)
         assert list(plan.contacts) == contacts
         assert serialize_contact_plan(plan) == text
 
@@ -737,9 +741,9 @@ class TestDeterminismAndIsolation:
             built.append(contact.id)
             real_post_init(contact)
 
-        # at this expiry bundles are delivered and contact volumes run out,
-        # so a run that saw another's residual volumes would differ
-        plan, bundles = make_demo_plan(), lambda: self._bundles(ttl=40.0)
+        # bundles are delivered and contact volumes run out, so a run that
+        # saw another's residual volumes would differ
+        plan, bundles = make_demo_plan(), self._bundles
         monkeypatch.setattr(Contact, "__post_init__", post_init)
         shared = [simcore._Engine(plan, bundles(), policy, 0, 4, owlt_mode) for _ in "ab"]
         first, second = [engine.run() for engine in shared]
@@ -758,6 +762,7 @@ class TestDeterminismAndIsolation:
         plan = make_demo_plan()
         std = run_simulation(plan, self._bundles(), POLICY_STANDARD, owlt_mode="file")
         rmdg = run_simulation(plan, self._bundles(), POLICY_RMDG, owlt_mode="file")
+        assert std.delivered_count > 0 and rmdg.delivered_count > 0
         assert std.fingerprint() == run_simulation(
             plan, self._bundles(), POLICY_STANDARD, owlt_mode="file"
         ).fingerprint()
