@@ -6,7 +6,8 @@ reuses a search kept on the engine's graph at its own and later departures,
 and the route it last returned while the engine's residual volume table, which
 every graph of the run shares, still covers it on each hop.
 ``FullSelectionEngine`` is the same engine with every attempt run in full and
-every ``dijkstra_bdt`` call searching, as selection ran before these shortcuts.
+every ``dijkstra_bdt`` call searching, as selection ran before these shortcuts;
+it differs from the engine in nothing else.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class FullSelectionEngine(_Engine):
         if copy.state != _STORED:
             return
         bundle = copy.bundle
-        if now > bundle.t_exp or copy.at_node == bundle.dest:
+        if now > bundle.t_exp:
             self._move(copy, _RETIRED, now)
             return
         if bundle.critical and self.policy == POLICY_STANDARD:

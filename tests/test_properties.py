@@ -5,8 +5,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sampling_oracle import per_second_run
+from sampling_oracle import PerSecondEngine, per_second_run
 from selection_oracle import FullSelectionEngine
+from spur_oracle import yen_full_loop
 
 from cgrlab import routesearch, simcore
 from cgrlab.contactplan import Contact, ContactPlan
@@ -383,6 +384,38 @@ def test_selection_matches_full_attempts_across_instants(monkeypatch):
 
     check()
     assert reused and max(reused) > 0
+
+
+class NoShortcutEngine(FullSelectionEngine, PerSecondEngine):
+    """Every attempt in full, no kept search or route, every row sampled."""
+
+
+def check_no_shortcut_run(scenario, policy, owlt_mode):
+    """The engine equals a run with every shortcut off at once, spurs
+    unrestricted and unbounded included, so shortcuts cannot interact unseen."""
+    plan, bundles = scenario
+    metrics = run_simulation(plan, bundles, policy, owlt_mode=owlt_mode)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simcore, "yen_plus", yen_full_loop)
+        expected = NoShortcutEngine(plan, bundles, policy, 0, 4, owlt_mode).run()
+    assert metrics.fingerprint() == expected.fingerprint()
+    assert metrics.computing_total == expected.computing_total
+    assert metrics.dispatch_log == expected.dispatch_log
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    scenario=scenarios(),
+    policy=st.sampled_from(POLICIES),
+    owlt_mode=st.sampled_from(["file", "uniform"]),
+)
+def test_matches_run_without_shortcuts(scenario, policy, owlt_mode):
+    check_no_shortcut_run(scenario, policy, owlt_mode)
+
+
+@under_contention
+def test_matches_run_without_shortcuts_under_contention(scenario, policy, owlt_mode):
+    check_no_shortcut_run(scenario, policy, owlt_mode)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
