@@ -10,7 +10,7 @@ route search iterations and by the engine's candidate-route reviews, and the
 residual volume table its routes are evaluated against.  It also keeps
 ``dijkstra_bdt``'s last search and last route per first-hop restriction, so
 that a call reuses them where they are what it would compute (see
-``routesearch.dijkstra_bdt``).
+``routesearch.dijkstra_bdt``), and the engine's route list for its pair.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ class ContactGraph:
     hops, answered, route)``: the hops ``dijkstra_bdt`` found departing at
     ``depart`` (None when it found none), which a search departing then, or
     up to ``slack`` seconds later, finds again, and the route it last
-    returned, for a call departing at ``answered``.
+    returned, for a call departing at ``answered``.  ``routes`` is the
+    engine's ``(computed_at, routes)`` (see ``simcore._Engine._routes``).
     """
 
     plan: ContactPlan
@@ -44,6 +45,7 @@ class ContactGraph:
     searches: dict[
         str | None, tuple[float, float, list[int] | None, float, Route | None]
     ] = field(default_factory=dict, repr=False, compare=False)
+    routes: tuple[float, list[Route]] | None = field(default=None, repr=False, compare=False)
 
 
 def build_contact_graph(

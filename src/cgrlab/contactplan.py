@@ -55,8 +55,6 @@ def owlt_margin(distance: float) -> float:
 
 def total_transit_time(distance: float) -> float:
     """Pessimistic transit time: nominal light time plus twice the margin."""
-    if distance < 0:
-        raise ValueError(f"distance must be non-negative, got {distance}")
     return distance + 2.0 * owlt_margin(distance)
 
 

@@ -1,16 +1,16 @@
 """Per-node dynamic route computation for bundles.
 
 Candidate routes pass gates before a bundle is queued: basic checks (first
-hop alive, no revisit of a traversed node, delivery before expiry), the
+hop alive, no revisit of a node the copy traversed, delivery before expiry), the
 earliest transmission opportunity given queued higher-priority traffic, the
 projected last-byte arrival time and, for a non-critical bundle whose arrival
 meets expiry, the effective volume limit after higher-priority bookings.
 Critical bundles are replicated by policy; overbooked contacts displace
 lower-priority bookings; a bundle with no usable candidate rolls back upstream.
 
-All operations are pure: node state (bookings) and each contact's residual
-volume come in as explicit arguments, and only the simulation engine changes
-them.  Nothing here writes the contact plan.
+All operations are pure: bookings, residual volumes and a copy's hop trace
+come in as explicit arguments, and only the simulation engine changes them.
+Nothing writes the contact plan or a ``Bundle``, which all its copies share.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ POLICY_STANDARD = "standard"
 POLICY_RMDG = "rmdg"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Bundle:
     """A unit of application data with priority, criticality and lifetime."""
 
@@ -37,7 +37,6 @@ class Bundle:
     critical: bool
     t_gen: float
     t_exp: float
-    hop_trace: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.priority not in (0, 1, 2):
@@ -50,8 +49,6 @@ class Bundle:
             raise ValueError(f"bundle {self.id}: t_exp must exceed t_gen")
         if self.size <= 0:
             raise ValueError(f"bundle {self.id}: size must be positive")
-        if not self.hop_trace:
-            self.hop_trace = (self.source,)
 
 
 @dataclass(frozen=True)
@@ -81,31 +78,30 @@ def booked_mb(queue: list[Booking], priority: int) -> float:
     return sum(b.mb for b in queue if b.priority >= priority)
 
 
-def basic_checks(plan: ContactPlan, route: Route, bundle: Bundle, now: float) -> bool:
-    """First screening of a route for a bundle at the current node.
+def basic_checks(
+    first: Contact, route: Route, bundle: Bundle, hop_trace: tuple[str, ...], now: float
+) -> bool:
+    """First screening of a route with first hop ``first`` for a copy of ``bundle``.
 
-    True when the bundle is still alive, the route's first hop has at least a
-    second of window left, the next-hop node was not already visited by this
-    bundle, and the first byte can reach the destination before expiry.
+    True when the bundle is still alive, the first hop has at least a second
+    of window left, its next-hop node is not on the hop trace, and the first
+    byte can reach the destination before expiry.
     """
-    if now > bundle.t_exp:
-        return False
-    first = plan.contact(route.first_hop)
-    if first.t_end - 1 < now:
-        return False
-    if first.to_node in bundle.hop_trace:
-        return False
-    return route.bdt <= bundle.t_exp
+    return (
+        now <= bundle.t_exp
+        and first.t_end - 1 >= now
+        and first.to_node not in hop_trace
+        and route.bdt <= bundle.t_exp
+    )
 
 
-def compute_eto(plan: ContactPlan, route: Route, ahead_mb: float, now: float) -> float:
-    """Earliest transmission opportunity on the route's first hop.
+def compute_eto(first: Contact, ahead_mb: float, now: float) -> float:
+    """Earliest transmission opportunity on a route's first hop ``first``.
 
     ``ahead_mb`` is the equal-or-higher-priority traffic already queued for
     that contact (megabits), which must drain first under the priority
     transmission discipline.
     """
-    first = plan.contact(route.first_hop)
     start = now if now > first.t_start else first.t_start
     return start + ahead_mb / first.rate
 
@@ -231,25 +227,21 @@ def find_rollback_contact(
     plan: ContactPlan,
     residual: dict[int, float],
     bundle: Bundle,
-    at_node: str,
+    hop_trace: tuple[str, ...],
     now: float,
     bookings: dict[int, list[Booking]],
 ) -> tuple[str, Contact] | None:
-    """Reverse contact for returning a stuck bundle to its upstream custodian.
+    """Reverse contact for returning a stuck copy to its upstream custodian.
 
-    The upstream node is the hop-trace predecessor of the current node.  A
-    usable reverse contact must fit the whole bundle within its remaining
-    window and residual volume (rollback consumes real capacity).  Returns
-    None when there is no upstream node or no usable contact, in which case
-    the bundle stays stored until expiry.
+    The copy is at the last node of ``hop_trace`` and its upstream node is the
+    one before.  A usable reverse contact must fit the whole bundle within its
+    remaining window and residual volume (rollback consumes real capacity).
+    Returns None when there is no upstream node or no usable contact, in
+    which case the copy stays stored until expiry.
     """
-    trace = bundle.hop_trace
-    upstream = None
-    for i in range(len(trace) - 1, -1, -1):
-        if trace[i] == at_node and i > 0:
-            upstream = trace[i - 1]
-            break
-    if upstream is None or upstream == at_node:
+    at_node = hop_trace[-1]
+    upstream = hop_trace[-2] if len(hop_trace) > 1 else at_node
+    if upstream == at_node:
         return None
     for c in plan.contacts_from(at_node):
         if c.to_node != upstream:

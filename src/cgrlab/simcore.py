@@ -28,7 +28,8 @@ first run counted (see ``_Engine._attempt_forward``).
 
 A copy is stored at its node, queued on a contact, in flight, or retired.
 Only ``_Engine._move`` changes that state; it refuses any move outside
-``_MOVES`` and keeps the live-copy and per-node store indices in step.
+``_MOVES`` and keeps the live-copy and per-node store indices in step.  All
+copies of a bundle share one ``Bundle``; a copy's node ends its ``hop_trace``.
 """
 
 from __future__ import annotations
@@ -61,6 +62,10 @@ from cgrlab.forwarding import (
 from cgrlab.routesearch import Route, dijkstra_bdt, evaluate_route, yen_plus
 
 POLICIES = (POLICY_STANDARD, POLICY_RMDG)
+
+# the latest second a run may reach (about 11.6 days): a run samples every
+# second up to its last expiry or its plan's horizon plus the longest light time
+MAX_RUN_S = 10**6
 
 # an event's rank is its kind and fixes the processing order at equal timestamps
 _R_CONTACT_END = 0
@@ -98,7 +103,7 @@ class _Copy:
 
     copy_id: int
     bundle: Bundle
-    at_node: str
+    hop_trace: tuple[str, ...]  # the nodes it has been at, its current node last
     first_tx_at: float | None = None
     # changed only by _Engine._move; queued_on is the contact while queued
     state: str = _STORED
@@ -106,6 +111,10 @@ class _Copy:
     no_rollback_to: str | None = None
     # (now, version, computing delta) of its last attempt that changed nothing
     idle_attempt: tuple[float, int, int] | None = None
+
+    @property
+    def at_node(self) -> str:
+        return self.hop_trace[-1]
 
 
 class MetricsRow(NamedTuple):
@@ -250,8 +259,14 @@ class _Engine:
                 raise ValueError(f"bundle {b.id} generated outside the plan horizon")
             if not (math.isfinite(b.size) and math.isfinite(b.t_exp)):
                 raise ValueError(f"bundle {b.id} has a non-finite size or expiry")
+            if b.t_exp > MAX_RUN_S:
+                raise ValueError(f"bundle {b.id} expires past the run cap of {MAX_RUN_S} s")
         # nothing writes a plan, so runs share it and the tables it fills
         self.plan = plan.uniform() if owlt_mode == "uniform" else plan
+        last = self.plan.horizon + max((c.owlt for c in self.plan.contacts), default=0.0)
+        if last > MAX_RUN_S:
+            raise ValueError(
+                f"plan horizon plus light time {last} s passes the run cap of {MAX_RUN_S} s")
         self.policy = policy
         self.seed = seed
         self.k = k
@@ -269,7 +284,6 @@ class _Engine:
         self.alive: dict[int, _Copy] = {}
 
         self.graphs: dict[tuple[str, str], ContactGraph] = {}
-        self.route_cache: dict[tuple[str, str], tuple[float, list[Route]]] = {}
         # moves on every change a selection attempt can read: each non-select
         # event, accepted enqueue and route-cache recompute; _try_start runs
         # only right after an event or an accepted enqueue
@@ -302,26 +316,22 @@ class _Engine:
         return graph
 
     def _routes(self, graph: ContactGraph, now: float, force: bool = False) -> list[Route]:
-        key = (graph.source, graph.dest)
-        cached = self.route_cache.get(key)
+        cached, timing = graph.routes, self.plan.timing
         if cached is not None and not (force and cached[0] < now):
-            live = [
-                r
-                for r in cached[1]
-                if self.plan.contact(r.first_hop).t_end - 1 >= now
-            ]
+            # a route is live while its first hop has a whole second left
+            live = [r for r in cached[1] if timing[r.first_hop][1] >= now]
             if live:
-                self.route_cache[key] = (cached[0], live)
+                graph.routes = (cached[0], live)
                 return live
         routes = yen_plus(graph, self.k, depart=now, confirm=False)
-        self.route_cache[key] = (now, routes)
+        graph.routes = (now, routes)
         self.version += 1
         return routes
 
     def _review_route(
-        self, graph: ContactGraph, route: Route, bundle: Bundle, now: float
+        self, graph: ContactGraph, route: Route, copy: _Copy, now: float
     ) -> CandidateRoute | None:
-        """Apply the forwarding gates to one route for one bundle.
+        """Apply the forwarding gates to one route for one copy.
 
         None when basic checks fail or the first hop cannot carry the bundle.
         Admissible when PAT meets expiry and, for a non-critical bundle only,
@@ -329,15 +339,16 @@ class _Engine:
         displace lower priorities at enqueue.  Each review counts one computation.
         """
         graph.computing_counter += 1
-        if not basic_checks(self.plan, route, bundle, now):
-            return None
+        bundle = copy.bundle
         first = self.plan.contact(route.first_hop)
+        if not basic_checks(first, route, bundle, copy.hop_trace, now):
+            return None
         ahead = booked_mb(self.queues[first.id], bundle.priority)
         window_open = now if now > first.t_start else first.t_start
         busy_until = self.busy_until.get(first.id, -1.0)
         if busy_until > window_open:
             ahead += (busy_until - window_open) * first.rate
-        eto = compute_eto(self.plan, route, ahead, now)
+        eto = compute_eto(first, ahead, now)
         try:
             pat = compute_pat(self.plan, route, eto, bundle.size)
         except ValueError:
@@ -349,8 +360,7 @@ class _Engine:
         return CandidateRoute(route, admissible)
 
     def _candidates(self, copy: _Copy, now: float) -> list[CandidateRoute]:
-        bundle = copy.bundle
-        graph = self._graph(copy.at_node, bundle.dest)
+        graph = self._graph(copy.at_node, copy.bundle.dest)
         for attempt in (0, 1):
             routes = self._routes(graph, now, force=attempt == 1)
             cands: list[CandidateRoute] = []
@@ -358,7 +368,7 @@ class _Engine:
                 fresh = evaluate_route(self.plan, self.residual, route.hops, now)
                 if fresh is None:
                     continue
-                cand = self._review_route(graph, fresh, bundle, now)
+                cand = self._review_route(graph, fresh, copy, now)
                 if cand is not None:
                     cands.append(cand)
             if cands or attempt == 1:
@@ -374,13 +384,12 @@ class _Engine:
         ``dijkstra_bdt`` answers a repeat at this instant from the route it
         kept on the graph; each call still counts one computation.
         """
-        bundle = copy.bundle
         node = copy.at_node
-        graph = self._graph(node, bundle.dest)
+        graph = self._graph(node, copy.bundle.dest)
         neighbors = {
             c.to_node
             for c in self.plan.contacts_from(node)
-            if c.t_end - 1 >= now and c.to_node not in bundle.hop_trace
+            if c.t_end - 1 >= now and c.to_node not in copy.hop_trace
         }
         cands: list[CandidateRoute] = []
         for neighbor in sorted(neighbors):
@@ -388,7 +397,7 @@ class _Engine:
             route = dijkstra_bdt(graph, depart=now, via=neighbor)
             if route is None:
                 continue
-            cand = self._review_route(graph, route, bundle, now)
+            cand = self._review_route(graph, route, copy, now)
             if cand is not None:
                 cands.append(cand)
         return cands
@@ -396,15 +405,15 @@ class _Engine:
     # -- copy lifecycle ---------------------------------------------------
 
     def _new_copy(
-        self, bundle: Bundle, at_node: str, first_tx_at: float | None = None
+        self, bundle: Bundle, hop_trace: tuple[str, ...], first_tx_at: float | None = None
     ) -> _Copy:
-        """A new copy, stored at ``at_node`` until something moves it."""
+        """A new copy, stored at its trace's last node until something moves it."""
         self.copy_seq += 1
         copy = _Copy(
-            copy_id=self.copy_seq, bundle=bundle, at_node=at_node, first_tx_at=first_tx_at
+            copy_id=self.copy_seq, bundle=bundle, hop_trace=hop_trace, first_tx_at=first_tx_at
         )
         self.alive[copy.copy_id] = copy
-        self.nodes[at_node].stored[copy.copy_id] = copy
+        self.nodes[copy.at_node].stored[copy.copy_id] = copy
         return copy
 
     def _move(self, copy: _Copy, state: str, now: float, queued_on: int | None = None) -> None:
@@ -495,7 +504,7 @@ class _Engine:
             dispatches = forward_critical(bundle, cands, holders, self.policy, self.plan)
             sent = 0
             for cand in dispatches:
-                child = self._new_copy(bundle, node, first_tx_at=copy.first_tx_at)
+                child = self._new_copy(bundle, copy.hop_trace, first_tx_at=copy.first_tx_at)
                 contact = self.plan.contact(cand.route.first_hop)
                 if self._enqueue(child, contact, now, "critical_copy"):
                     sent += 1
@@ -516,7 +525,7 @@ class _Engine:
 
     def _rollback(self, copy: _Copy, now: float) -> None:
         found = find_rollback_contact(
-            self.plan, self.residual, copy.bundle, copy.at_node, now, self.queues
+            self.plan, self.residual, copy.bundle, copy.hop_trace, now, self.queues
         )
         if found is not None:
             upstream, contact = found
@@ -569,10 +578,8 @@ class _Engine:
 
     def _handle_arrival(self, copy: _Copy, contact: Contact, now: float) -> None:
         from_node, to_node = contact.from_node, contact.to_node
-        copy.at_node = to_node
-        b = copy.bundle  # the constructor, not dataclasses.replace, which costs more
-        bundle = copy.bundle = Bundle(b.id, b.source, b.dest, b.size, b.priority, b.critical,
-                                      b.t_gen, b.t_exp, b.hop_trace + (to_node,))
+        copy.hop_trace += (to_node,)
+        bundle = copy.bundle
         if bundle.critical:
             holders = self.nodes[to_node].seen_critical.setdefault(bundle.id, set())
             holders.add(from_node)
@@ -736,7 +743,7 @@ class _Engine:
         ready: list[tuple[tuple, _Copy]] = []
         for order, payload in enumerate(batch, 1):
             if isinstance(payload, Bundle):
-                copy = self._new_copy(payload, payload.source)
+                copy = self._new_copy(payload, (payload.source,))
                 if payload.critical:
                     self.nodes[payload.source].seen_critical[payload.id] = {payload.source}
             else:

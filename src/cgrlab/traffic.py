@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 from cgrlab.forwarding import Bundle
 
+TTL_RANGE = (20, 30)  # bundle lifetimes, whole seconds
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -39,7 +41,6 @@ class ScenarioSpec:
     source: str
     dest_pool: tuple[str, ...]
     with_critical: bool = True
-    ttl_range: tuple[int, int] = (20, 30)
 
     def __post_init__(self) -> None:
         if self.duration <= 0:
@@ -56,13 +57,12 @@ def _finish(spec: ScenarioSpec, raw: list[tuple[float, float, int, bool]]) -> li
     """Assign ids, destinations and expiry times to raw (t_gen, size, prio, crit) rows."""
     rng = _rng(spec, "assign")
     pool = sorted(spec.dest_pool)
-    lo, hi = spec.ttl_range
     bundles = []
     for bid, (t_gen, size, priority, critical) in enumerate(
         sorted(raw, key=lambda r: (r[0], -r[2])), start=1
     ):
         dest = pool[rng.randrange(len(pool))]
-        ttl = rng.randint(lo, hi)
+        ttl = rng.randint(*TTL_RANGE)
         bundles.append(
             Bundle(
                 id=bid,
@@ -93,7 +93,7 @@ def _expedited_raw(spec: ScenarioSpec) -> list[tuple[float, float, int, bool]]:
     return raw
 
 
-def _data_raw(spec: ScenarioSpec, bursts: int = 1) -> list[tuple[float, float, int, bool]]:
+def _data_raw(spec: ScenarioSpec, bursts: int) -> list[tuple[float, float, int, bool]]:
     rng = _rng(spec, "data")
     raw = []
     for burst in range(bursts):

@@ -469,11 +469,15 @@ class TestSimulateAndCompare:
                 TASK_HEADER + "1,A,A,1,0,0,0,30\n",
                 "error: tasks line 2: bundle 1: source and destination must differ\n",
             ),
+            (
+                TASK_HEADER + "1,A,F,1,0,0,0,1e300\n",
+                "error: bundle 1 expires past the run cap of 1000000 s\n",
+            ),
         ],
         ids=[
             "missing-field", "unparsable-field", "duplicate-id", "past-horizon",
             "inf-expiry", "nan-expiry", "inf-size", "critical-7", "expiry-before-generation",
-            "source-is-destination",
+            "source-is-destination", "expiry-past-cap",
         ],
     )
     def test_bad_tasks_file_is_runtime_error(self, tmp_path, capsys, monkeypatch, text, message):

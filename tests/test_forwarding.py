@@ -1,9 +1,11 @@
 """Candidate review gates, critical replication, overbooking, rollback."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import pytest
 
+from cgrlab import simcore
 from cgrlab.contactgraph import build_contact_graph
 from cgrlab.contactplan import Contact, ContactPlan, make_demo_plan
 from cgrlab.forwarding import (
@@ -53,49 +55,68 @@ class TestBundleInvariants:
         with pytest.raises(ValueError):
             _bundle(t_gen=10.0, t_exp=10.0)
 
-    def test_defaults(self):
-        b = _bundle()
-        assert b.hop_trace == ("A",)
+    def test_copies_share_one_frozen_bundle(self):
+        # critical copies are replicated and relayed on the demo plan; each
+        # carries the bundle its record holds, and nothing can change it
+        class Engine(simcore._Engine):
+            def _new_copy(self, *args, **kwargs):
+                copies.append(super()._new_copy(*args, **kwargs))
+                return copies[-1]
+
+        bundles = [_bundle(id=bid, priority=2, critical=True, t_gen=float(bid)) for bid in (1, 2, 3)]
+        for policy in (POLICY_STANDARD, POLICY_RMDG):
+            copies = []
+            metrics = Engine(make_demo_plan(), bundles, policy, 0, 4, "file").run()
+            assert metrics.delivered_count > 0
+            assert len(copies) > len(bundles)
+            assert max(len(c.hop_trace) for c in copies) > 2
+            assert all(c.bundle is metrics.records[c.bundle.id].bundle for c in copies)
+        with pytest.raises(FrozenInstanceError):
+            bundles[0].t_exp = 100.0
 
 
 class TestBasicChecks:
-    def test_expired_bundle_fails(self):
+    def _first(self):
         plan, route = _demo_route()
-        assert not basic_checks(plan, route, _bundle(t_exp=30.0), now=31.0)
+        return plan.contact(route.first_hop), route
+
+    def test_expired_bundle_fails(self):
+        first, route = self._first()
+        assert not basic_checks(first, route, _bundle(t_exp=30.0), ("A",), now=31.0)
 
     def test_bdt_after_expiry_fails(self):
-        plan, route = _demo_route()
+        first, route = self._first()
         assert route.bdt == 32
-        assert not basic_checks(plan, route, _bundle(t_exp=30.0), now=0.0)
+        assert not basic_checks(first, route, _bundle(t_exp=30.0), ("A",), now=0.0)
 
     def test_fresh_bundle_valid_route_passes(self):
-        plan, route = _demo_route()
-        assert basic_checks(plan, route, _bundle(t_exp=40.0), now=0.0)
+        first, route = self._first()
+        assert basic_checks(first, route, _bundle(t_exp=40.0), ("A",), now=0.0)
 
     def test_ended_first_hop_fails(self):
-        plan, route = _demo_route()
-        assert not basic_checks(plan, route, _bundle(t_exp=40.0), now=10.0)
+        first, route = self._first()
+        assert not basic_checks(first, route, _bundle(t_exp=40.0), ("A",), now=10.0)
 
     def test_traversed_next_hop_fails(self):
-        plan, route = _demo_route()
-        bundle = _bundle(hop_trace=("X", "C", "A"))
-        assert not basic_checks(plan, route, bundle, now=0.0)
+        first, route = self._first()
+        assert first.to_node == "C"
+        assert not basic_checks(first, route, _bundle(), ("X", "C", "A"), now=0.0)
 
 
 class TestEto:
     def test_empty_queue_open_contact(self):
         plan, route = _demo_route()
-        assert compute_eto(plan, route, ahead_mb=0.0, now=0.0) == 0.0
+        assert compute_eto(plan.contact(route.first_hop), ahead_mb=0.0, now=0.0) == 0.0
 
     def test_queued_traffic_delays(self):
         plan, route = _demo_route()
-        assert compute_eto(plan, route, ahead_mb=5.0, now=0.0) == 5.0
+        assert compute_eto(plan.contact(route.first_hop), ahead_mb=5.0, now=0.0) == 5.0
 
     def test_future_window_dominates(self):
         plan = _one_hop_plan(ts=20)
         g = build_contact_graph(plan, "S", "D")
         route = dijkstra_bdt(g, depart=0)
-        assert compute_eto(plan, route, ahead_mb=0.0, now=0.0) == 20.0
+        assert compute_eto(plan.contact(route.first_hop), ahead_mb=0.0, now=0.0) == 20.0
 
 
 class TestPat:
@@ -275,16 +296,16 @@ class TestRollback:
                 Contact(id=2, from_node="X", to_node="S", t_start=0, t_end=60, rate=1, owlt=1),
             ]
         )
-        bundle = _bundle(hop_trace=("S", "X"))
-        found = find_rollback_contact(plan, plan.volumes(), bundle, "X", now=5.0, bookings={})
+        found = find_rollback_contact(
+            plan, plan.volumes(), _bundle(), ("S", "X"), now=5.0, bookings={}
+        )
         assert found is not None
         upstream, contact = found
         assert upstream == "S" and contact.id == 2
 
     def test_no_upstream_at_source(self):
         plan = _one_hop_plan()
-        bundle = _bundle(hop_trace=("S",))
-        found = find_rollback_contact(plan, plan.volumes(), bundle, "S", now=0.0, bookings={})
+        found = find_rollback_contact(plan, plan.volumes(), _bundle(), ("S",), now=0.0, bookings={})
         assert found is None
 
     def test_expired_reverse_contact_unusable(self):
@@ -294,8 +315,9 @@ class TestRollback:
                 Contact(id=2, from_node="X", to_node="S", t_start=0, t_end=10, rate=1, owlt=1),
             ]
         )
-        bundle = _bundle(hop_trace=("S", "X"))
-        found = find_rollback_contact(plan, plan.volumes(), bundle, "X", now=20.0, bookings={})
+        found = find_rollback_contact(
+            plan, plan.volumes(), _bundle(), ("S", "X"), now=20.0, bookings={}
+        )
         assert found is None
 
     def test_fully_booked_reverse_contact_unusable(self):
@@ -305,9 +327,11 @@ class TestRollback:
                 Contact(id=2, from_node="X", to_node="S", t_start=0, t_end=60, rate=1, owlt=1),
             ]
         )
-        bundle = _bundle(hop_trace=("S", "X"), size=5.0)
+        bundle = _bundle(size=5.0)
         bookings = {2: [Booking(copy_id=7, mb=58.0, priority=2, seq=1)]}
-        found = find_rollback_contact(plan, plan.volumes(), bundle, "X", now=0.0, bookings=bookings)
+        found = find_rollback_contact(
+            plan, plan.volumes(), bundle, ("S", "X"), now=0.0, bookings=bookings
+        )
         assert found is None
 
     def test_spent_reverse_contact_unusable(self):
@@ -317,7 +341,9 @@ class TestRollback:
                 Contact(id=2, from_node="X", to_node="S", t_start=0, t_end=60, rate=1, owlt=1),
             ]
         )
-        bundle = _bundle(hop_trace=("S", "X"), size=5.0)
         residual = plan.volumes()
         residual[2] = 4.0
-        assert find_rollback_contact(plan, residual, bundle, "X", now=0.0, bookings={}) is None
+        found = find_rollback_contact(
+            plan, residual, _bundle(size=5.0), ("S", "X"), now=0.0, bookings={}
+        )
+        assert found is None

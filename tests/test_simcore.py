@@ -77,6 +77,19 @@ class TestSingleBundle:
         with pytest.raises(ValueError, match="bundle 3 has a non-finite size or expiry"):
             run_simulation(_one_hop_plan(), [bundle], POLICY_STANDARD)
 
+    @pytest.mark.parametrize(
+        "owlt_mode, last", [("file", "1000000.5"), ("uniform", "1000001.0")], ids=["file", "uniform"]
+    )
+    def test_horizon_past_run_cap_rejected_before_start(self, owlt_mode, last):
+        # the last arrival can land one light time after the horizon
+        plan = ContactPlan.build(
+            [Contact(id=1, from_node="S", to_node="D", t_start=0, t_end=simcore.MAX_RUN_S,
+                     rate=1, owlt=0.5)]
+        )
+        message = f"plan horizon plus light time {last} s passes the run cap of 1000000 s"
+        with pytest.raises(ValueError, match=message):
+            run_simulation(plan, [], POLICY_STANDARD, owlt_mode=owlt_mode)
+
     def test_unreachable_destination_never_routed(self):
         plan = ContactPlan.build(
             [
@@ -257,7 +270,7 @@ class TestQueuePaths:
 class TestCopyStates:
     def test_move_refuses_illegal_transitions(self):
         engine = simcore._Engine(_one_hop_plan(), [_bundle()], POLICY_STANDARD, 0, 4, "uniform")
-        copy = engine._new_copy(engine.bundles[0], "S")
+        copy = engine._new_copy(engine.bundles[0], ("S",))
         assert copy.state == simcore._STORED and engine.nodes["S"].stored == {1: copy}
         with pytest.raises(AssertionError, match="stored -> in_flight"):
             engine._move(copy, simcore._IN_FLIGHT, 0.0)
@@ -350,9 +363,9 @@ class TestCriticalReplication:
         reviews = []
         real_review = simcore._Engine._review_route
 
-        def review(engine, graph, route, bundle, now):
-            cand = real_review(engine, graph, route, bundle, now)
-            reviews.append((bundle.id, now, route.volume))
+        def review(engine, graph, route, copy, now):
+            cand = real_review(engine, graph, route, copy, now)
+            reviews.append((copy.bundle.id, now, route.volume))
             return cand
 
         monkeypatch.setattr(simcore._Engine, "_review_route", review)
@@ -412,9 +425,9 @@ class TestAdmission:
             evl_calls.append(args)
             return real_evl(*args)
 
-        def review(engine, graph, route, bundle, now):
-            cand = real_review(engine, graph, route, bundle, now)
-            reviews.append((bundle.id, now, cand))
+        def review(engine, graph, route, copy, now):
+            cand = real_review(engine, graph, route, copy, now)
+            reviews.append((copy.bundle.id, now, cand))
             return cand
 
         monkeypatch.setattr(simcore, "compute_evl", evl)
@@ -492,9 +505,9 @@ class TestRepeatSelections:
             attempts.append((copy.copy_id, now))
             real_attempt(engine, copy, now)
 
-        def review(engine, graph, route, bundle, now):
+        def review(engine, graph, route, copy, now):
             reviews.append(len(attempts))
-            return real_review(engine, graph, route, bundle, now)
+            return real_review(engine, graph, route, copy, now)
 
         monkeypatch.setattr(simcore._Engine, "_attempt_forward", attempt)
         monkeypatch.setattr(simcore._Engine, "_review_route", review)
@@ -516,13 +529,13 @@ class TestRepeatSelections:
         held_bundle = self._critical()
         other = _bundle(bid=2, src="A", dst="B")
         engine = simcore._Engine(self._plan(), [held_bundle, other], POLICY_STANDARD, 0, 4, "uniform")
-        held = engine._new_copy(held_bundle, "A")
+        held = engine._new_copy(held_bundle, ("A",))
         engine.nodes["A"].seen_critical[held_bundle.id] = {"A"}
         # at t=5 no contact is open yet, so the enqueue starts no transmission
         engine._attempt_forward(held, 5.0)
         engine._attempt_forward(held, 5.0)
         assert len(reviews) == 3
-        assert engine._enqueue(engine._new_copy(other, "A"), engine.plan.contact(1), 5.0, "select")
+        assert engine._enqueue(engine._new_copy(other, ("A",)), engine.plan.contact(1), 5.0, "select")
         assert engine.queues[1] and engine.busy_until.get(1, -1.0) < 5.0
         engine._attempt_forward(held, 5.0)
         assert len(reviews) == 6
