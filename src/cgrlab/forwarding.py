@@ -2,9 +2,11 @@
 
 Candidate routes pass gates before a bundle is queued: basic checks (first
 hop alive, no revisit of a node the copy traversed, delivery before expiry), the
-earliest transmission opportunity given queued higher-priority traffic, the
+earliest transmission opportunity after the first hop's backlog (queued
+equal-or-higher-priority traffic and the transmission in progress), the
 projected last-byte arrival time and, for a non-critical bundle whose arrival
-meets expiry, the effective volume limit after higher-priority bookings.
+meets expiry, the effective volume limit after higher-priority bookings.  A
+gate refusal is returned as a value (False or None), never raised.
 Critical bundles are replicated by policy; overbooked contacts displace
 lower-priority bookings; a bundle with no usable candidate rolls back upstream.
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from cgrlab.contactplan import Contact, ContactPlan
 from cgrlab.routesearch import Route
@@ -24,10 +27,17 @@ from cgrlab.routesearch import Route
 POLICY_STANDARD = "standard"
 POLICY_RMDG = "rmdg"
 
+# the latest second a run may reach (about 11.6 days): a run samples every
+# second up to its last expiry or its plan's horizon plus the longest light time
+MAX_RUN_S = 10**6
+
 
 @dataclass(frozen=True)
 class Bundle:
-    """A unit of application data with priority, criticality and lifetime."""
+    """A unit of application data with priority, criticality and lifetime.
+
+    Its size and expiry are finite, and it expires by ``MAX_RUN_S``.
+    """
 
     id: int
     source: str
@@ -45,17 +55,22 @@ class Bundle:
             raise ValueError(f"bundle {self.id}: critical bundles carry priority 2")
         if self.source == self.dest:
             raise ValueError(f"bundle {self.id}: source and destination must differ")
+        if not (math.isfinite(self.size) and math.isfinite(self.t_exp)):
+            raise ValueError(f"bundle {self.id}: size and expiry must be finite")
+        if self.t_exp > MAX_RUN_S:
+            raise ValueError(f"bundle {self.id}: expires past the run cap of {MAX_RUN_S} s")
         if self.t_exp <= self.t_gen:
             raise ValueError(f"bundle {self.id}: t_exp must exceed t_gen")
         if self.size <= 0:
             raise ValueError(f"bundle {self.id}: size must be positive")
 
 
-@dataclass(frozen=True)
-class CandidateRoute:
-    """A route past basic checks and PAT; kept when inadmissible too."""
+class CandidateRoute(NamedTuple):
+    """A route past basic checks and PAT, with its first-hop contact ``first``;
+    kept when inadmissible too."""
 
     route: Route
+    first: Contact
     admissible: bool
 
 
@@ -95,24 +110,27 @@ def basic_checks(
     )
 
 
-def compute_eto(first: Contact, ahead_mb: float, now: float) -> float:
+def compute_eto(first: Contact, ahead_mb: float, busy_until: float, now: float) -> float:
     """Earliest transmission opportunity on a route's first hop ``first``.
 
-    ``ahead_mb`` is the equal-or-higher-priority traffic already queued for
-    that contact (megabits), which must drain first under the priority
-    transmission discipline.
+    The contact's whole backlog drains first under the priority transmission
+    discipline: ``ahead_mb``, the equal-or-higher-priority traffic queued for
+    it (megabits), and the transmission in progress, which ends at
+    ``busy_until`` (anything not past the window opening when it is idle).
     """
     start = now if now > first.t_start else first.t_start
+    if busy_until > start:
+        ahead_mb += (busy_until - start) * first.rate
     return start + ahead_mb / first.rate
 
 
-def compute_pat(plan: ContactPlan, route: Route, eto: float, size: float) -> float:
+def compute_pat(plan: ContactPlan, route: Route, eto: float, size: float) -> float | None:
     """Projected last-byte arrival at the destination.
 
     Store-and-forward recurrence: each hop departs at max(previous arrival,
-    window start) and delivers size/rate plus the light time later.  Raises
-    when the first hop cannot carry the bundle before its window closes;
-    returns infinity when a later hop cannot.  Each hop's fields come from
+    window start) and delivers size/rate plus the light time later.  Returns
+    None when the first hop cannot carry the bundle before its window closes,
+    and infinity when a later hop cannot.  Each hop's fields come from
     its ``plan.timing`` row, whose ``t_end`` is the contact's own (``t_end -
     1`` plus one can round on a fractional window).
     """
@@ -123,11 +141,7 @@ def compute_pat(plan: ContactPlan, route: Route, eto: float, size: float) -> flo
         dep = arrival if arrival > t_start else t_start
         tx = size / rate
         if dep + tx > t_end:
-            if idx == 0:
-                raise ValueError(
-                    f"transmission start {dep} + {tx}s exceeds first hop end {t_end}"
-                )
-            return math.inf
+            return None if idx == 0 else math.inf
         arrival = dep + tx + owlt
     return arrival
 
@@ -156,7 +170,6 @@ def forward_critical(
     candidates: list[CandidateRoute],
     holders: set[str],
     policy: str,
-    plan: ContactPlan,
 ) -> list[CandidateRoute]:
     """Dispatch plan for a critical bundle under the given policy.
 
@@ -177,14 +190,12 @@ def forward_critical(
     if policy == POLICY_STANDARD:
         chosen: dict[str, CandidateRoute] = {}
         for cand in ranked:
-            neighbor = plan.contact(cand.route.first_hop).to_node
-            if neighbor not in chosen:
-                chosen[neighbor] = cand
+            if cand.first.to_node not in chosen:
+                chosen[cand.first.to_node] = cand
         return list(chosen.values())
     if policy == POLICY_RMDG:
         for cand in ranked:
-            neighbor = plan.contact(cand.route.first_hop).to_node
-            if neighbor not in holders:
+            if cand.first.to_node not in holders:
                 return [cand]
         return []
     raise ValueError(f"unknown policy {policy!r}")
@@ -230,14 +241,15 @@ def find_rollback_contact(
     hop_trace: tuple[str, ...],
     now: float,
     bookings: dict[int, list[Booking]],
-) -> tuple[str, Contact] | None:
+) -> Contact | None:
     """Reverse contact for returning a stuck copy to its upstream custodian.
 
     The copy is at the last node of ``hop_trace`` and its upstream node is the
-    one before.  A usable reverse contact must fit the whole bundle within its
-    remaining window and residual volume (rollback consumes real capacity).
-    Returns None when there is no upstream node or no usable contact, in
-    which case the copy stays stored until expiry.
+    one before, which the contact returned leads to.  A usable reverse
+    contact must fit the whole bundle within its remaining window and residual
+    volume (rollback consumes real capacity).  Returns None when there is no
+    upstream node or no usable contact, in which case the copy stays stored
+    until expiry.
     """
     at_node = hop_trace[-1]
     upstream = hop_trace[-2] if len(hop_trace) > 1 else at_node
@@ -252,5 +264,5 @@ def find_rollback_contact(
         booked = booked_mb(bookings.get(c.id, ()), bundle.priority)
         if residual[c.id] - booked < bundle.size:
             continue
-        return upstream, c
+        return c
     return None

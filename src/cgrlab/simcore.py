@@ -38,13 +38,13 @@ import csv
 import hashlib
 import heapq
 import io
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from cgrlab.contactgraph import ContactGraph, build_contact_graph
 from cgrlab.contactplan import Contact, ContactPlan, occupancy_rate
 from cgrlab.forwarding import (
+    MAX_RUN_S,
     POLICY_RMDG,
     POLICY_STANDARD,
     Booking,
@@ -62,10 +62,6 @@ from cgrlab.forwarding import (
 from cgrlab.routesearch import Route, dijkstra_bdt, evaluate_route, yen_plus
 
 POLICIES = (POLICY_STANDARD, POLICY_RMDG)
-
-# the latest second a run may reach (about 11.6 days): a run samples every
-# second up to its last expiry or its plan's horizon plus the longest light time
-MAX_RUN_S = 10**6
 
 # an event's rank is its kind and fixes the processing order at equal timestamps
 _R_CONTACT_END = 0
@@ -257,10 +253,6 @@ class _Engine:
                     raise ValueError(f"bundle {b.id} references unknown node {node!r}")
             if not 0 <= b.t_gen <= plan.horizon:
                 raise ValueError(f"bundle {b.id} generated outside the plan horizon")
-            if not (math.isfinite(b.size) and math.isfinite(b.t_exp)):
-                raise ValueError(f"bundle {b.id} has a non-finite size or expiry")
-            if b.t_exp > MAX_RUN_S:
-                raise ValueError(f"bundle {b.id} expires past the run cap of {MAX_RUN_S} s")
         # nothing writes a plan, so runs share it and the tables it fills
         self.plan = plan.uniform() if owlt_mode == "uniform" else plan
         last = self.plan.horizon + max((c.owlt for c in self.plan.contacts), default=0.0)
@@ -344,20 +336,15 @@ class _Engine:
         if not basic_checks(first, route, bundle, copy.hop_trace, now):
             return None
         ahead = booked_mb(self.queues[first.id], bundle.priority)
-        window_open = now if now > first.t_start else first.t_start
-        busy_until = self.busy_until.get(first.id, -1.0)
-        if busy_until > window_open:
-            ahead += (busy_until - window_open) * first.rate
-        eto = compute_eto(first, ahead, now)
-        try:
-            pat = compute_pat(self.plan, route, eto, bundle.size)
-        except ValueError:
+        eto = compute_eto(first, ahead, self.busy_until.get(first.id, -1.0), now)
+        pat = compute_pat(self.plan, route, eto, bundle.size)
+        if pat is None:
             return None
         admissible = pat <= bundle.t_exp and (
             bundle.critical
             or compute_evl(self.residual, route, self.queues, bundle.priority) >= bundle.size
         )
-        return CandidateRoute(route, admissible)
+        return CandidateRoute(route, first, admissible)
 
     def _candidates(self, copy: _Copy, now: float) -> list[CandidateRoute]:
         graph = self._graph(copy.at_node, copy.bundle.dest)
@@ -501,12 +488,11 @@ class _Engine:
         if bundle.critical:
             # the holder set already has this node: added on generation or arrival
             holders = self.nodes[node].seen_critical[bundle.id]
-            dispatches = forward_critical(bundle, cands, holders, self.policy, self.plan)
+            dispatches = forward_critical(bundle, cands, holders, self.policy)
             sent = 0
             for cand in dispatches:
                 child = self._new_copy(bundle, copy.hop_trace, first_tx_at=copy.first_tx_at)
-                contact = self.plan.contact(cand.route.first_hop)
-                if self._enqueue(child, contact, now, "critical_copy"):
+                if self._enqueue(child, cand.first, now, "critical_copy"):
                     sent += 1
                 else:
                     self._move(child, _RETIRED, now)
@@ -518,18 +504,16 @@ class _Engine:
             (c for c in cands if c.admissible), key=lambda c: c.route.sort_key
         )
         for cand in admissible:
-            contact = self.plan.contact(cand.route.first_hop)
-            if self._enqueue(copy, contact, now, "select"):
+            if self._enqueue(copy, cand.first, now, "select"):
                 return
         self._rollback(copy, now)
 
     def _rollback(self, copy: _Copy, now: float) -> None:
-        found = find_rollback_contact(
+        contact = find_rollback_contact(
             self.plan, self.residual, copy.bundle, copy.hop_trace, now, self.queues
         )
-        if found is not None:
-            upstream, contact = found
-            if upstream != copy.no_rollback_to and self._enqueue(copy, contact, now, "rollback"):
+        if contact is not None and contact.to_node != copy.no_rollback_to:
+            if self._enqueue(copy, contact, now, "rollback"):
                 copy.no_rollback_to = copy.at_node
 
     # -- event handlers ----------------------------------------------------

@@ -86,20 +86,16 @@ def pat_of(plan, hops, eto, size):
     """Last-byte arrival of a ``size`` Mb bundle sent along ``hops`` from ``eto``.
 
     Each hop sends from max(previous arrival, window start) for size / rate
-    seconds and the last byte lands a light time later.  Raises ValueError
-    when the first hop's window closes before the bundle is sent; infinity
-    when a later hop's does.
+    seconds and the last byte lands a light time later.  None when the first
+    hop's window closes before the bundle is sent; infinity when a later
+    hop's does.
     """
     arrival = eto
     for i, h in enumerate(hops):
         c = plan.contact(h)
         dep = max(arrival, c.t_start)
         if dep + size / c.rate > c.t_end:
-            if i == 0:
-                raise ValueError(
-                    f"transmission start {dep} + {size / c.rate}s exceeds first hop end {c.t_end}"
-                )
-            return math.inf
+            return None if i == 0 else math.inf
         arrival = dep + size / c.rate + c.owlt
     return arrival
 

@@ -471,7 +471,7 @@ class TestSimulateAndCompare:
             ),
             (
                 TASK_HEADER + "1,A,F,1,0,0,0,1e300\n",
-                "error: bundle 1 expires past the run cap of 1000000 s\n",
+                "error: tasks line 2: bundle 1: expires past the run cap of 1000000 s\n",
             ),
         ],
         ids=[

@@ -9,6 +9,7 @@ from cgrlab import simcore
 from cgrlab.contactgraph import build_contact_graph
 from cgrlab.contactplan import Contact, ContactPlan, make_demo_plan
 from cgrlab.forwarding import (
+    MAX_RUN_S,
     POLICY_RMDG,
     POLICY_STANDARD,
     Booking,
@@ -54,6 +55,20 @@ class TestBundleInvariants:
     def test_expiry_after_generation(self):
         with pytest.raises(ValueError):
             _bundle(t_gen=10.0, t_exp=10.0)
+
+    @pytest.mark.parametrize(
+        "size, t_exp",
+        [(math.inf, 30.0), (1.0, math.inf), (1.0, math.nan)],
+        ids=["inf-size", "inf-expiry", "nan-expiry"],
+    )
+    def test_non_finite_size_or_expiry_rejected(self, size, t_exp):
+        with pytest.raises(ValueError, match="bundle 1: size and expiry must be finite"):
+            _bundle(size=size, t_exp=t_exp)
+
+    def test_expiry_past_run_cap_rejected(self):
+        _bundle(t_exp=float(MAX_RUN_S))
+        with pytest.raises(ValueError, match="bundle 1: expires past the run cap of 1000000 s"):
+            _bundle(t_exp=MAX_RUN_S + 1)
 
     def test_copies_share_one_frozen_bundle(self):
         # critical copies are replicated and relayed on the demo plan; each
@@ -103,20 +118,48 @@ class TestBasicChecks:
         assert not basic_checks(first, route, _bundle(), ("X", "C", "A"), now=0.0)
 
 
+def _eto_two_step(first, ahead_mb, busy_until, now):
+    """The ETO as two steps: the transmission in progress added to the queued
+    traffic from the window opening, then the drain time added to the opening."""
+    window_open = now if now > first.t_start else first.t_start
+    if busy_until > window_open:
+        ahead_mb += (busy_until - window_open) * first.rate
+    return window_open + ahead_mb / first.rate
+
+
 class TestEto:
+    IDLE = -1.0
+
     def test_empty_queue_open_contact(self):
         plan, route = _demo_route()
-        assert compute_eto(plan.contact(route.first_hop), ahead_mb=0.0, now=0.0) == 0.0
+        first = plan.contact(route.first_hop)
+        assert compute_eto(first, ahead_mb=0.0, busy_until=self.IDLE, now=0.0) == 0.0
 
     def test_queued_traffic_delays(self):
         plan, route = _demo_route()
-        assert compute_eto(plan.contact(route.first_hop), ahead_mb=5.0, now=0.0) == 5.0
+        first = plan.contact(route.first_hop)
+        assert compute_eto(first, ahead_mb=5.0, busy_until=self.IDLE, now=0.0) == 5.0
 
     def test_future_window_dominates(self):
         plan = _one_hop_plan(ts=20)
         g = build_contact_graph(plan, "S", "D")
         route = dijkstra_bdt(g, depart=0)
-        assert compute_eto(plan.contact(route.first_hop), ahead_mb=0.0, now=0.0) == 20.0
+        first = plan.contact(route.first_hop)
+        assert compute_eto(first, ahead_mb=0.0, busy_until=self.IDLE, now=0.0) == 20.0
+
+    @pytest.mark.parametrize("now", [1.3, 2.6], ids=["before-opening", "after-opening"])
+    def test_transmission_in_progress_delays(self, now):
+        # busy past the opening: the rest of the transmission, from the
+        # opening or from now if later, drains first
+        first = _one_hop_plan(ts=2, rate=3.0).contact(1)
+        eto = compute_eto(first, ahead_mb=2.2, busy_until=4.7, now=now)
+        assert eto == _eto_two_step(first, 2.2, 4.7, now)
+        assert eto == pytest.approx(4.7 + 2.2 / 3.0)
+
+    def test_transmission_ended_before_opening_ignored(self):
+        first = _one_hop_plan(ts=20, rate=3.0).contact(1)
+        eto = compute_eto(first, ahead_mb=2.2, busy_until=10.7, now=1.3)
+        assert eto == _eto_two_step(first, 2.2, 10.7, 1.3) == 20.0 + 2.2 / 3.0
 
 
 class TestPat:
@@ -135,12 +178,11 @@ class TestPat:
         plan, route = _demo_route()
         assert compute_pat(plan, route, eto=0.0, size=0.0) == route.bdt
 
-    def test_start_beyond_first_hop_window_raises(self):
+    def test_start_beyond_first_hop_window_is_none(self):
         plan = _one_hop_plan(ts=0, te=10)
         g = build_contact_graph(plan, "S", "D")
         route = dijkstra_bdt(g, depart=0)
-        with pytest.raises(ValueError):
-            compute_pat(plan, route, eto=9.5, size=1.0)
+        assert compute_pat(plan, route, eto=9.5, size=1.0) is None
 
     def test_midroute_window_overrun_is_infinite(self):
         plan = ContactPlan.build(
@@ -186,55 +228,75 @@ class TestEvl:
         assert compute_evl(plan.volumes(), route, bookings, priority=1) == 0.0
 
 
-def _cand(route, admissible=True):
-    return CandidateRoute(route=route, admissible=admissible)
+def _cand(plan, route, admissible=True):
+    return CandidateRoute(route=route, first=plan.contact(route.first_hop), admissible=admissible)
 
 
 class TestForwardCritical:
     def _crit(self):
         return _bundle(priority=2, critical=True)
 
+    def _demo_cands(self):
+        plan = make_demo_plan()
+        g = build_contact_graph(plan, "A", "F")
+        return [_cand(plan, r) for r in yen_plus(g, 7)]
+
     def test_requires_critical(self):
-        _, route = _demo_route()
+        plan, route = _demo_route()
         with pytest.raises(ValueError):
-            forward_critical(_bundle(), [_cand(route)], set(), POLICY_STANDARD, make_demo_plan())
+            forward_critical(_bundle(), [_cand(plan, route)], set(), POLICY_STANDARD)
 
     def test_single_candidate_both_policies(self):
         plan, route = _demo_route()
         for policy in (POLICY_STANDARD, POLICY_RMDG):
-            out = forward_critical(self._crit(), [_cand(route)], {"A"}, policy, plan)
+            out = forward_critical(self._crit(), [_cand(plan, route)], {"A"}, policy)
             assert len(out) == 1
 
     def test_standard_copies_per_distinct_neighbor(self):
-        plan = make_demo_plan()
-        g = build_contact_graph(plan, "A", "F")
-        cands = [_cand(r) for r in yen_plus(g, 7)]
-        out = forward_critical(self._crit(), cands, {"A"}, POLICY_STANDARD, plan)
-        neighbors = {plan.contact(c.route.first_hop).to_node for c in out}
+        out = forward_critical(self._crit(), self._demo_cands(), {"A"}, POLICY_STANDARD)
+        neighbors = {c.first.to_node for c in out}
         assert len(out) == len(neighbors) == 2  # demo plan fans out through B and C
 
+    def test_standard_merges_contacts_to_one_neighbor(self):
+        # the two best candidates leave A for C on contacts 3 and 5: one copy
+        # goes to C, on the better one, and one to B
+        cands = self._demo_cands()
+        assert [c.first.id for c in cands[:3]] == [3, 5, 1]
+        out = forward_critical(self._crit(), cands, {"A"}, POLICY_STANDARD)
+        assert [(c.first.id, c.first.to_node) for c in out] == [(3, "C"), (1, "B")]
+
     def test_rmdg_single_best_nonholder(self):
-        plan = make_demo_plan()
-        g = build_contact_graph(plan, "A", "F")
-        cands = [_cand(r) for r in yen_plus(g, 7)]
-        out = forward_critical(self._crit(), cands, {"A"}, POLICY_RMDG, plan)
+        out = forward_critical(self._crit(), self._demo_cands(), {"A"}, POLICY_RMDG)
         assert len(out) == 1
-        assert plan.contact(out[0].route.first_hop).to_node == "C"
+        assert out[0].first.to_node == "C"
 
     def test_rmdg_skips_holder_neighbor(self):
-        plan = make_demo_plan()
-        g = build_contact_graph(plan, "A", "F")
-        cands = [_cand(r) for r in yen_plus(g, 7)]
-        out = forward_critical(self._crit(), cands, {"A", "C"}, POLICY_RMDG, plan)
+        out = forward_critical(self._crit(), self._demo_cands(), {"A", "C"}, POLICY_RMDG)
         assert len(out) == 1
-        assert plan.contact(out[0].route.first_hop).to_node == "B"
+        assert out[0].first.to_node == "B"
 
     def test_rmdg_all_holders_no_dispatch(self):
-        plan = make_demo_plan()
-        g = build_contact_graph(plan, "A", "F")
-        cands = [_cand(r) for r in yen_plus(g, 7)]
-        out = forward_critical(self._crit(), cands, {"A", "B", "C"}, POLICY_RMDG, plan)
+        out = forward_critical(self._crit(), self._demo_cands(), {"A", "B", "C"}, POLICY_RMDG)
         assert out == []
+
+    def test_engine_candidates_carry_their_first_contact(self):
+        reviewed = []
+
+        class Engine(simcore._Engine):
+            def _review_route(self, graph, route, copy, now):
+                cand = super()._review_route(graph, route, copy, now)
+                if cand is not None:
+                    reviewed.append((self.plan, cand))
+                return cand
+
+        bundles = [
+            _bundle(id=1, priority=2, critical=True),
+            _bundle(id=2, priority=1, t_gen=1.0),
+        ]
+        for policy in (POLICY_STANDARD, POLICY_RMDG):
+            Engine(make_demo_plan(), bundles, policy, 0, 4, "file").run()
+        assert reviewed
+        assert all(c.first is plan.contact(c.route.first_hop) for plan, c in reviewed)
 
 
 class TestOverbooking:
@@ -299,9 +361,8 @@ class TestRollback:
         found = find_rollback_contact(
             plan, plan.volumes(), _bundle(), ("S", "X"), now=5.0, bookings={}
         )
-        assert found is not None
-        upstream, contact = found
-        assert upstream == "S" and contact.id == 2
+        assert found == plan.contact(2)
+        assert found.to_node == "S"
 
     def test_no_upstream_at_source(self):
         plan = _one_hop_plan()
