@@ -13,8 +13,7 @@ from cgrlab.contactplan import (
     total_transit_time,
     with_transit_margin,
 )
-from cgrlab.contactgraph import ContactGraph, build_contact_graph
-from cgrlab.routesearch import Route, dijkstra_bdt, yen_plus
+from cgrlab.routesearch import ContactGraph, Route, build_contact_graph, dijkstra_bdt, yen_plus
 from cgrlab.forwarding import (
     Booking,
     Bundle,

@@ -14,14 +14,13 @@ import sys
 from pathlib import Path
 
 from cgrlab import constellation, simcore, traffic
-from cgrlab.contactgraph import build_contact_graph
 from cgrlab.contactplan import (
     ContactPlan,
     make_demo_plan,
     parse_contact_plan,
     serialize_contact_plan,
 )
-from cgrlab.routesearch import routes_to_csv, yen_plus
+from cgrlab.routesearch import build_contact_graph, routes_to_csv, yen_plus
 
 
 class SystemExit2(Exception):

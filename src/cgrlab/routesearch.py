@@ -23,9 +23,12 @@ The earliest-arrival search runs on the plan's integer node indices, which
 follow the node names' string order, so equal arrivals break ties as they
 would on the names.
 
-``dijkstra_bdt`` keeps each search's hops and its last route on its
-``ContactGraph``, one per first-hop restriction, and answers from them where
-a fresh search would return the same route (see its docstring).
+A ``ContactGraph`` is one source/destination pair's search context; the
+graph is ``ContactPlan.adjacency``, whose storage edges lead from a contact
+to one leaving its receiving node late enough.  ``dijkstra_bdt`` keeps each
+search's hops and last route on it, one per first-hop restriction, and
+answers from them where a fresh search would return the same route (see its
+docstring).  Route search counts nothing; ``simcore`` counts computations.
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Set
+from dataclasses import dataclass, field
 from itertools import compress
 from typing import NamedTuple
 
-from cgrlab.contactgraph import ContactGraph
 from cgrlab.contactplan import ContactPlan
 
 
@@ -66,6 +69,46 @@ class Route(NamedTuple):
             -self.vti[1],
             self.first_hop,
         )
+
+
+@dataclass
+class ContactGraph:
+    """Route search context for one source/destination pair.
+
+    ``residual`` maps each contact id to the volume left on it; a run passes
+    its own table, which it lowers as it commits data.  ``searches`` maps a
+    ``via`` neighbour (or None) to ``(depart, slack, hops, answered, route)``:
+    the hops ``dijkstra_bdt`` found departing at ``depart`` (None when it
+    found none), which a search departing then, or up to ``slack`` seconds
+    later, finds again, and the route it last returned, for a call departing
+    at ``answered``.  ``routes`` is the engine's ``(computed_at, routes)``
+    (see ``simcore._Engine._routes``).
+    """
+
+    plan: ContactPlan
+    source: str
+    dest: str
+    residual: dict[int, float] = field(repr=False, compare=False)
+    searches: dict[
+        str | None, tuple[float, float, list[int] | None, float, Route | None]
+    ] = field(default_factory=dict, repr=False, compare=False)
+    routes: tuple[float, list[Route]] | None = field(default=None, repr=False, compare=False)
+
+
+def build_contact_graph(
+    plan: ContactPlan, source: str, dest: str, residual: dict[int, float] | None = None
+) -> ContactGraph:
+    """The contact graph from ``source`` to ``dest`` over ``plan``.
+
+    ``residual`` is the volume table routes are evaluated against; without
+    one, every contact has its full volume.
+    """
+    for node in (source, dest):
+        if node not in plan.node_ids:
+            raise ValueError(f"unknown node id {node!r}")
+    if source == dest:
+        raise ValueError("source and destination must differ")
+    return ContactGraph(plan, source, dest, plan.volumes() if residual is None else residual)
 
 
 def evaluate_route(
@@ -325,13 +368,17 @@ def yen_plus(
     ``confirm=False`` they are also bounded: a label that cannot reach the
     destination by the BDT of the last route that can still be accepted is
     dropped, which leaves the result unchanged (the argument is at the
-    search call).  Each deviation round increments the graph's computing
-    counter.
+    search call).
+
+    The loop makes one shortest-path search for the first route, then one
+    deviation round per further route sought (Yen, 1971).  With
+    ``confirm=False`` each round either accepts a route or finds the pool
+    empty and stops, and the loop stops once k routes are accepted, so a
+    call makes ``min(len(routes) + 1, k)`` of these computations.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     first = dijkstra_bdt(graph, depart)
-    graph.computing_counter += 1
     if first is None:
         return []
 
@@ -394,7 +441,6 @@ def yen_plus(
         # X[j] joins B(X[:j]) as this round reaches j >= d, before its
         # search, and nothing else changes a B.  The root walk repeats the
         # forward rule of `evaluate_route` on the same `plan.timing` rows.
-        graph.computing_counter += 1
         base = accepted[-1].hops
         spur_node = source
         start_time = depart

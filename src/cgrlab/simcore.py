@@ -22,9 +22,14 @@ its node, so it is often attempted several times at one instant.  The engine
 keeps a ``version`` that moves on every change an attempt can read; an
 attempt that repeats, at the same instant and version, an attempt of the same
 copy that changed nothing is skipped.  Per-neighbour routes are reused
-through ``routesearch.dijkstra_bdt``'s kept searches.  The ``computing``
-metric still counts every attempt: a skipped one adds the computations its
-first run counted (see ``_Engine._attempt_forward``).
+through ``routesearch.dijkstra_bdt``'s kept searches.
+
+The paper's ``computing`` metric is one counter, ``_Engine.computing``, moved
+only here.  One computation is a candidate review, a per-neighbour
+``dijkstra_bdt`` call, or one of a ``yen_plus`` call's ``min(len(routes) + 1,
+k)`` searches (the first, then one deviation round per further route sought).
+Kept searches and routes still count, and a skipped attempt adds what its
+first run counted; a route list served from the route cache counts nothing.
 
 A copy is stored at its node, queued on a contact, in flight, or retired.
 Only ``_Engine._move`` changes that state; it refuses any move outside
@@ -41,7 +46,6 @@ import io
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from cgrlab.contactgraph import ContactGraph, build_contact_graph
 from cgrlab.contactplan import Contact, ContactPlan, occupancy_rate
 from cgrlab.forwarding import (
     MAX_RUN_S,
@@ -59,7 +63,9 @@ from cgrlab.forwarding import (
     forward_critical,
     handle_overbooking,
 )
-from cgrlab.routesearch import Route, dijkstra_bdt, evaluate_route, yen_plus
+from cgrlab.routesearch import (
+    ContactGraph, Route, build_contact_graph, dijkstra_bdt, evaluate_route, yen_plus
+)
 
 POLICIES = (POLICY_STANDARD, POLICY_RMDG)
 
@@ -276,6 +282,7 @@ class _Engine:
         self.alive: dict[int, _Copy] = {}
 
         self.graphs: dict[tuple[str, str], ContactGraph] = {}
+        self.computing = 0  # the paper's metric (see the module docstring)
         # moves on every change a selection attempt can read: each non-select
         # event, accepted enqueue and route-cache recompute; _try_start runs
         # only right after an event or an accepted enqueue
@@ -316,13 +323,12 @@ class _Engine:
                 graph.routes = (cached[0], live)
                 return live
         routes = yen_plus(graph, self.k, depart=now, confirm=False)
+        self.computing += min(len(routes) + 1, self.k)  # see yen_plus
         graph.routes = (now, routes)
         self.version += 1
         return routes
 
-    def _review_route(
-        self, graph: ContactGraph, route: Route, copy: _Copy, now: float
-    ) -> CandidateRoute | None:
+    def _review_route(self, route: Route, copy: _Copy, now: float) -> CandidateRoute | None:
         """Apply the forwarding gates to one route for one copy.
 
         None when basic checks fail or the first hop cannot carry the bundle.
@@ -330,7 +336,7 @@ class _Engine:
         EVL, computed only then, holds the bundle: critical reservations
         displace lower priorities at enqueue.  Each review counts one computation.
         """
-        graph.computing_counter += 1
+        self.computing += 1
         bundle = copy.bundle
         first = self.plan.contact(route.first_hop)
         if not basic_checks(first, route, bundle, copy.hop_trace, now):
@@ -355,7 +361,7 @@ class _Engine:
                 fresh = evaluate_route(self.plan, self.residual, route.hops, now)
                 if fresh is None:
                     continue
-                cand = self._review_route(graph, fresh, copy, now)
+                cand = self._review_route(fresh, copy, now)
                 if cand is not None:
                     cands.append(cand)
             if cands or attempt == 1:
@@ -380,11 +386,11 @@ class _Engine:
         }
         cands: list[CandidateRoute] = []
         for neighbor in sorted(neighbors):
-            graph.computing_counter += 1
+            self.computing += 1
             route = dijkstra_bdt(graph, depart=now, via=neighbor)
             if route is None:
                 continue
-            cand = self._review_route(graph, route, copy, now)
+            cand = self._review_route(route, copy, now)
             if cand is not None:
                 cands.append(cand)
         return cands
@@ -527,7 +533,6 @@ class _Engine:
         if now > bundle.t_exp:
             self._move(copy, _RETIRED, now)
             return
-        graph = self._graph(copy.at_node, bundle.dest)
         idle = copy.idle_attempt
         if idle is not None and idle[0] == now and idle[1] == self.version:
             # This copy's last attempt ran at this instant and version and
@@ -543,12 +548,11 @@ class _Engine:
             # give what a fresh search returns, and the route-cache live
             # filter writes back a list that filtering again at the same or a
             # later `now` leaves as it is.  So the attempt would end as the
-            # last one did, having counted the same computations on this
-            # graph, where all of an attempt's counts land.
-            graph.computing_counter += idle[2]
+            # last one did, having counted the same computations.
+            self.computing += idle[2]
             return
         before = (self.version, self.booking_seq, self.copy_seq)
-        counted = graph.computing_counter
+        counted = self.computing
         if bundle.critical and self.policy == POLICY_STANDARD:
             cands = self._critical_candidates(copy, now)
         else:
@@ -558,7 +562,7 @@ class _Engine:
         else:
             self._rollback(copy, now)
         if (self.version, self.booking_seq, self.copy_seq) == before:
-            copy.idle_attempt = (now, self.version, graph.computing_counter - counted)
+            copy.idle_attempt = (now, self.version, self.computing - counted)
 
     def _handle_arrival(self, copy: _Copy, contact: Contact, now: float) -> None:
         from_node, to_node = contact.from_node, contact.to_node
@@ -601,7 +605,6 @@ class _Engine:
         # its contact's window, so the window contains t
         active = {cid for cid, busy_until in self.busy_until.items() if busy_until > t}
         r_o = occupancy_rate(self.plan, t, active)
-        computing = sum(g.computing_counter for g in self.graphs.values())
         storage = 0
         mb_to_send = 0.0
         mb_at_sending = 0.0
@@ -624,7 +627,7 @@ class _Engine:
         return MetricsRow(
             t=t,
             r_o=r_o,
-            computing_cum=computing,
+            computing_cum=self.computing,
             storage_bundles=storage,
             mb_to_send=mb_to_send,
             mb_at_sending=mb_at_sending,
@@ -718,7 +721,7 @@ class _Engine:
             rows=self.rows,
             records=self.records,
             dispatch_log=self.dispatch_log,
-            computing_total=self.rows[-1].computing_cum,
+            computing_total=self.computing,
             contact_usage={c.id: c.volume - self.residual[c.id] for c in self.plan.contacts},
         )
 
@@ -751,6 +754,9 @@ def run_simulation(
     owlt_mode: str = "uniform",
 ) -> SimulationMetrics:
     """Execute one deterministic simulation run and return its metrics.
+
+    ``seed`` only labels the returned metrics: the engine draws no random
+    numbers, so equal inputs give equal runs whatever the seed.
 
     ``owlt_mode`` selects the propagation delay source: ``uniform`` applies
     ``contactplan.UNIFORM_OWLT`` seconds on every contact (the

@@ -12,7 +12,7 @@ it differs from the engine in nothing else.
 
 from __future__ import annotations
 
-from cgrlab.contactgraph import ContactGraph
+from cgrlab.routesearch import ContactGraph
 from cgrlab.forwarding import POLICY_STANDARD
 from cgrlab.simcore import _RETIRED, _STORED, SimulationMetrics, _Engine
 

@@ -3,8 +3,9 @@
 ``yen_full_loop`` is ``routesearch.yen_plus`` with a spur search at every
 hop index of each accepted route, the loop as Yen (1971) states it.  It
 shares ``_search`` and ``evaluate_route`` with the engine, so a differential
-test against it checks the restriction alone: the returned routes and the
-computing counter must be equal.
+test against it checks the restriction alone: the returned routes must be
+equal.  ``rounds``, when given, gets the hops of the route each deviation
+round deviates from, one entry per round.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ import heapq
 from cgrlab.routesearch import _search, dijkstra_bdt, evaluate_route
 
 
-def yen_full_loop(graph, k, depart=0.0, confirm=True):
+def yen_full_loop(graph, k, depart=0.0, confirm=True, rounds=None):
     first = dijkstra_bdt(graph, depart)
-    graph.computing_counter += 1
     if first is None:
         return []
     accepted = [first]
@@ -35,8 +35,9 @@ def yen_full_loop(graph, k, depart=0.0, confirm=True):
                     boundary = accepted[-1].bdt
         elif len(accepted) >= k:
             break
-        graph.computing_counter += 1
         base = accepted[-1].hops
+        if rounds is not None:
+            rounds.append(base)
         for j in range(len(base)):
             # restate the root from scratch at every spur index
             root_hops = base[:j]

@@ -18,7 +18,6 @@ from cgrlab.constellation import (
     intraorbit_chord_km,
     orbit_period,
 )
-from cgrlab.contactgraph import build_contact_graph
 from cgrlab.contactplan import (
     Contact,
     ContactPlan,
@@ -26,7 +25,7 @@ from cgrlab.contactplan import (
     owlt_margin,
     total_transit_time,
 )
-from cgrlab.routesearch import yen_plus
+from cgrlab.routesearch import build_contact_graph, yen_plus
 from cgrlab.simcore import run_simulation
 from cgrlab.traffic import ScenarioSpec, generate_scenario
 

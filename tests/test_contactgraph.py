@@ -1,10 +1,9 @@
-"""Contact graph construction, storage edges and the computing-resource counter."""
+"""Contact graph construction and the storage edges route search follows."""
 
 import pytest
 
-from cgrlab.contactgraph import build_contact_graph
 from cgrlab.contactplan import Contact, ContactPlan, make_demo_plan
-from cgrlab.routesearch import dijkstra_bdt, evaluate_route, yen_plus
+from cgrlab.routesearch import build_contact_graph, dijkstra_bdt, evaluate_route, yen_plus
 
 
 def _single_contact_plan():
@@ -79,16 +78,6 @@ class TestSuccessors:
         )
         g = build_contact_graph(plan, "S", "D")
         assert {r.hops for r in yen_plus(g, 2)} == {(1, 2), (1, 3)}
-
-    def test_counter_monotone_through_search(self):
-        plan = make_demo_plan()
-        g = build_contact_graph(plan, "A", "F")
-        seen = [g.computing_counter]
-        for k in (1, 3, 7):
-            yen_plus(g, k)
-            seen.append(g.computing_counter)
-        assert seen == sorted(seen)
-        assert seen[-1] > seen[0]
 
 
 class TestEdgeRule:

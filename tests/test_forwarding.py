@@ -6,7 +6,6 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from cgrlab import simcore
-from cgrlab.contactgraph import build_contact_graph
 from cgrlab.contactplan import Contact, ContactPlan, make_demo_plan
 from cgrlab.forwarding import (
     MAX_RUN_S,
@@ -23,7 +22,7 @@ from cgrlab.forwarding import (
     forward_critical,
     handle_overbooking,
 )
-from cgrlab.routesearch import dijkstra_bdt, evaluate_route, yen_plus
+from cgrlab.routesearch import build_contact_graph, dijkstra_bdt, evaluate_route, yen_plus
 
 
 def _bundle(**overrides):
@@ -283,8 +282,8 @@ class TestForwardCritical:
         reviewed = []
 
         class Engine(simcore._Engine):
-            def _review_route(self, graph, route, copy, now):
-                cand = super()._review_route(graph, route, copy, now)
+            def _review_route(self, route, copy, now):
+                cand = super()._review_route(route, copy, now)
                 if cand is not None:
                     reviewed.append((self.plan, cand))
                 return cand

