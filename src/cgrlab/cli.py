@@ -182,7 +182,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 def _scenario_bundles(args: argparse.Namespace, plan: ContactPlan, seed: int):
     if args.tasks:
-        return traffic.read_tasks(Path(args.tasks).read_text())
+        return traffic.read_tasks(Path(args.tasks).read_text(), plan)
     dest_pool = tuple(sorted(plan.node_ids - {args.source}))
     spec = traffic.ScenarioSpec(
         seed=seed,

@@ -5,9 +5,10 @@ topology horizon.  Plans are parsed from an ION-style text format (one
 directive per line) or built programmatically.  Nothing writes a plan after
 construction, so runs and route searches can share one: the volume a run has
 left on each contact is the run's own table (see ``ContactPlan.volumes``).
-The light-time lower bounds of ``ContactPlan.owlt_to``, its light-time test
-``whole_light_times``, its sorted ``window_bounds`` and its ``uniform``
-variant are filled on first use and kept with the plan.
+The light-time lower bounds of ``ContactPlan.owlt_to``, its timing tests
+``whole_light_times`` and ``positive_whole_times``, its sorted
+``window_bounds`` and its ``uniform`` variant are filled on first use and
+kept with the plan.
 
 Text format, one directive per line, ``#`` starts a comment::
 
@@ -112,8 +113,8 @@ class ContactPlan:
     to_index)`` tuples, the fields route search reads per edge.
     ``timing`` maps each contact id to ``(t_start, t_end - 1, owlt, rate,
     to_index, t_end)``, the fields route timing reads per hop.
-    ``owlt_to``, ``window_bounds`` and ``uniform`` are filled on first use
-    and kept.
+    ``owlt_to``, the two timing tests, ``window_bounds`` and ``uniform``
+    are filled on first use and kept.
     """
 
     contacts: tuple[Contact, ...]
@@ -132,6 +133,7 @@ class ContactPlan:
         init=False, repr=False, compare=False, default=None
     )
     _whole_owlt: bool | None = field(init=False, repr=False, compare=False, default=None)
+    _positive_whole: bool | None = field(init=False, repr=False, compare=False, default=None)
     _bounds: tuple[list[float], list[float]] | None = field(
         init=False, repr=False, compare=False, default=None
     )
@@ -206,7 +208,8 @@ class ContactPlan:
         """Whether every light time is a whole number and their sum is below 2**52.
 
         Then every arrival a search labels from a whole-second departure in
-        ``[0, 2**52)`` is a whole number below 2**53, so it is exact.
+        ``[0, 2**52)`` without waiting for a window to open is a whole number
+        below 2**53, so it is exact.
         Computed on first use and kept with the plan.
         """
         whole = self._whole_owlt
@@ -214,6 +217,25 @@ class ContactPlan:
             whole = self._whole_owlt = all(
                 float(c.owlt).is_integer() for c in self.contacts
             ) and sum(c.owlt for c in self.contacts) < 2.0**52
+        return whole
+
+    def positive_whole_times(self) -> bool:
+        """Whether every light time is a positive whole number, every window
+        start is whole, and the horizon plus twice the light times' sum is
+        below 2**52.
+
+        Then a search from a whole-second departure in ``[0, 2**52)`` labels
+        only whole numbers, each the departure or a window start plus the
+        light times of a path that repeats no contact, and each label plus an
+        ``owlt_to`` bound is a whole number below 2**53, so it is exact.
+        Computed on first use and kept with the plan.
+        """
+        whole = self._positive_whole
+        if whole is None:
+            whole = self._positive_whole = all(
+                c.owlt > 0 and float(c.owlt).is_integer() and float(c.t_start).is_integer()
+                for c in self.contacts
+            ) and max(self.horizon, 0) + 2 * sum(c.owlt for c in self.contacts) < 2.0**52
         return whole
 
     def window_bounds(self) -> tuple[list[float], list[float]]:

@@ -64,6 +64,15 @@ class Bundle:
         if self.size <= 0:
             raise ValueError(f"bundle {self.id}: size must be positive")
 
+    def check_plan(self, plan: ContactPlan) -> None:
+        """Raise ValueError unless both end nodes are in ``plan`` and the
+        bundle is generated inside its horizon."""
+        for node in (self.source, self.dest):
+            if node not in plan.node_ids:
+                raise ValueError(f"bundle {self.id} references unknown node {node!r}")
+        if not 0 <= self.t_gen <= plan.horizon:
+            raise ValueError(f"bundle {self.id} generated outside the plan horizon")
+
 
 class CandidateRoute(NamedTuple):
     """A route past basic checks and PAT, with its first-hop contact ``first``;

@@ -21,7 +21,13 @@ last route that can still be accepted; the returned routes are unchanged.
 
 The earliest-arrival search runs on the plan's integer node indices, which
 follow the node names' string order, so equal arrivals break ties as they
-would on the names.
+would on the names.  On whole-second departures over a plan with positive
+whole light times and whole window starts (``positive_whole_times``), it
+pops labels by arrival plus ``owlt_to`` (Hart, Nilsson & Raphael, 1968),
+so it settles no label that cannot reach the destination by the delivery
+time, and on an equal arrival it keeps the parent the arrival order would
+pick, so the hops are those of Dijkstra's order (the argument is in
+``_search``).
 
 A ``ContactGraph`` is one source/destination pair's search context; the
 graph is ``ContactPlan.adjacency``, whose storage edges lead from a contact
@@ -175,36 +181,77 @@ def _search(
     banned_nodes: list[int],
     banned_first: Set[int],
     bound: float = math.inf,
-    h: list[float] | None = None,
     state: list | None = None,
 ) -> list[int] | None:
     """Earliest-arrival search between node indices; returns the hops or None.
 
     The search walks ``plan.adjacency`` and takes an edge when a whole second
-    of its window remains on arrival at its sending node.  Heap entries are
+    of its window remains on arrival at its sending node.  ``banned_nodes``
+    start out settled and ``banned_first`` removes contacts from the first
+    hop.  It returns the hops of the Dijkstra order, which pops labels by
     ``(arrival, node index)``; indices follow the names' string order, so
-    ties break as they would on the names.  ``banned_nodes`` start out
-    settled and ``banned_first`` removes contacts from the first hop.
+    ties break as they would on the names.
 
-    When ``h`` is given it is ``plan.owlt_to(dest)``, and a label ``reach``
-    at node ``to`` is kept only when ``reach + h[to] <= bound``; ``yen_plus``
-    argues at its prune site why that returns what the unbounded search
-    returns whenever that arrives by ``bound``.
+    Heap entries are ``(key, arrival, node index)``.  The key is the arrival
+    plus ``h[node]``, with ``h = plan.owlt_to(dest)`` (goal-directed, Hart,
+    Nilsson & Raphael, 1968), when ``start_time`` is a whole second in
+    ``[0, 2**52)`` and ``plan.positive_whole_times()`` holds; otherwise it
+    is the arrival.  The loop argues why both orders return the same hops.
+
+    A label ``reach`` at node ``to`` is kept only when ``reach + h[to] <=
+    bound``; ``yen_plus`` argues at its prune site why that returns what the
+    unbounded search returns whenever that arrives by ``bound``.
 
     When ``state`` is given, the search appends its ``best`` labels and its
     ``done`` flags to it on return.
     """
+    # The goal-directed order returns the Dijkstra order's hops.  A node's
+    # final label is its earliest arrival over the edges the search may take.
+    # With positive light times a sender w reaching v at v's final label L
+    # has label(w) <= L - owlt < L, Dijkstra pops labels in strictly rising
+    # (label, index) order, and its strict `reach < best[to]` keeps the
+    # first edge that reaches the least label.  So v's Dijkstra parent is
+    # the first edge, in adjacency order, that reaches L from the first
+    # such sender in (label, index) order.
+    # - Exact arithmetic: by `positive_whole_times`, every label, h and key
+    #   is a whole number below 2**53 (h is inf where no contact path leads
+    #   to dest), so every sum is exact and every comparison decides as on
+    #   the reals.
+    # - h is consistent: h[u] <= owlt + h[v] on every edge u -> v, and a
+    #   relaxation from label(u) reaches v at reach >= label(u) + owlt, so
+    #   f(v) = reach + h[v] >= label(u) + h[u] = f(u) and reach > label(u):
+    #   keys rise strictly along every edge.  Reach never falls as label(u)
+    #   rises (FIFO: leaving later never arrives sooner, Dreyfus, 1969), so
+    #   a label is final when it pops, and nodes pop in rising key order.
+    # - Every tied sender pops before its receiver: a sender w reaching v at
+    #   L has f(w) <= f(v) and label(w) < label(v), so its key is smaller,
+    #   and w pops, at its final label, and relaxes v before v pops.
+    # - At v's pop every such sender has relaxed v.  `reach < best[to]`
+    #   keeps the first edge to reach the least label, an equal reach moves
+    #   the parent to a sender that comes first in (label, index), and a
+    #   sender's later edges never move it: that is the Dijkstra parent.
+    #   Parents come from popped nodes, so `best[sender]` is final.
+    # In the Dijkstra order senders relax in rising (label, index) order and
+    # the tie test would never move a parent, so only the goal order runs
+    # it.  A zero light time would let a sender pop after its receiver,
+    # hence the positivity guard.
     adjacency = plan.adjacency
+    goal = (
+        0 <= start_time < 2.0**52
+        and float(start_time).is_integer()
+        and plan.positive_whole_times()
+    )
+    h = plan.owlt_to(dest) if goal or bound < math.inf else None
     best = [math.inf] * len(adjacency)
     parent: list[tuple[int, int] | None] = [None] * len(adjacency)
     done = bytearray(len(adjacency))
     for n in banned_nodes:
         done[n] = 1
     best[start] = start_time
-    heap: list[tuple[float, int]] = [(start_time, start)]
+    heap = [(start_time + h[start] if goal else start_time, start_time, start)]
     heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
-        arrival, node = heappop(heap)
+        _, arrival, node = heappop(heap)
         if done[node]:
             continue
         done[node] = 1
@@ -227,10 +274,18 @@ def _search(
             if dep > last:
                 continue
             reach = dep + owlt
-            if reach < best[to] and (h is None or reach + h[to] <= bound):
+            if reach < best[to]:
+                # h is None only while bound is inf
+                key = reach if h is None else reach + h[to]
+                if key > bound:
+                    continue
                 best[to] = reach
                 parent[to] = (cid, node)
-                heappush(heap, (reach, to))
+                heappush(heap, (key if goal else reach, reach, to))
+            elif reach == best[to] and goal:
+                sender = parent[to][1]
+                if arrival < best[sender] or arrival == best[sender] and node < sender:
+                    parent[to] = (cid, node)
     if state is not None:
         state += (best, done)
     return None
@@ -317,17 +372,21 @@ def dijkstra_bdt(
     # of u at label(u) + delta, an edge with label(u) > last or t_start >
     # last stays infeasible; by (b) every other edge leaves at label(u)
     # (+ delta), and by (c) it stays feasible.  Each reach is shifted by
-    # delta, so every `reach < best[to]` test, the strict `<` that keeps
-    # the first parent on a tie, and the `(arrival, index)` order of the
-    # heap come out as before, exactly by (a).  `done` flags and the
-    # first-hop ban are the same, so the pops match, and with them the
-    # return.  `evaluate_route` at t1 is then what a fresh search returns.
-    # `_shift_slack` computes the least `last - label` of (c) from the
-    # settled labels, after the search and only on a miss, so the shared
+    # delta, so every `reach < best[to]` test, the tie test on (label,
+    # index) and the heap's `(key, arrival, index)` order come out as
+    # before.  Both searches take the same order, being whole departures in
+    # [0, 2**52) on one plan, and h does not depend on the departure, so
+    # every key shifts by the same delta, exactly by (a) in the Dijkstra
+    # order and by `positive_whole_times` in the goal-directed one.  `done`
+    # flags and the first-hop ban are the same, so the pops match, and with
+    # them the return.  `evaluate_route` at t1 is then what a fresh search
+    # returns.  `_shift_slack` computes the least `last - label` of (c) from
+    # the settled labels, after the search and only on a miss, so the shared
     # per-edge loop of `_search` does no extra work; a wait makes the window
-    # empty.  Given (a), `last - label` with 0 <= label <= last is exact, or
-    # rounds only above 2**53, beyond any delta, so `delta <= slack` tests
-    # (c) exactly.
+    # empty.  The goal-directed order settles fewer nodes, and a node left
+    # unsettled relaxed no edge, so it adds no term.  Given (a), `last -
+    # label` with 0 <= label <= last is exact, or rounds only above 2**53,
+    # beyond any delta, so `delta <= slack` tests (c) exactly.
     reusable = (
         0 <= depart < 2.0**52 and float(depart).is_integer() and plan.whole_light_times()
     )
@@ -338,7 +397,7 @@ def dijkstra_bdt(
         index = plan.node_index
         start, dest = index[graph.source], index[graph.dest]
         state: list | None = [] if reusable else None
-        hops = _search(plan, start, depart, dest, [], banned_first, math.inf, None, state)
+        hops = _search(plan, start, depart, dest, [], banned_first, math.inf, state)
         slack = _shift_slack(plan, start, dest, banned_first, *state) if reusable else -math.inf
         kept = (depart, slack, hops)
     route = None if kept[2] is None else evaluate_route(plan, residual, kept[2], depart)
@@ -397,9 +456,7 @@ def yen_plus(
     dest = index[graph.dest]
     deviation = 0
     # non-confirming mode: `cutoff` is B*, the latest BDT a route can have
-    # and still be accepted, `bound` the prune threshold and `h` the light
-    # time lower bounds, fetched once `cutoff` is finite (see the spurs)
-    h: list[float] | None = None
+    # and still be accepted, and `bound` the prune threshold (see the spurs)
     cutoff = bound = math.inf
 
     # once the K-th best BDT is certain, `boundary` holds the BDT class of the
@@ -473,11 +530,16 @@ def yen_plus(
             #     push it and never pop it.  The surviving entries keep their
             #     relative `seq` order, so the sequence of pops is unchanged.
             # (ii) h is consistent: h[u] <= owlt + h[v] on every edge, and
-            #     reach >= label(u) + owlt, so label(u) + h[u] <= reach + h[v].
-            #     Every relaxation that sets a surviving node's label, ties
-            #     included, comes from a surviving node, so the surviving
-            #     labels pop in the same (arrival, node) order and get the
-            #     same parents as in the unbounded search.
+            #     reach >= label(u) + owlt, so f = label + h never falls
+            #     along an edge, and a label the bound prunes has f > bound.
+            #     A node whose final label has f <= bound gets it along edges
+            #     whose labels all have f <= bound, and a sender tying at it
+            #     has f no larger (`_search`), so every relaxation that sets
+            #     a surviving node's label, ties included, comes from a
+            #     surviving node.  The surviving labels pop in the same
+            #     relative order, by (arrival, node) or by (f, arrival,
+            #     node), and get the same parents as in the unbounded
+            #     search.
             # (iii) BDT equals the search's arrival at dest, because
             #     `evaluate_route` applies the same forward rule to the same
             #     root, so a spur the unbounded search ends by B* is found
@@ -491,9 +553,7 @@ def yen_plus(
             # pruned.  No spur is skipped before its search: X's own tail
             # takes start_time + h[spur_node] <= BDT(X), and every candidate
             # deviating from X arrives no sooner than X, so B* >= BDT(X).
-            spur = _search(
-                plan, spur_node, start_time, dest, root_nodes, banned_first, bound, h
-            )
+            spur = _search(plan, spur_node, start_time, dest, root_nodes, banned_first, bound)
             if spur is None:
                 continue
             total = root_hops + tuple(spur)
@@ -508,8 +568,6 @@ def yen_plus(
             if not confirm and route.bdt < cutoff and len(pool) >= k - len(accepted):
                 cutoff = heapq.nsmallest(k - len(accepted), pool)[-1][2].bdt
                 bound = cutoff + 1e-9 * (1.0 + abs(cutoff))
-                if h is None:
-                    h = plan.owlt_to(dest)
 
         if not pool:
             break

@@ -254,11 +254,7 @@ class _Engine:
             if b.id in ids:
                 raise ValueError(f"duplicate bundle id {b.id}")
             ids.add(b.id)
-            for node in (b.source, b.dest):
-                if node not in plan.node_ids:
-                    raise ValueError(f"bundle {b.id} references unknown node {node!r}")
-            if not 0 <= b.t_gen <= plan.horizon:
-                raise ValueError(f"bundle {b.id} generated outside the plan horizon")
+            b.check_plan(plan)
         # nothing writes a plan, so runs share it and the tables it fills
         self.plan = plan.uniform() if owlt_mode == "uniform" else plan
         last = self.plan.horizon + max((c.owlt for c in self.plan.contacts), default=0.0)

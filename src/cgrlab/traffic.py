@@ -22,6 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from cgrlab.contactplan import ContactPlan
 from cgrlab.forwarding import Bundle
 
 TTL_RANGE = (20, 30)  # bundle lifetimes, whole seconds
@@ -185,12 +186,13 @@ def parse_fields(row: dict, columns, where: str) -> dict:
     return values
 
 
-def read_tasks(text: str) -> list[Bundle]:
+def read_tasks(text: str, plan: ContactPlan | None = None) -> list[Bundle]:
     """Parse the task CSV format back into bundles.
 
     Raises ValueError naming the line and the field when a row lacks a
     field or a field does not parse, and naming the line when the fields
-    do not make a valid ``Bundle`` or repeat an earlier row's bundle id.
+    do not make a valid ``Bundle``, repeat an earlier row's bundle id or,
+    given a ``plan``, fail ``Bundle.check_plan`` against it.
     """
     reader = csv.DictReader(io.StringIO(text))
     bundles = []
@@ -200,6 +202,8 @@ def read_tasks(text: str) -> list[Bundle]:
         values = parse_fields(row, _TASK_COLUMNS, where)
         try:
             bundle = Bundle(*values.values())
+            if plan is not None:
+                bundle.check_plan(plan)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
         if bundle.id in ids:

@@ -1,13 +1,19 @@
 """Command line behavior: plan generation, route queries, simulation, compare."""
 
+import contextlib
 import csv
 import io
+import re
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cgrlab.cli import main
-from cgrlab.contactplan import parse_contact_plan
+from cgrlab.contactplan import make_demo_plan, parse_contact_plan, serialize_contact_plan
 
 
 TASK_HEADER = "bundle_id,source,dest,size_mb,priority,critical,t_gen,t_exp\n"
@@ -443,7 +449,11 @@ class TestSimulateAndCompare:
             ),
             (
                 TASK_HEADER + "1,A,F,1,1,0,500,540\n",
-                "error: bundle 1 generated outside the plan horizon\n",
+                "error: tasks line 2: bundle 1 generated outside the plan horizon\n",
+            ),
+            (
+                TASK_HEADER + "1,A,F,1,1,0,0,40\n2,A,Z,1,1,0,0,40\n",
+                "error: tasks line 3: bundle 2 references unknown node 'Z'\n",
             ),
             (
                 TASK_HEADER + "1,A,F,1,1,0,0,inf\n",
@@ -476,7 +486,7 @@ class TestSimulateAndCompare:
         ],
         ids=[
             "missing-field", "unparsable-field", "duplicate-id", "past-horizon",
-            "inf-expiry", "nan-expiry", "inf-size", "critical-7", "expiry-before-generation",
+            "unknown-node", "inf-expiry", "nan-expiry", "inf-size", "critical-7", "expiry-before-generation",
             "source-is-destination", "expiry-past-cap",
         ],
     )
@@ -491,3 +501,70 @@ class TestSimulateAndCompare:
         )
         assert code == 1
         assert err == message
+
+
+DEMO_PLAN_TEXT = serialize_contact_plan(make_demo_plan())
+THREE_TASKS = TASK_HEADER + "1,A,F,1,1,0,0,40\n2,B,E,2,2,1,3,50\n3,C,A,1,0,0,10,45\n"
+# Tokens a mutation writes: separators, node names, directive words, and
+# numbers that are negative, fractional, not finite, past the run cap of
+# 10**6 s, or late in a 60 s plan.  A finite time far past the plan keeps
+# one run sampling rows up to it (about 4 s for 10**6 s), so none is drawn.
+PAYLOADS = (
+    "", " ", ",", "\n", "#", "+", "-", "a", "contact", "range", "horizon", "A", "F", "Z",
+    "x", "0", "+0", "1", "+1", "-1", "2", "7", "0.5", "+59", "+61", "+90", "120",
+    "1e300", "+1e300", "1000001", "nan", "inf", "-inf",
+)
+
+
+@st.composite
+def mutations(draw, text):
+    """``text`` after one to three edits: a token (a run of characters other
+    than whitespace and commas) replaced, a payload inserted, a few
+    characters deleted, or a line dropped or repeated."""
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("token", "token", "insert", "delete", "line")))
+        tokens = [m.span() for m in re.finditer(r"[^\s,]+", text)]
+        lines = text.splitlines(keepends=True)
+        if kind == "token" and tokens:
+            start, end = draw(st.sampled_from(tokens))
+            text = text[:start] + draw(st.sampled_from(PAYLOADS)) + text[end:]
+        elif kind == "insert":
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from(PAYLOADS)) + text[at:]
+        elif kind == "delete":
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + text[at + draw(st.integers(1, 4)):]
+        elif lines:
+            at = draw(st.integers(0, len(lines) - 1))
+            lines[at:at + 1] = [lines[at]] * draw(st.integers(0, 2))
+            text = "".join(lines)
+    return text
+
+
+class TestMutatedInputs:
+    """Mutated plan and task files end in an exit code, never a traceback."""
+
+    @settings(
+        max_examples=150, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        plan_text=st.one_of(st.just(DEMO_PLAN_TEXT), mutations(DEMO_PLAN_TEXT)),
+        tasks_text=st.one_of(st.just(THREE_TASKS), mutations(THREE_TASKS)),
+        policy=st.sampled_from(["standard", "rmdg"]),
+    )
+    def test_simulate_and_route_exit_0_1_or_2(self, monkeypatch, plan_text, tasks_text, policy):
+        monkeypatch.delenv("CGRLAB_OUT", raising=False)
+        with tempfile.TemporaryDirectory() as tmp:
+            plan, tasks = Path(tmp, "plan.txt"), Path(tmp, "tasks.csv")
+            plan.write_text(plan_text)
+            tasks.write_text(tasks_text)
+            for argv in (
+                ["simulate", "--plan", str(plan), "--policy", policy, "--tasks", str(tasks),
+                 "--source", "A", "--out", str(Path(tmp, "run"))],
+                ["route", "--plan", str(plan), "--from", "A", "--to", "F", "--k", "3"],
+            ):
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+                assert code in (0, 1, 2)

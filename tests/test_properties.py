@@ -5,7 +5,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+import spur_oracle
 from sampling_oracle import PerSecondEngine, per_second_run
+from search_oracle import dijkstra_search
 from selection_oracle import FullSelectionEngine
 from spur_oracle import yen_full_loop
 
@@ -392,11 +394,14 @@ class NoShortcutEngine(FullSelectionEngine, PerSecondEngine):
 
 def check_no_shortcut_run(scenario, policy, owlt_mode):
     """The engine equals a run with every shortcut off at once, spurs
-    unrestricted and unbounded included, so shortcuts cannot interact unseen."""
+    unrestricted and unbounded included and every search in Dijkstra's order,
+    so shortcuts cannot interact unseen."""
     plan, bundles = scenario
     metrics = run_simulation(plan, bundles, policy, owlt_mode=owlt_mode)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simcore, "yen_plus", yen_full_loop)
+        mp.setattr(routesearch, "_search", dijkstra_search)
+        mp.setattr(spur_oracle, "_search", dijkstra_search)
         expected = NoShortcutEngine(plan, bundles, policy, 0, 4, owlt_mode).run()
     assert metrics.fingerprint() == expected.fingerprint()
     assert metrics.computing_total == expected.computing_total

@@ -1,5 +1,6 @@
 """Route search: shortest route, K-best ordering, cost key, volumes."""
 
+import heapq
 import math
 import random
 
@@ -20,6 +21,7 @@ from cgrlab.routesearch import (
 )
 
 from routing_oracle import enumerate_routes, pat_of, signature, timing_of
+from search_oracle import dijkstra_search
 from spur_oracle import yen_full_loop
 
 
@@ -472,6 +474,138 @@ class TestBoundedSpurs:
 
         check()
         assert cut and all(b < math.inf for b in cut)
+
+
+@st.composite
+def waiting_searches(draw):
+    """A plan with positive whole light times and windows that open late, so
+    that labels wait, and one ``_search`` call over it: the departure, banned
+    nodes, banned first hops and the bound are drawn too.
+
+    Among five to seven nodes in random name order, the source reaches two
+    relays that both lead to a node one hop before the destination, where
+    equal arrivals can come from senders that pop out of arrival order; up
+    to twelve random contacts join them.
+    """
+    nodes = draw(st.permutations([f"N{i}" for i in range(draw(st.integers(5, 7)))]))
+    source, relay, other, joint, dest = nodes[:5]
+    links = [(source, relay), (source, other), (relay, joint), (other, joint), (joint, dest)]
+    links += draw(st.lists(st.permutations(nodes).map(lambda p: tuple(p[:2])), max_size=12))
+    contacts = []
+    for cid, (frm, to) in enumerate(links, start=1):
+        t_start = draw(st.integers(0, 6))
+        t_end = draw(st.sampled_from((30, 30, t_start + 3)))
+        contacts.append(Contact(cid, frm, to, t_start, t_end, 1, draw(st.integers(1, 3))))
+    plan = ContactPlan(tuple(contacts), 30, frozenset(nodes))
+    index = plan.node_index
+    start = index[source]
+    banned_nodes = draw(st.lists(st.sampled_from([index[n] for n in nodes[1:4] + nodes[5:]]),
+                                 max_size=1))
+    first = [e[0] for e in plan.adjacency[start]]
+    banned_first = draw(st.frozensets(st.sampled_from(first), max_size=1))
+    bound = draw(st.one_of(
+        st.just(math.inf), st.integers(0, 40).map(float), st.integers(0, 40).map(lambda b: b + 0.5)
+    ))
+    depart = draw(st.integers(0, 3).map(float))
+    return plan, (start, depart, index[dest], banned_nodes, banned_first, bound)
+
+
+def _search_pops(plan, source, dest, depart):
+    """The hops ``_search`` returns from ``source`` to ``dest``, and the heap
+    entries it pops, as ``(key, arrival, node index)``."""
+    index = plan.node_index
+    start, goal = index[source], index[dest]
+    plan.owlt_to(goal)  # filled first, so that its own pops stay out of the log
+    pops, pop = [], heapq.heappop
+
+    def logged(heap):
+        entry = pop(heap)
+        pops.append(entry)
+        return entry
+
+    heapq.heappop = logged
+    try:
+        hops = routesearch._search(plan, start, depart, goal, [], frozenset())
+    finally:
+        heapq.heappop = pop
+    return hops, pops
+
+
+def _dijkstra(plan, source, dest, depart):
+    index = plan.node_index
+    return dijkstra_search(plan, index[source], depart, index[dest], [], frozenset())
+
+
+def _plan(*links, horizon=None):
+    """Contacts (from, to, t_start, owlt) open until t=30, numbered from 1."""
+    return ContactPlan.build(
+        [
+            Contact(id=cid, from_node=frm, to_node=to, t_start=ts, t_end=30, rate=1, owlt=owlt)
+            for cid, (frm, to, ts, owlt) in enumerate(links, start=1)
+        ],
+        horizon,
+    )
+
+
+# S reaches X at t=4 through A (S -> A at 1, A -> X takes 3) and through B
+# (S -> B at 2, B -> X waits for t=3 and takes 1); X -> D takes 1
+TIED_SENDERS = (
+    ("S", "A", 0, 1), ("S", "B", 0, 2), ("A", "X", 0, 3), ("B", "X", 3, 1), ("X", "D", 0, 1),
+)
+
+
+class TestGoalDirectedOrder:
+    """``_search`` pops by arrival plus ``owlt_to`` on whole-second, positive
+    light-time searches and returns the hops of Dijkstra's order."""
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(search=waiting_searches())
+    def test_matches_dijkstra_order(self, search):
+        plan, args = search
+        assert plan.positive_whole_times()
+        assert routesearch._search(plan, *args) == dijkstra_search(plan, *args)
+
+    def test_tie_keeps_the_parent_dijkstra_settles_first(self):
+        # B's key (2 + 2 = 4) is below A's (1 + 4 = 5), so B pops first and
+        # reaches X at 4; A, settled first by arrival, ties there later and
+        # takes X over, as it does in Dijkstra's order
+        plan = _plan(*TIED_SENDERS)
+        hops, pops = _search_pops(plan, "S", "D", 0.0)
+        popped = [node for _, _, node in pops]
+        assert popped.index(plan.node_index["B"]) < popped.index(plan.node_index["A"])
+        assert hops == _dijkstra(plan, "S", "D", 0.0) == [1, 3, 5]
+
+    @pytest.mark.parametrize(
+        "links, depart, horizon",
+        [
+            (TIED_SENDERS, 0.5, None),
+            (TIED_SENDERS, 2.0**52, None),
+            (TIED_SENDERS[:-1] + (("X", "D", 0, 1.5),), 0.0, None),
+            (TIED_SENDERS[:-1] + (("X", "D", 0.5, 1),), 0.0, None),
+            (TIED_SENDERS, 0.0, 2.0**52),
+        ],
+        ids=[
+            "fractional-departure", "departure-2**52", "fractional-light-time",
+            "fractional-window-start", "horizon-2**52",
+        ],
+    )
+    def test_inexact_arithmetic_keeps_dijkstra_order(self, links, depart, horizon):
+        # the whole-second search on TIED_SENDERS pops by key, these by arrival
+        _, goal_pops = _search_pops(_plan(*TIED_SENDERS), "S", "D", 0.0)
+        assert any(key != arrival for key, arrival, _ in goal_pops)
+        plan = _plan(*links, horizon=horizon)
+        hops, pops = _search_pops(plan, "S", "D", depart)
+        assert pops and all(key == arrival for key, arrival, _ in pops)
+        assert hops == _dijkstra(plan, "S", "D", depart)
+
+    def test_zero_light_time_keeps_dijkstra_order(self):
+        # S settles A and X at t=0 at once; X keeps S, the sender that popped
+        # first, as its parent, although A comes first by (label, name)
+        plan = _plan(("S", "X", 0, 0), ("S", "A", 0, 0), ("A", "X", 0, 0))
+        hops, pops = _search_pops(plan, "S", "X", 0.0)
+        assert not plan.positive_whole_times()
+        assert all(key == arrival for key, arrival, _ in pops)
+        assert hops == _dijkstra(plan, "S", "X", 0.0) == [1]
 
 
 def _fractional(value) -> bool:
