@@ -77,6 +77,9 @@ class Route(NamedTuple):
         )
 
 
+_new_tuple = tuple.__new__
+
+
 @dataclass
 class ContactGraph:
     """Route search context for one source/destination pair.
@@ -156,21 +159,23 @@ def evaluate_route(
     # comparison is decided and the result is the very value `min` takes,
     # -0.0 against 0.0 or an int against an equal float included.
     volume = nxt = math.inf
-    for h, (_, last, owlt, rate, _, _), dep in zip(
-        reversed(hops), reversed(rows), reversed(departures)
-    ):
+    for i in range(len(rows) - 1, -1, -1):
+        _, last, owlt, rate, _, _ = rows[i]
         ld = nxt - owlt
         if not ld < last:
             ld = last
-        left = residual[h]
+        left = residual[hops[i]]
         if left <= volume:
             volume = left
-        term = (ld - dep + 1) * rate
+        term = (ld - departures[i] + 1) * rate
         if term <= volume:
             volume = term
         nxt = ld
 
-    return Route(tuple(hops), arrival, (departures[0], nxt), volume, len(rows), hops[0])
+    # the tuple constructor, not Route's generated __new__, which adds a frame
+    return _new_tuple(
+        Route, (tuple(hops), arrival, (departures[0], nxt), volume, len(rows), hops[0])
+    )
 
 
 def _search(
@@ -230,7 +235,7 @@ def _search(
     #   keeps the first edge to reach the least label, an equal reach moves
     #   the parent to a sender that comes first in (label, index), and a
     #   sender's later edges never move it: that is the Dijkstra parent.
-    #   Parents come from popped nodes, so `best[sender]` is final.
+    #   Parents come from settled nodes, so `best[sender]` is final.
     # In the Dijkstra order senders relax in rising (label, index) order and
     # the tie test would never move a parent, so only the goal order runs
     # it.  A zero light time would let a sender pop after its receiver,
@@ -242,13 +247,51 @@ def _search(
         and plan.positive_whole_times()
     )
     h = plan.owlt_to(dest) if goal or bound < math.inf else None
+    # The start is the loop's first pop in either order, and its
+    # relaxations read only the initial labels, so it is settled here,
+    # before any label array exists; a search none of whose start edges
+    # survives returns without allocating.
+    # `reached` keeps, per neighbour, the least reach over the start's edges
+    # and, on an equal reach, the first edge in adjacency order: what the
+    # loop's `reach < best[to]` would keep.  An entry left out here is one
+    # the loop would push and then pop as stale, and heap order depends only
+    # on the entries, so every later pop is the same.  A banned start pops
+    # as settled and a start equal to dest returns no hops.
+    reached: dict[int, tuple[float, float, int]] = {}
+    if start in banned_nodes:
+        hops = None
+    elif start == dest:
+        hops = []
+    else:
+        hops = None
+        for cid, t_start, last, owlt, to in adjacency[start]:
+            if to == start or cid in banned_first or to in banned_nodes:
+                continue
+            dep = start_time if start_time > t_start else t_start
+            if dep > last:
+                continue
+            reach = dep + owlt
+            kept = reached.get(to)
+            if kept is None or reach < kept[1]:
+                # h is None only while bound is inf
+                key = reach if h is None else reach + h[to]
+                if key <= bound:
+                    reached[to] = (key if goal else reach, reach, cid)
+    if not reached and state is None:
+        return hops
     best = [math.inf] * len(adjacency)
     parent: list[tuple[int, int] | None] = [None] * len(adjacency)
     done = bytearray(len(adjacency))
     for n in banned_nodes:
         done[n] = 1
     best[start] = start_time
-    heap = [(start_time + h[start] if goal else start_time, start_time, start)]
+    done[start] = 1
+    heap = []
+    for to, (key, reach, cid) in reached.items():
+        best[to] = reach
+        parent[to] = (cid, start)
+        heap.append((key, reach, to))
+    heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
         _, arrival, node = heappop(heap)
@@ -256,18 +299,13 @@ def _search(
             continue
         done[node] = 1
         if node == dest:
-            hops: list[int] = []
+            hops = []
             while node != start:
                 cid, node = parent[node]
                 hops.append(cid)
             hops.reverse()
-            if state is not None:
-                state += (best, done)
-            return hops
-        edges = adjacency[node]
-        if node == start and banned_first:
-            edges = [e for e in edges if e[0] not in banned_first]
-        for cid, t_start, last, owlt, to in edges:
+            break
+        for cid, t_start, last, owlt, to in adjacency[node]:
             if done[to]:
                 continue
             dep = arrival if arrival > t_start else t_start
@@ -275,7 +313,6 @@ def _search(
                 continue
             reach = dep + owlt
             if reach < best[to]:
-                # h is None only while bound is inf
                 key = reach if h is None else reach + h[to]
                 if key > bound:
                     continue
@@ -288,7 +325,7 @@ def _search(
                     parent[to] = (cid, node)
     if state is not None:
         state += (best, done)
-    return None
+    return hops
 
 
 def _shift_slack(
@@ -367,10 +404,11 @@ def dijkstra_bdt(
     #     <= last never holds;
     # (c) no window closes: delta <= last - label(u) on every relaxed edge
     #     with label(u) <= last.
-    # By induction over the pops, the t1 search pops the same entries in
-    # the same order with every label shifted by exactly delta.  At a pop
-    # of u at label(u) + delta, an edge with label(u) > last or t_start >
-    # last stays infeasible; by (b) every other edge leaves at label(u)
+    # By induction over the pops (the start's settling first), the t1
+    # search pops the same entries in the same order with every label
+    # shifted by exactly delta.  At a pop of u at label(u) + delta, an edge
+    # with label(u) > last or t_start > last stays infeasible; by (b) every
+    # other edge leaves at label(u)
     # (+ delta), and by (c) it stays feasible.  Each reach is shifted by
     # delta, so every `reach < best[to]` test, the tie test on (label,
     # index) and the heap's `(key, arrival, index)` order come out as

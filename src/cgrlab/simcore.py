@@ -350,14 +350,22 @@ class _Engine:
 
     def _candidates(self, copy: _Copy, now: float) -> list[CandidateRoute]:
         graph = self._graph(copy.at_node, copy.bundle.dest)
+        residual = self.residual
         for attempt in (0, 1):
             routes = self._routes(graph, now, force=attempt == 1)
+            # A list computed at `now` was timed at `now`, and at one
+            # departure only residual volumes move a route.  They only fall,
+            # and `Route.volume` is the least of fixed window terms and the
+            # hops' residuals, so a route stands while each residual covers
+            # it (the rule of `dijkstra_bdt`'s kept route); otherwise re-time.
+            timed = graph.routes[0] == now
             cands: list[CandidateRoute] = []
             for route in routes:
-                fresh = evaluate_route(self.plan, self.residual, route.hops, now)
-                if fresh is None:
-                    continue
-                cand = self._review_route(fresh, copy, now)
+                if not timed or any(residual[h] < route.volume for h in route.hops):
+                    route = evaluate_route(self.plan, residual, route.hops, now)
+                    if route is None:
+                        continue
+                cand = self._review_route(route, copy, now)
                 if cand is not None:
                     cands.append(cand)
             if cands or attempt == 1:

@@ -4,15 +4,18 @@ The engine skips an attempt that repeats, at the same instant and engine
 version, an attempt of the same copy that changed nothing.  ``dijkstra_bdt``
 reuses a search kept on the engine's graph at its own and later departures,
 and the route it last returned while the engine's residual volume table, which
-every graph of the run shares, still covers it on each hop.
-``FullSelectionEngine`` is the same engine with every attempt run in full and
-every ``dijkstra_bdt`` call searching, as selection ran before these shortcuts;
-it differs from the engine in nothing else.
+every graph of the run shares, still covers it on each hop.  ``_candidates``
+uses a listed route as it stands when its list was computed at the same
+instant and that table still covers it on each hop.
+``FullSelectionEngine`` is the same engine with every attempt run in full,
+every ``dijkstra_bdt`` call searching and every listed route timed again, as
+selection ran before these shortcuts; it differs from the engine in nothing
+else.
 """
 
 from __future__ import annotations
 
-from cgrlab.routesearch import ContactGraph
+from cgrlab.routesearch import ContactGraph, evaluate_route
 from cgrlab.forwarding import POLICY_STANDARD
 from cgrlab.simcore import _RETIRED, _STORED, SimulationMetrics, _Engine
 
@@ -29,6 +32,20 @@ class FullSelectionEngine(_Engine):
         graph = super()._graph(node, dest)
         graph.searches = _KeepNothing()
         return graph
+
+    def _candidates(self, copy, now):
+        graph = self._graph(copy.at_node, copy.bundle.dest)
+        for attempt in (0, 1):
+            cands = []
+            for route in self._routes(graph, now, force=attempt == 1):
+                fresh = evaluate_route(self.plan, self.residual, route.hops, now)
+                if fresh is None:
+                    continue
+                cand = self._review_route(fresh, copy, now)
+                if cand is not None:
+                    cands.append(cand)
+            if cands or attempt == 1:
+                return cands
 
     def _attempt_forward(self, copy, now):
         if copy.state != _STORED:

@@ -202,6 +202,22 @@ LOWERED = (
         for bid, size in ((1, 4.0), (2, 1.0))
     ],
 )
+# S reaches D by t=2 via A (S -> A at 1 Mb/s in [0, 40], volume 39) and via B
+# (S -> B in [0, 20], volume 20).  Bundle 1 (25 Mb, priority 1) takes A and
+# lowers S -> A's residual volume from 40 to 15; at the same instant bundle
+# 2 then ranks B before A, and a route listed at the old volume would not
+RETIMED = (
+    ContactPlan.build(
+        [
+            Contact(id=cid, from_node=frm, to_node=to, t_start=0, t_end=t_end, rate=rate, owlt=1)
+            for cid, (frm, to, t_end, rate) in enumerate(
+                [("S", "A", 40, 1), ("A", "D", 40, 100), ("S", "B", 20, 1), ("B", "D", 40, 100)],
+                start=1,
+            )
+        ]
+    ),
+    [_bulk(1, 25.0, 0.0, priority=1), _bulk(2, 1.0, 0.0)],
+)
 # two or three nodes share short windows late in the horizon, so copies
 # contend for them and some leave a queue untransmitted, as in FLUSHED and
 # EXPIRED
@@ -213,7 +229,8 @@ CONTENDED = scenarios(
 
 def under_contention(check):
     """``check(scenario, policy, owlt_mode)`` as a test over CONTENDED, FLUSHED,
-    EXPIRED and LOWERED."""
+    EXPIRED, LOWERED and RETIMED."""
+    check = example(scenario=RETIMED, policy=POLICY_RMDG, owlt_mode="uniform")(check)
     check = example(scenario=LOWERED, policy=POLICY_STANDARD, owlt_mode="uniform")(check)
     check = example(scenario=EXPIRED, policy=POLICY_RMDG, owlt_mode="uniform")(check)
     check = example(scenario=FLUSHED, policy=POLICY_STANDARD, owlt_mode="uniform")(check)
@@ -334,6 +351,13 @@ def test_lowered_residual_volume_reorders_same_instant_dispatches():
     assert [e[1:4] for e in log if e[0] == 0.0] == [(1, "S", "B"), (2, "S", "A"), (2, "S", "B")]
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+def test_lowered_residual_volume_reorders_same_instant_selections(policy):
+    plan, bundles = RETIMED
+    log = run_simulation(plan, bundles, policy).dispatch_log
+    assert [e[1:4] for e in log if e[0] == 0.0] == [(1, "S", "A"), (2, "S", "B")]
+
+
 def test_rows_match_per_second_sampling_under_contention(monkeypatch):
     moves = spy_moves(monkeypatch)
 
@@ -389,7 +413,8 @@ def test_selection_matches_full_attempts_across_instants(monkeypatch):
 
 
 class NoShortcutEngine(FullSelectionEngine, PerSecondEngine):
-    """Every attempt in full, no kept search or route, every row sampled."""
+    """Every attempt in full, no kept search or route, every listed route
+    timed again, every row sampled."""
 
 
 def check_no_shortcut_run(scenario, policy, owlt_mode):

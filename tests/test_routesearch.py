@@ -595,7 +595,12 @@ class TestGoalDirectedOrder:
         assert any(key != arrival for key, arrival, _ in goal_pops)
         plan = _plan(*links, horizon=horizon)
         hops, pops = _search_pops(plan, "S", "D", depart)
-        assert pops and all(key == arrival for key, arrival, _ in pops)
+        if depart >= 2.0**52:
+            # every window closes by the horizon, which `positive_whole_times`
+            # keeps below 2**52, so the start has no edge left and nothing pops
+            assert plan.positive_whole_times() and pops == [] and hops is None
+        else:
+            assert pops and all(key == arrival for key, arrival, _ in pops)
         assert hops == _dijkstra(plan, "S", "D", depart)
 
     def test_zero_light_time_keeps_dijkstra_order(self):
@@ -606,6 +611,71 @@ class TestGoalDirectedOrder:
         assert not plan.positive_whole_times()
         assert all(key == arrival for key, arrival, _ in pops)
         assert hops == _dijkstra(plan, "S", "X", 0.0) == [1]
+
+
+class TestSearchStart:
+    """``_search`` relaxes the start's edges before it allocates labels; each
+    case returns the hops, labels and settled flags of ``dijkstra_search``."""
+
+    @staticmethod
+    def _matches_oracle(plan, source, dest, banned=(), banned_first=frozenset(), bound=math.inf):
+        index = plan.node_index
+        args = (index[source], 0.0, index[dest], [index[n] for n in banned], banned_first, bound)
+        state, expected_state = [], []
+        hops = routesearch._search(plan, *args, state=state)
+        assert hops == dijkstra_search(plan, *args, state=expected_state)
+        assert routesearch._search(plan, *args) == hops
+        best, done = state
+        expected_best, expected_done = expected_state
+        assert best == expected_best and list(map(bool, done)) == expected_done
+        return hops
+
+    def test_banned_start_finds_nothing(self):
+        # with and without `state`, as every case here
+        assert self._matches_oracle(_plan(*TIED_SENDERS), "S", "D", banned=["S"]) is None
+
+    def test_start_at_dest_returns_no_hops(self):
+        plan = _plan(*TIED_SENDERS)
+        assert self._matches_oracle(plan, "S", "S") == []
+        assert self._matches_oracle(plan, "S", "S", banned=["S"]) is None
+
+    def test_self_loop_at_start_is_skipped(self):
+        # S reaches X at 4 directly (waiting for t=3) and through A; the
+        # self-loop would move S's own label to 5, and A (label 1) would then
+        # come first at the tie and take X over
+        plan = _plan(("S", "S", 0, 5), ("S", "X", 3, 1), ("S", "A", 0, 1), ("A", "X", 0, 3),
+                     ("X", "D", 0, 1))
+        assert self._matches_oracle(plan, "S", "D") == [2, 5]
+
+    def test_smaller_reach_into_one_neighbour_wins(self):
+        plan = _plan(("S", "X", 3, 1), ("S", "X", 0, 2), ("X", "D", 0, 1))
+        assert self._matches_oracle(plan, "S", "D") == [2, 3]
+
+    def test_first_edge_into_one_neighbour_wins_a_tie(self):
+        plan = _plan(("S", "X", 1, 1), ("S", "X", 0, 2), ("X", "D", 0, 1))
+        assert [e[0] for e in plan.adjacency[plan.node_index["S"]]] == [1, 2]
+        assert self._matches_oracle(plan, "S", "D") == [1, 3]
+
+    def test_banned_first_hops_and_nodes_are_skipped(self):
+        plan = _plan(*TIED_SENDERS)
+        assert self._matches_oracle(plan, "S", "D", banned_first=frozenset({1})) == [2, 4, 5]
+        assert self._matches_oracle(plan, "S", "D", banned=["A"]) == [2, 4, 5]
+
+    def test_bound_cutting_every_start_edge_makes_no_heap_operation(self, monkeypatch):
+        plan = _plan(*TIED_SENDERS)
+        index = plan.node_index
+        plan.owlt_to(index["D"])  # filled first: its own heap operations stay out
+        calls = []
+        for name in ("heappop", "heappush", "heapify"):
+            real = getattr(heapq, name)
+            monkeypatch.setattr(heapq, name, lambda *a, real=real, name=name: (
+                calls.append(name), real(*a))[1])
+        # the start's edges reach A at 1 + 4 and B at 2 + 2 (arrival plus
+        # light time left); D is reached at 5
+        assert routesearch._search(plan, index["S"], 0.0, index["D"], [], frozenset(), 3.5) is None
+        assert calls == []
+        assert self._matches_oracle(plan, "S", "D", bound=3.5) is None
+        assert self._matches_oracle(plan, "S", "D", bound=5.0) == [1, 3, 5]
 
 
 def _fractional(value) -> bool:

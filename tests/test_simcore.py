@@ -571,6 +571,41 @@ class TestRepeatSelections:
         assert engine.computing == 4 * self.ATTEMPT
 
 
+class TestRouteListTiming:
+    """``_candidates`` uses a listed route as it stands when its list was
+    computed at this instant and each hop's residual volume still covers it."""
+
+    def test_listed_route_is_timed_again_only_below_its_volume(self, monkeypatch):
+        # S reaches D directly (contact 1, volume 60) and through A
+        # (contacts 2 and 3, volume 59); both bundles are at S at t=0
+        plan = ContactPlan.build(
+            [
+                Contact(id=cid, from_node=frm, to_node=to, t_start=0, t_end=60, rate=1.0, owlt=1)
+                for cid, (frm, to) in enumerate([("S", "D"), ("S", "A"), ("A", "D")], start=1)
+            ]
+        )
+        bundles = [_bundle(bid=i, size=2.0) for i in (1, 2)]
+        engine = simcore._Engine(plan, bundles, POLICY_RMDG, 0, 4, "uniform")
+        timed = []
+
+        def evaluate(plan, residual, hops, depart, real=simcore.evaluate_route):
+            timed.append(tuple(hops))
+            return real(plan, residual, hops, depart)
+
+        monkeypatch.setattr(simcore, "evaluate_route", evaluate)
+        first, second = (engine._new_copy(b, ("S",)) for b in bundles)
+        listed = [c.route for c in engine._candidates(first, 0.0)]
+        assert [(r.hops, r.volume) for r in listed] == [((1,), 60.0), ((2, 3), 59.0)]
+        assert [c.route for c in engine._candidates(second, 0.0)] == listed
+        assert timed == []
+        # the first copy starts transmitting on contact 1 and lowers its residual
+        assert engine._enqueue(first, plan.contact(1), 0.0, "select")
+        assert engine.residual == {1: 58.0, 2: 60.0, 3: 60.0}
+        routes = [c.route for c in engine._candidates(second, 0.0)]
+        assert timed == [(1,)]
+        assert routes[0] == listed[0]._replace(volume=58.0) and routes[1] is listed[1]
+
+
 class TestSearchReuse:
     # S reaches D through A: A -> D closes at t=20, A -> B -> D stays open.
     # A critical copy at S is reviewed through its one neighbour A, one
@@ -662,6 +697,14 @@ class TestMetricsSeries:
     def test_idle_run_samples_every_second_to_last_contact_end(self):
         metrics = run_simulation(_one_hop_plan(), [], POLICY_STANDARD)
         assert [r.t for r in metrics.rows] == [float(s) for s in range(61)]
+
+    def test_delivered_bundle_keeps_sampling_until_its_expiry(self):
+        # the bundle is delivered at t=34 and the plan ends at t=60, yet its
+        # expiry event at t=500 stays queued and the run samples up to it
+        bundle = _bundle(src="A", dst="F", ttl=500.0)
+        metrics = run_simulation(make_demo_plan(), [bundle], POLICY_STANDARD, owlt_mode="file")
+        assert metrics.records[1].t_delivered == 34.0
+        assert len(metrics.rows) == 501 and metrics.rows[-1].t == 500.0
 
     def test_rows_cover_fractional_light_times(self):
         # padded light times put arrivals between whole seconds; sampling
