@@ -5,10 +5,9 @@ topology horizon.  Plans are parsed from an ION-style text format (one
 directive per line) or built programmatically.  Nothing writes a plan after
 construction, so runs and route searches can share one: the volume a run has
 left on each contact is the run's own table (see ``ContactPlan.volumes``).
-The light-time lower bounds of ``ContactPlan.owlt_to``, its timing tests
-``whole_light_times`` and ``positive_whole_times``, its sorted
-``window_bounds`` and its ``uniform`` variant are filled on first use and
-kept with the plan.
+The light-time lower bounds of ``ContactPlan.owlt_to``, its timing test
+``positive_whole_times``, its sorted ``window_bounds`` and its ``uniform``
+variant are filled on first use and kept with the plan.
 
 Text format, one directive per line, ``#`` starts a comment::
 
@@ -113,8 +112,8 @@ class ContactPlan:
     to_index)`` tuples, the fields route search reads per edge.
     ``timing`` maps each contact id to ``(t_start, t_end - 1, owlt, rate,
     to_index, t_end)``, the fields route timing reads per hop.
-    ``owlt_to``, the two timing tests, ``window_bounds`` and ``uniform``
-    are filled on first use and kept.
+    ``owlt_to``, the timing test ``positive_whole_times``, ``window_bounds``
+    and ``uniform`` are filled on first use and kept.
     """
 
     contacts: tuple[Contact, ...]
@@ -132,7 +131,6 @@ class ContactPlan:
     _into: list[list[tuple[float, int]]] | None = field(
         init=False, repr=False, compare=False, default=None
     )
-    _whole_owlt: bool | None = field(init=False, repr=False, compare=False, default=None)
     _positive_whole: bool | None = field(init=False, repr=False, compare=False, default=None)
     _bounds: tuple[list[float], list[float]] | None = field(
         init=False, repr=False, compare=False, default=None
@@ -203,21 +201,6 @@ class ContactPlan:
                     heapq.heappush(heap, (reach, frm))
         self._owlt_to[dest] = h
         return h
-
-    def whole_light_times(self) -> bool:
-        """Whether every light time is a whole number and their sum is below 2**52.
-
-        Then every arrival a search labels from a whole-second departure in
-        ``[0, 2**52)`` without waiting for a window to open is a whole number
-        below 2**53, so it is exact.
-        Computed on first use and kept with the plan.
-        """
-        whole = self._whole_owlt
-        if whole is None:
-            whole = self._whole_owlt = all(
-                float(c.owlt).is_integer() for c in self.contacts
-            ) and sum(c.owlt for c in self.contacts) < 2.0**52
-        return whole
 
     def positive_whole_times(self) -> bool:
         """Whether every light time is a positive whole number, every window

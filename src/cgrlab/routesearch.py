@@ -21,20 +21,21 @@ last route that can still be accepted; the returned routes are unchanged.
 
 The earliest-arrival search runs on the plan's integer node indices, which
 follow the node names' string order, so equal arrivals break ties as they
-would on the names.  On whole-second departures over a plan with positive
-whole light times and whole window starts (``positive_whole_times``), it
-pops labels by arrival plus ``owlt_to`` (Hart, Nilsson & Raphael, 1968),
-so it settles no label that cannot reach the destination by the delivery
-time, and on an equal arrival it keeps the parent the arrival order would
-pick, so the hops are those of Dijkstra's order (the argument is in
-``_search``).
+would on the names.  Where ``_exact`` holds (a whole-second departure over a
+plan with positive whole light times and whole window starts), it pops
+labels by arrival plus ``owlt_to`` (Hart, Nilsson & Raphael, 1968), so it
+settles no label that cannot reach the destination by the delivery time,
+and on an equal arrival it keeps the parent the arrival order would pick,
+so the hops are those of Dijkstra's order (the argument is in ``_search``).
 
 A ``ContactGraph`` is one source/destination pair's search context; the
 graph is ``ContactPlan.adjacency``, whose storage edges lead from a contact
 to one leaving its receiving node late enough.  ``dijkstra_bdt`` keeps each
 search's hops and last route on it, one per first-hop restriction, and
-answers from them where a fresh search would return the same route (see its
-docstring).  Route search counts nothing; ``simcore`` counts computations.
+answers from them where a fresh search would return the same route: at a
+later departure only where ``_exact`` holds, and a kept route while
+``covers`` holds (see its docstring).  Route search counts nothing;
+``simcore`` counts computations.
 """
 
 from __future__ import annotations
@@ -178,6 +179,30 @@ def evaluate_route(
     )
 
 
+def covers(residual: dict[int, float], route: Route) -> bool:
+    """Whether every hop's residual volume is still at least ``route.volume``.
+
+    Then ``evaluate_route`` at the route's own departure returns the route
+    unchanged: a departure fixes every window term, residual volumes only
+    fall, and ``Route.volume`` is the least of those terms and the hops'
+    residuals, so it moves only once some residual drops below it.
+    """
+    return min(map(residual.__getitem__, route.hops)) >= route.volume
+
+
+def _exact(plan: ContactPlan, t: float) -> bool:
+    """Whether a search departing at ``t`` over ``plan`` is exact.
+
+    ``t`` is a whole second in ``[0, 2**52)`` and
+    ``plan.positive_whole_times()`` holds, so every label, ``owlt_to`` bound
+    and key of the search is a whole number below 2**53, each sum is exact
+    and every comparison decides as on the reals.  ``_search`` runs the goal
+    order, and ``dijkstra_bdt`` reuses a search at a later departure, only
+    then.
+    """
+    return 0 <= t < 2.0**52 and float(t).is_integer() and plan.positive_whole_times()
+
+
 def _search(
     plan: ContactPlan,
     start: int,
@@ -199,9 +224,9 @@ def _search(
 
     Heap entries are ``(key, arrival, node index)``.  The key is the arrival
     plus ``h[node]``, with ``h = plan.owlt_to(dest)`` (goal-directed, Hart,
-    Nilsson & Raphael, 1968), when ``start_time`` is a whole second in
-    ``[0, 2**52)`` and ``plan.positive_whole_times()`` holds; otherwise it
-    is the arrival.  The loop argues why both orders return the same hops.
+    Nilsson & Raphael, 1968), where ``_exact(plan, start_time)`` holds;
+    otherwise it is the arrival.  The loop argues why both orders return the
+    same hops.
 
     A label ``reach`` at node ``to`` is kept only when ``reach + h[to] <=
     bound``; ``yen_plus`` argues at its prune site why that returns what the
@@ -218,10 +243,8 @@ def _search(
     # first edge that reaches the least label.  So v's Dijkstra parent is
     # the first edge, in adjacency order, that reaches L from the first
     # such sender in (label, index) order.
-    # - Exact arithmetic: by `positive_whole_times`, every label, h and key
-    #   is a whole number below 2**53 (h is inf where no contact path leads
-    #   to dest), so every sum is exact and every comparison decides as on
-    #   the reals.
+    # - Exact arithmetic: by `_exact`, every label, h and key is a whole
+    #   number below 2**53 (h is inf where no contact path leads to dest).
     # - h is consistent: h[u] <= owlt + h[v] on every edge u -> v, and a
     #   relaxation from label(u) reaches v at reach >= label(u) + owlt, so
     #   f(v) = reach + h[v] >= label(u) + h[u] = f(u) and reach > label(u):
@@ -241,11 +264,7 @@ def _search(
     # it.  A zero light time would let a sender pop after its receiver,
     # hence the positivity guard.
     adjacency = plan.adjacency
-    goal = (
-        0 <= start_time < 2.0**52
-        and float(start_time).is_integer()
-        and plan.positive_whole_times()
-    )
+    goal = _exact(plan, start_time)
     h = plan.owlt_to(dest) if goal or bound < math.inf else None
     # The start is the loop's first pop in either order, and its
     # relaxations read only the initial labels, so it is settled here,
@@ -376,30 +395,26 @@ def dijkstra_bdt(
 
     The graph keeps the last search for each ``via`` (None included) and the
     last route returned.  A call at that route's departure returns it while
-    each hop's residual volume still covers its volume.  Otherwise a call at
-    the search's departure, whatever the residual volumes, or at a later one
-    inside the window where the same search would make the same decisions
-    (whole-second departures and light times, no settled label waiting for a
-    window to open or missing one that closes) evaluates the kept hops
-    instead of searching.  The result is the same either way.
+    ``covers`` holds.  Otherwise a call at the search's departure, whatever
+    the residual volumes, or at a later one inside the window where the same
+    search would make the same decisions (``_exact`` at both departures, no
+    settled label waiting for a window to open or missing one that closes)
+    evaluates the kept hops instead of searching.  The result is the same
+    either way.
     """
     plan, residual = graph.plan, graph.residual
     kept = graph.searches.get(via)
     # A search reads only the plan and its departure, so one at the kept
-    # departure repeats the kept one whatever the residual volumes, and at
-    # one departure a route moves only with residual volumes.  They only
-    # fall, and `Route.volume` is the least of fixed window terms and the
-    # hops' residuals, so the kept route holds while each residual covers it.
+    # departure repeats the kept one whatever the residual volumes.
     if kept and depart == kept[3]:
         route = kept[4]
-        if route is None or min(residual[h] for h in route.hops) >= route.volume:
+        if route is None or covers(residual, route):
             return route
     # A search from t0 and the same search from t1 = t0 + delta, delta >= 0,
     # make the same decisions, so they return the same hops or both None,
     # when:
-    # (a) t0, t1 and every light time are whole numbers, the departures in
-    #     [0, 2**52) and the light times summing below 2**52, so that every
-    #     label is an exact whole number below 2**53 (`whole_light_times`);
+    # (a) `_exact` holds at t0 and at t1, so both run the goal order and
+    #     every label, h and key is an exact whole number below 2**53;
     # (b) no edge relaxed from a settled node u waits: label(u) < t_start
     #     <= last never holds;
     # (c) no window closes: delta <= last - label(u) on every relaxed edge
@@ -408,26 +423,20 @@ def dijkstra_bdt(
     # search pops the same entries in the same order with every label
     # shifted by exactly delta.  At a pop of u at label(u) + delta, an edge
     # with label(u) > last or t_start > last stays infeasible; by (b) every
-    # other edge leaves at label(u)
-    # (+ delta), and by (c) it stays feasible.  Each reach is shifted by
-    # delta, so every `reach < best[to]` test, the tie test on (label,
-    # index) and the heap's `(key, arrival, index)` order come out as
-    # before.  Both searches take the same order, being whole departures in
-    # [0, 2**52) on one plan, and h does not depend on the departure, so
-    # every key shifts by the same delta, exactly by (a) in the Dijkstra
-    # order and by `positive_whole_times` in the goal-directed one.  `done`
-    # flags and the first-hop ban are the same, so the pops match, and with
-    # them the return.  `evaluate_route` at t1 is then what a fresh search
-    # returns.  `_shift_slack` computes the least `last - label` of (c) from
-    # the settled labels, after the search and only on a miss, so the shared
-    # per-edge loop of `_search` does no extra work; a wait makes the window
-    # empty.  The goal-directed order settles fewer nodes, and a node left
-    # unsettled relaxed no edge, so it adds no term.  Given (a), `last -
-    # label` with 0 <= label <= last is exact, or rounds only above 2**53,
-    # beyond any delta, so `delta <= slack` tests (c) exactly.
-    reusable = (
-        0 <= depart < 2.0**52 and float(depart).is_integer() and plan.whole_light_times()
-    )
+    # other edge leaves at label(u) (+ delta), and by (c) it stays feasible.
+    # Each reach shifts by delta, and so does each key, h not depending on
+    # the departure, exactly by (a); every `reach < best[to]` test, the tie
+    # test on (label, index) and the heap's `(key, arrival, index)` order
+    # come out as before.  `done` flags and the first-hop ban are the same,
+    # so the pops match, and with them the return.  `evaluate_route` at t1
+    # is then what a fresh search returns.  `_shift_slack` computes the
+    # least `last - label` of (c) from the settled labels, after the search
+    # and only on a miss, so the shared per-edge loop of `_search` does no
+    # extra work; a wait makes the window empty, and a node left unsettled
+    # relaxed no edge, so it adds no term.  By (a) the horizon, and with it
+    # every `last`, is below 2**52, so `last - label` with 0 <= label <=
+    # last is exact and `delta <= slack` tests (c) exactly.
+    reusable = _exact(plan, depart)
     if not (kept and (depart == kept[0] or reusable and 0 <= depart - kept[0] <= kept[1])):
         banned_first = frozenset(
             c.id for c in plan.contacts_from(graph.source) if via is not None and c.to_node != via

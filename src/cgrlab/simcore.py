@@ -64,7 +64,7 @@ from cgrlab.forwarding import (
     handle_overbooking,
 )
 from cgrlab.routesearch import (
-    ContactGraph, Route, build_contact_graph, dijkstra_bdt, evaluate_route, yen_plus
+    ContactGraph, Route, build_contact_graph, covers, dijkstra_bdt, evaluate_route, yen_plus
 )
 
 POLICIES = (POLICY_STANDARD, POLICY_RMDG)
@@ -353,15 +353,10 @@ class _Engine:
         residual = self.residual
         for attempt in (0, 1):
             routes = self._routes(graph, now, force=attempt == 1)
-            # A list computed at `now` was timed at `now`, and at one
-            # departure only residual volumes move a route.  They only fall,
-            # and `Route.volume` is the least of fixed window terms and the
-            # hops' residuals, so a route stands while each residual covers
-            # it (the rule of `dijkstra_bdt`'s kept route); otherwise re-time.
-            timed = graph.routes[0] == now
+            timed = graph.routes[0] == now  # a list computed now was timed now
             cands: list[CandidateRoute] = []
             for route in routes:
-                if not timed or any(residual[h] < route.volume for h in route.hops):
+                if not timed or not covers(residual, route):
                     route = evaluate_route(self.plan, residual, route.hops, now)
                     if route is None:
                         continue

@@ -2,11 +2,12 @@
 
 The engine skips an attempt that repeats, at the same instant and engine
 version, an attempt of the same copy that changed nothing.  ``dijkstra_bdt``
-reuses a search kept on the engine's graph at its own and later departures,
-and the route it last returned while the engine's residual volume table, which
-every graph of the run shares, still covers it on each hop.  ``_candidates``
-uses a listed route as it stands when its list was computed at the same
-instant and that table still covers it on each hop.
+reuses a search kept on the engine's graph at its own departure and, where
+the goal-directed order runs (``routesearch._exact``), at later ones, and the
+route it last returned while ``routesearch.covers`` holds against the
+engine's residual volume table, which every graph of the run shares.
+``_candidates`` uses a listed route as it stands when its list was computed
+at the same instant and ``covers`` holds.
 ``FullSelectionEngine`` is the same engine with every attempt run in full,
 every ``dijkstra_bdt`` call searching and every listed route timed again, as
 selection ran before these shortcuts; it differs from the engine in nothing

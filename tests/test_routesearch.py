@@ -678,10 +678,6 @@ class TestSearchStart:
         assert self._matches_oracle(plan, "S", "D", bound=5.0) == [1, 3, 5]
 
 
-def _fractional(value) -> bool:
-    return not float(value).is_integer()
-
-
 def _departures(walk) -> list[float]:
     """Rising departures: whole-second steps, mostly of one second so that they
     land on window edges, and a 0.5 step probes half a second past the
@@ -705,10 +701,13 @@ class TestSearchReuse:
         departures, with and without ``via``; each answer is compared with a
         fresh graph's.  Whole-horizon windows let reuse fire, windows that
         open together and close apart let it end where a route closes, and
-        windows that open apart make searches wait for a window.  Half-second
-        light times and departures reuse a search only at its own departure.
-        The spy records how much later than the kept search each call
-        departed that was answered without a search.
+        windows that open apart make searches wait for a window.  A call is
+        answered at a later departure than its kept search only where
+        ``_exact`` holds, so zero or half-second light times and half-second
+        departures reuse a search only at its own departure, and the plans
+        whose light times are all 1 or 2 s keep reuse reachable where windows
+        close and searches wait.  The spy records how much later than the
+        kept search each call departed that was answered without a search.
         """
         search = routesearch._search
         calls = []
@@ -735,6 +734,10 @@ class TestSearchReuse:
                     node_count=(2, 4), max_contacts=10, light_times=(0, 0.5, 1),
                     windows=[(0, 30)],
                 ),
+                tie_heavy_plans(
+                    node_count=(2, 4), max_contacts=10, light_times=(1, 2),
+                    windows=[(0, 10), (0, 20), (0, 30), (10, 30), (20, 30)],
+                ),
             ),
             departures=st.tuples(
                 st.integers(0, 10), st.lists(st.sampled_from([1, 1, 1, 2, 5, 0.5]), max_size=14)
@@ -743,16 +746,13 @@ class TestSearchReuse:
         )
         def check(plan, departures, vias):
             graph = build_contact_graph(plan, "N0", "N1")
-            fractional_plan = any(_fractional(c.owlt) for c in plan.contacts)
             for depart in departures:
                 for via in vias:
                     searched = len(calls)
                     got = dijkstra_bdt(graph, depart=depart, via=via)
                     if len(calls) == searched:
                         kept_at = graph.searches[via][0]
-                        assert depart == kept_at or not (
-                            fractional_plan or _fractional(depart)
-                        )
+                        assert depart == kept_at or routesearch._exact(plan, depart)
                         reused.append(depart - kept_at)
                     fresh = build_contact_graph(plan, "N0", "N1")
                     assert got == dijkstra_bdt(fresh, depart=depart, via=via)
@@ -789,6 +789,29 @@ class TestSearchReuse:
         assert again.hops == first.hops == (1, 2)
         assert (first.volume, again.volume) == (26.5, 25)
         dijkstra_bdt(graph, depart=4, via="A")
+        assert len(calls) == 2
+
+    def test_zero_light_time_searches_again_at_a_later_departure(self, monkeypatch):
+        # the light times are whole, but A -> D takes none, so no search
+        # runs in the goal order and none is reused at a later departure
+        search = routesearch._search
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(routesearch, "_search", spy)
+        plan = ContactPlan.build(
+            [
+                Contact(id=1, from_node="S", to_node="A", t_start=0, t_end=30, rate=1, owlt=1),
+                Contact(id=2, from_node="A", to_node="D", t_start=0, t_end=30, rate=1, owlt=0),
+            ]
+        )
+        assert not plan.positive_whole_times()
+        graph = build_contact_graph(plan, "S", "D")
+        assert dijkstra_bdt(graph, depart=3).hops == (1, 2)
+        assert dijkstra_bdt(graph, depart=4).hops == (1, 2)
         assert len(calls) == 2
 
     def _kept_route(self, monkeypatch, lowered):

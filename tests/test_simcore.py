@@ -811,6 +811,20 @@ class TestComputingMetric:
         assert engine._routes(graph, 1.0) == routes
         assert engine.computing == counted + (not routes)
 
+    @pytest.mark.parametrize("source, dest, k", [("A", "F", 1), ("A", "F", 4), ("A", "B", 4)])
+    def test_list_failing_review_at_its_own_instant_is_reviewed_twice(self, source, dest, k):
+        # every route from A reaches F or B at t = 1 or later, past the
+        # bundle's expiry at t = 0.5, so each fails its review; the forced
+        # second pass finds the list computed at this instant live and
+        # reviews it again, counting each review again (ROADMAP item 9)
+        bundle = Bundle(id=1, source=source, dest=dest, size=1.0, priority=0, critical=False,
+                        t_gen=0.0, t_exp=0.5)
+        engine = simcore._Engine(make_demo_plan(), [bundle], POLICY_RMDG, 0, k, "file")
+        assert engine._candidates(engine._new_copy(bundle, (source,)), 0.0) == []
+        listed = engine._graph(source, dest).routes[1]
+        assert listed and all(r.bdt > bundle.t_exp for r in listed)
+        assert engine.computing == min(len(listed) + 1, k) + 2 * len(listed)
+
 
 class TestDeterminismAndIsolation:
     def _bundles(self):
