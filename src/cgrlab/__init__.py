@@ -4,7 +4,6 @@ from cgrlab.contactplan import (
     Contact,
     ContactPlan,
     ContactPlanError,
-    available_contacts,
     make_demo_plan,
     occupancy_rate,
     owlt_margin,

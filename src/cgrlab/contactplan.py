@@ -275,11 +275,6 @@ def with_transit_margin(plan: ContactPlan) -> ContactPlan:
     return ContactPlan(contacts=contacts, horizon=plan.horizon, node_ids=plan.node_ids)
 
 
-def available_contacts(plan: ContactPlan, t: float) -> set[int]:
-    """Ids of contacts whose window contains ``t`` (closed interval)."""
-    return {c.id for c in plan.contacts if c.t_start <= t <= c.t_end}
-
-
 def occupancy_rate(plan: ContactPlan, t: float, active: set[int]) -> float:
     """Fraction of currently available contacts with a transfer in progress.
 

@@ -34,14 +34,19 @@ to one leaving its receiving node late enough.  ``dijkstra_bdt`` keeps each
 search's hops and last route on it, one per first-hop restriction, and
 answers from them where a fresh search would return the same route: at a
 later departure only where ``_exact`` holds, and a kept route while
-``covers`` holds (see its docstring).  Route search counts nothing;
-``simcore`` counts computations.
+``covers`` holds (see its docstring).  ``yen_plus`` keeps on it a trace of
+its last call, and a later call replays a kept spur search in place of
+searching while its deviation rounds repeat the kept call's and the spur's
+search would make the same decisions, shifted in time (the argument is at
+the spur loop).  Route search counts nothing; ``simcore`` counts
+computations.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Set
 from dataclasses import dataclass, field
 from itertools import compress
@@ -80,6 +85,9 @@ class Route(NamedTuple):
 
 _new_tuple = tuple.__new__
 
+# one deviation round of a `yen_plus` call, as `ContactGraph.spurs` keeps it
+SpurRound = tuple[tuple[int, ...], int, dict[int, tuple[float, list[int], float]]]
+
 
 @dataclass
 class ContactGraph:
@@ -91,7 +99,11 @@ class ContactGraph:
     the hops ``dijkstra_bdt`` found departing at ``depart`` (None when it
     found none), which a search departing then, or up to ``slack`` seconds
     later, finds again, and the route it last returned, for a call departing
-    at ``answered``.  ``routes`` is the engine's ``(computed_at, routes)``
+    at ``answered``.  ``spurs`` is the trace of the last ``yen_plus`` call,
+    one ``(base, deviation, found)`` per deviation round: the hops deviated
+    from, the first spur index searched and, per spur index whose search
+    added a pool candidate, ``(start, hops, arrival)`` of that search.
+    ``routes`` is the engine's ``(computed_at, routes)``
     (see ``simcore._Engine._routes``).
     """
 
@@ -102,6 +114,7 @@ class ContactGraph:
     searches: dict[
         str | None, tuple[float, float, list[int] | None, float, Route | None]
     ] = field(default_factory=dict, repr=False, compare=False)
+    spurs: list[SpurRound] | None = field(default=None, repr=False, compare=False)
     routes: tuple[float, list[Route]] | None = field(default=None, repr=False, compare=False)
 
 
@@ -476,6 +489,17 @@ def yen_plus(
     dropped, which leaves the result unchanged (the argument is at the
     search call).
 
+    Each call keeps on the graph the base hops of each deviation round and
+    the result of each spur search that added a candidate.  A later call on
+    the graph, at any departure, uses a kept spur in place of its search
+    while every round so far deviated from the same base hops at the same
+    index, the spur starts no earlier than the kept one, both searches run
+    the goal-directed order (``_exact``) and no window of the plan opens or
+    closes between the kept start and the shifted arrival; the arrival is
+    then the kept one shifted, and a spur arriving after the bound is None
+    (Acar, 2005, on reusing a trace of a computation; the argument is at the
+    spur loop).  The result is the same either way.
+
     The loop makes one shortest-path search for the first route, then one
     deviation round per further route sought (Yen, 1971).  With
     ``confirm=False`` each round either accepts a route or finds the pool
@@ -505,6 +529,11 @@ def yen_plus(
     # non-confirming mode: `cutoff` is B*, the latest BDT a route can have
     # and still be accepted, and `bound` the prune threshold (see the spurs)
     cutoff = bound = math.inf
+    # the rounds the graph kept from its last call, replayed while this
+    # call repeats them (see the spurs), and this call's own rounds
+    kept_rounds = iter(graph.spurs or ())
+    rounds: list[SpurRound] = []
+    starts, ends = plan.window_bounds()
 
     # once the K-th best BDT is certain, `boundary` holds the BDT class of the
     # first route beyond it; that whole class is still confirmed before
@@ -546,6 +575,14 @@ def yen_plus(
         # search, and nothing else changes a B.  The root walk repeats the
         # forward rule of `evaluate_route` on the same `plan.timing` rows.
         base = accepted[-1].hops
+        traced = next(kept_rounds, None)
+        if traced is not None and traced[0] == base and traced[1] == deviation:
+            replayed = traced[2]
+        else:
+            replayed = {}
+            kept_rounds = iter(())
+        found: dict[int, tuple[float, list[int], float]] = {}
+        rounds.append((base, deviation, found))
         spur_node = source
         start_time = depart
         root_nodes: list[int] = []
@@ -600,9 +637,75 @@ def yen_plus(
             # pruned.  No spur is skipped before its search: X's own tail
             # takes start_time + h[spur_node] <= BDT(X), and every candidate
             # deviating from X arrives no sooner than X, so B* >= BDT(X).
-            spur = _search(plan, spur_node, start_time, dest, root_nodes, banned_first, bound)
+            #
+            # Kept spurs.  The graph's last call, at any departure, deviated
+            # in its rounds up to this one from the same base hops at the
+            # same deviation index as this call.  So both visited the same
+            # spur indices and built every B(R) by the same additions: its
+            # search at j had this search's root, banned nodes and banned
+            # first hops.  Say it started at s0 and returned hops H arriving
+            # at A0 under its bound, and this one starts at s1 = s0 + delta.
+            # - A bounded search returns the unbounded result exactly when
+            #   that arrives by the bound, by (ii), and None otherwise, since
+            #   each label it sets at dest is the arrival of some route.  So
+            #   the unbounded search from s0 returns H at A0.
+            # - It returns H at A0 + delta from s1 when delta >= 0 and
+            #   (a) `_exact` holds at s0 and s1, so both run the goal order
+            #       and every label, h and key is an exact whole number;
+            #   (b) no window opens in (s0, A0 + delta];
+            #   (c) no window closes (no `last`) in [s0, A0 + delta).
+            #   The search from s0 pops keys in rising order, up to dest's
+            #   A0, and a label is at most its key, so every node it pops
+            #   has a label l in [s0, A0].  Call a reach low when it is at
+            #   most A0 from s0, or A0 + delta from s1.  By induction over
+            #   the pops, the start's settling first, the search from s1
+            #   pops each such node at l + delta, and every node's best is
+            #   low in both searches and shifted by delta, with the same
+            #   parent, or high in both.  An edge of a popped node either
+            #   opens at or before s0 <= l: it leaves at once in both,
+            #   stays feasible in both or in neither by (c), and reaches r
+            #   and r + delta.  Or by (b) it opens after A0 + delta: it
+            #   waits in both, is feasible in both or in neither, and
+            #   reaches the same W > A0 + delta, high in both.  A low reach
+            #   beats a high best in both, a high reach never beats or ties
+            #   a low best, and two low reaches compare as their shifts, as
+            #   does the tie test on popped labels.  So the low entries
+            #   pushed are the same, shifted by delta, and the rest have
+            #   keys above A0 from s0 and above A0 + delta from s1, beyond
+            #   every pop up to dest.  The heap's `(key, arrival, index)`
+            #   order of the low entries, the `done` flags and the parents
+            #   then match, and so does the return.
+            # - So the bounded search from s1 returns H when A0 + delta is
+            #   at most `bound`, and None otherwise, without a search.
+            # `found[j]` holds (s0, H, A0) of a spur that added a pool
+            # candidate, whose BDT equals A0 by (iii).  delta is the spur's
+            # own shift: a later departure moves the spur start by at most
+            # as much, and less where the root waited for a window.  The
+            # bisects test (b) and (c) over every window of the plan; for
+            # whole x >= 0, `t_end - 1 >= x` exactly when `t_end >= x + 1`,
+            # since the subtraction is exact for 0.5 <= t_end < 2**53 and
+            # below 0 otherwise.  Where (a) holds, delta, A0 + delta and the
+            # sums with 1 are exact whole numbers, and so is each comparison.
+            spur = None
+            kept = replayed.get(j)
+            if kept is not None:
+                s0, kept_hops, arrival = kept
+                delta = start_time - s0
+                arrival += delta
+                if (
+                    delta >= 0
+                    and _exact(plan, s0)
+                    and _exact(plan, start_time)
+                    and bisect_right(starts, s0) == bisect_right(starts, arrival)
+                    and bisect_left(ends, s0 + 1) == bisect_left(ends, arrival + 1)
+                ):
+                    if arrival > bound:
+                        continue
+                    spur = kept_hops
             if spur is None:
-                continue
+                spur = _search(plan, spur_node, start_time, dest, root_nodes, banned_first, bound)
+                if spur is None:
+                    continue
             total = root_hops + tuple(spur)
             if total in seen:
                 continue
@@ -612,6 +715,7 @@ def yen_plus(
             seen.add(total)
             seq += 1
             heapq.heappush(pool, (route.sort_key, seq, route, j))
+            found[j] = (start_time, spur, route.bdt)
             if not confirm and route.bdt < cutoff and len(pool) >= k - len(accepted):
                 cutoff = heapq.nsmallest(k - len(accepted), pool)[-1][2].bdt
                 bound = cutoff + 1e-9 * (1.0 + abs(cutoff))
@@ -624,6 +728,7 @@ def yen_plus(
         accepted.append(nxt)
         deviation = next_deviation
 
+    graph.spurs = rounds
     accepted.sort(key=lambda r: r.sort_key)
     return accepted
 

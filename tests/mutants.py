@@ -1,0 +1,242 @@
+"""Mutation checks of the program's guards, transcribed from CHANGES.md.
+
+Usage, from the root of a checkout::
+
+    python3 tests/mutants.py            # every row
+    python3 tests/mutants.py spurs      # the rows whose name contains "spurs"
+
+Each row of ``MUTANTS`` names a file under ``src/cgrlab``, a text that occurs
+in it exactly once, the text that replaces it, and the tests that must fail
+with that edit in place.  For each row the script copies ``src``, ``tests``,
+``conftest.py`` and ``pyproject.toml`` to a temporary directory, applies the
+edit there and runs the named tests in one pytest subprocess; the checkout
+itself is never written.  A row is
+
+* killed when every named test fails;
+* a survivor when any named test passes, which names the tests that did;
+* stale when its text does not occur exactly once, so the guard it mutates
+  has moved or gone and the row needs transcribing again.
+
+The script exits 1 on a survivor or a stale row and prints one summary line
+last.  Pytest does not collect this file (its name does not start with
+``test_``) and tier-1 does not run it: a row takes a few seconds, the rows
+with property tests longer.  ``EQUIVALENT`` lists mutants that no test can
+kill, with the reason, and ``NOT_TRANSCRIBED`` the mutation checks recorded
+in CHANGES.md that have no row yet; neither is run.
+"""
+
+from __future__ import annotations
+
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    kills: tuple[str, ...]
+
+
+SPURS = "tests/test_routesearch.py::TestKeptSpurs::"
+START = "tests/test_routesearch.py::TestSearchStart::"
+
+MUTANTS = (
+    # kept spur searches in yen_plus
+    Mutant(
+        "spurs: replay every round, diverged or not",
+        "routesearch.py",
+        "if traced is not None and traced[0] == base and traced[1] == deviation:",
+        "if traced is not None:",
+        (SPURS + "test_reordered_pool_replays_no_later_round",),
+    ),
+    Mutant(
+        "spurs: replay at an earlier spur start",
+        "routesearch.py",
+        "delta >= 0\n                    and ",
+        "",
+        (SPURS + "test_earlier_departure_searches_again",),
+    ),
+    Mutant(
+        "spurs: replay where no search is exact",
+        "routesearch.py",
+        "and _exact(plan, s0)\n                    and _exact(plan, start_time)\n",
+        "",
+        (SPURS + "test_fractional_light_times_search_again",),
+    ),
+    Mutant(
+        "spurs: no window-opening test",
+        "routesearch.py",
+        "and bisect_right(starts, s0) == bisect_right(starts, arrival)\n",
+        "",
+        (SPURS + "test_matches_fresh_graph", SPURS + "test_window_opening_in_the_span_searches_again"),
+    ),
+    Mutant(
+        "spurs: no window-closing test",
+        "routesearch.py",
+        "and bisect_left(ends, s0 + 1) == bisect_left(ends, arrival + 1)\n",
+        "",
+        (SPURS + "test_matches_fresh_graph", SPURS + "test_window_closing_in_the_span_searches_again"),
+    ),
+    Mutant(
+        "spurs: kept hops past the bound",
+        "routesearch.py",
+        "if arrival > bound:\n                        continue\n",
+        "",
+        (SPURS + "test_kept_spur_arriving_after_the_bound_is_none",),
+    ),
+    # the standing-route predicate
+    Mutant(
+        "covers: > in place of >=",
+        "routesearch.py",
+        "return min(map(residual.__getitem__, route.hops)) >= route.volume",
+        "return min(map(residual.__getitem__, route.hops)) > route.volume",
+        (
+            "tests/test_routesearch.py::TestSearchReuse::"
+            "test_kept_route_returned_while_residuals_cover_it[4]",
+            "tests/test_simcore.py::TestRouteListTiming::"
+            "test_listed_route_is_timed_again_only_below_its_volume",
+            "tests/test_simcore.py::TestCriticalReplication::"
+            "test_route_is_re_evaluated_only_after_a_transmission_start",
+        ),
+    ),
+    # a listed route used as it stands at the instant its list was computed
+    Mutant(
+        "_candidates: no residual-cover test",
+        "simcore.py",
+        "if not timed or not covers(residual, route):",
+        "if not timed:",
+        (
+            "tests/test_simcore.py::TestRouteListTiming::"
+            "test_listed_route_is_timed_again_only_below_its_volume",
+        ),
+    ),
+    # the search's start, settled before any label array exists
+    Mutant(
+        "_search: no banned-start guard",
+        "routesearch.py",
+        "    if start in banned_nodes:\n        hops = None\n    elif start == dest:",
+        "    if start == dest:",
+        (START + "test_banned_start_finds_nothing", START + "test_start_at_dest_returns_no_hops"),
+    ),
+    Mutant(
+        "_search: no to == start skip",
+        "routesearch.py",
+        "if to == start or cid in banned_first or to in banned_nodes:",
+        "if cid in banned_first or to in banned_nodes:",
+        (START + "test_self_loop_at_start_is_skipped",),
+    ),
+    Mutant(
+        "_search: last edge wins a tie into one neighbour",
+        "routesearch.py",
+        "if kept is None or reach < kept[1]:",
+        "if kept is None or reach <= kept[1]:",
+        (
+            START + "test_first_edge_into_one_neighbour_wins_a_tie",
+            "tests/test_routesearch.py::TestGoalDirectedOrder::test_matches_dijkstra_order",
+        ),
+    ),
+    # the goal-directed order's tie rule
+    Mutant(
+        "_search: no tie rule",
+        "routesearch.py",
+        "            elif reach == best[to] and goal:\n",
+        "            elif False:\n",
+        (
+            "tests/test_routesearch.py::TestGoalDirectedOrder::"
+            "test_tie_keeps_the_parent_dijkstra_settles_first",
+            "tests/test_routesearch.py::TestGoalDirectedOrder::test_matches_dijkstra_order",
+        ),
+    ),
+)
+
+EQUIVALENT = (
+    (
+        "_exact: no `< 2.0**52`",
+        "at or past 2**52 no window is open, since `positive_whole_times` keeps the "
+        "horizon below 2**52, so no start edge survives; every caller departs at 0 or later",
+    ),
+    (
+        "bounded spurs: `<` for `<=` in the prune test",
+        "no label sum lands exactly on the padded bound",
+    ),
+)
+
+NOT_TRANSCRIBED = (
+    "graph vertices: pruning contacts that end within 3 s of a node's earliest arrival",
+    "same-instant reviews: caching Route objects",
+    "metric rows: copying the first row after an event",
+    "Lawler's restriction: skipping j <= d, or only j == d when d > 0",
+    "node indices: numeric or insertion-order numbering",
+    "bounded spurs: the bound at B* with a strict prune, h[node] for h[to], "
+    "a bound kept when confirm is set",
+    "idle-attempt skip: the enqueue or recompute version bump, the skip, "
+    "the version check on memoised routes",
+    "shift window: no wait test, a window one second wider, no whole-number test",
+    "copy states: a copy not removed from `stored` when it leaves that state",
+    "`_try_start`: the version bump moved to the transmitting branch",
+    "occupancy: the bisections swapped or taken on one side",
+    "residual tables: an uncached `uniform()`, a residual table kept on the plan, "
+    "a rollback or EVL that ignores the table, no `Bundle` check",
+    "`compute_pat`: `t_end = last + 1`",
+    "hop traces: upstream as `hop_trace[0]`, no trace filter in `_critical_candidates`, "
+    "critical children with a fresh trace",
+    "`compute_eto`: a busy wait measured from `now` in place of `start`",
+    "computing metric: `len(routes)` counted in place of `min(len(routes) + 1, k)`",
+)
+
+
+def _failed(ids: tuple[str, ...], cwd: Path) -> set[str]:
+    """The named tests that fail (or error) when run in ``cwd``."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *ids],
+        cwd=cwd, capture_output=True, text=True,
+    )
+    return set(re.findall(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.MULTILINE))
+
+
+def run(mutant: Mutant) -> tuple[str, str]:
+    """(verdict, detail) of one row: killed, survived or stale."""
+    text = (ROOT / "src" / "cgrlab" / mutant.file).read_text()
+    if text.count(mutant.old) != 1:
+        return "stale", f"{text.count(mutant.old)} occurrences of the old text"
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, work / name,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        for name in ("conftest.py", "pyproject.toml"):
+            shutil.copy(ROOT / name, work / name)
+        (work / "src" / "cgrlab" / mutant.file).write_text(text.replace(mutant.old, mutant.new))
+        failed = _failed(mutant.kills, work)
+    passed = [t for t in mutant.kills if t not in failed]
+    if passed:
+        return "survived", "passed: " + ", ".join(passed)
+    return "killed", f"{len(mutant.kills)} tests failed"
+
+
+def main(argv: list[str]) -> int:
+    rows = [m for m in MUTANTS if not argv or any(a in m.name for a in argv)]
+    counts = {"killed": 0, "survived": 0, "stale": 0}
+    for mutant in rows:
+        verdict, detail = run(mutant)
+        counts[verdict] += 1
+        print(f"{verdict:8} {mutant.name} ({detail})", flush=True)
+    print(
+        f"mutants: {counts['killed']} killed, {counts['survived']} survived, "
+        f"{counts['stale']} stale of {len(rows)} rows; {len(EQUIVALENT)} equivalent "
+        f"and {len(NOT_TRANSCRIBED)} not yet transcribed, not run"
+    )
+    return 1 if counts["survived"] or counts["stale"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

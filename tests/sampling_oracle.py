@@ -3,11 +3,20 @@
 The engine computes a row only where its state or a time comparison can have
 changed and copies the rest.  ``PerSecondEngine`` is the same engine with the
 row of every whole second computed from scratch by ``_sample``.
+``available_contacts`` builds the set of contacts available at an instant by
+a scan of the plan, the reference ``contactplan.occupancy_rate``'s bisections
+are compared with.
 """
 
 from __future__ import annotations
 
+from cgrlab.contactplan import ContactPlan
 from cgrlab.simcore import SimulationMetrics, _Engine
+
+
+def available_contacts(plan: ContactPlan, t: float) -> set[int]:
+    """Ids of contacts whose window contains ``t`` (closed interval)."""
+    return {c.id for c in plan.contacts if c.t_start <= t <= c.t_end}
 
 
 class PerSecondEngine(_Engine):

@@ -7,11 +7,13 @@ the goal-directed order runs (``routesearch._exact``), at later ones, and the
 route it last returned while ``routesearch.covers`` holds against the
 engine's residual volume table, which every graph of the run shares.
 ``_candidates`` uses a listed route as it stands when its list was computed
-at the same instant and ``covers`` holds.
+at the same instant and ``covers`` holds.  ``yen_plus`` replays the spur
+searches of the graph's last call, kept in ``ContactGraph.spurs``.
 ``FullSelectionEngine`` is the same engine with every attempt run in full,
-every ``dijkstra_bdt`` call searching and every listed route timed again, as
-selection ran before these shortcuts; it differs from the engine in nothing
-else.
+every ``dijkstra_bdt`` call searching, every ``yen_plus`` call finding no
+trace to replay, so that every spur searches, and every listed route timed
+again, as selection ran before these shortcuts; it differs from the engine
+in nothing else.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ class FullSelectionEngine(_Engine):
         graph = super()._graph(node, dest)
         graph.searches = _KeepNothing()
         return graph
+
+    def _routes(self, graph, now, force=False):
+        graph.spurs = None  # keep no trace of the last yen_plus call
+        return super()._routes(graph, now, force)
 
     def _candidates(self, copy, now):
         graph = self._graph(copy.at_node, copy.bundle.dest)

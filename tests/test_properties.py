@@ -413,8 +413,8 @@ def test_selection_matches_full_attempts_across_instants(monkeypatch):
 
 
 class NoShortcutEngine(FullSelectionEngine, PerSecondEngine):
-    """Every attempt in full, no kept search or route, every listed route
-    timed again, every row sampled."""
+    """Every attempt in full, no kept search, route or spur trace, every
+    listed route timed again, every row sampled."""
 
 
 def check_no_shortcut_run(scenario, policy, owlt_mode):

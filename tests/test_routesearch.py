@@ -881,3 +881,250 @@ class TestSearchReuse:
         assert dijkstra_bdt(graph, depart=3, via="A") is None
         assert dijkstra_bdt(graph, depart=3, via="A") is None
         assert len(calls) == 1
+
+
+def _contacts(*links):
+    """Contacts (from, to, t_start, t_end, owlt, rate), numbered from 1."""
+    return ContactPlan.build(
+        [
+            Contact(id=cid, from_node=frm, to_node=to, t_start=ts, t_end=te, rate=rate, owlt=owlt)
+            for cid, (frm, to, ts, te, owlt, rate) in enumerate(links, start=1)
+        ]
+    )
+
+
+@st.composite
+def relayed_plans(draw, windows, light_times=(1, 2)):
+    """Plans from N0 to N1 over three to five nodes: N0 -> N1 and, for every
+    other node, N0 -> node -> N1, with up to eight more random contacts, so
+    that most calls find several routes to deviate from."""
+    nodes = [f"N{i}" for i in range(draw(st.integers(3, 5)))]
+    links = [("N0", "N1")] + [(frm, to) for n in nodes[2:] for frm, to in (("N0", n), (n, "N1"))]
+    links += draw(st.lists(st.permutations(nodes).map(lambda p: tuple(p[:2])), max_size=8))
+    contacts = []
+    for cid, (frm, to) in enumerate(links, start=1):
+        ts, te = draw(st.sampled_from(windows))
+        contacts.append(Contact(cid, frm, to, ts, te, draw(st.sampled_from([1, 2])),
+                                draw(st.sampled_from(light_times))))
+    return ContactPlan(tuple(contacts), 30, frozenset(nodes))
+
+
+# S -> D, and S -> A -> D on contact 3 (open until t=10) or on contact 4
+CLOSING = _contacts(
+    ("S", "D", 0, 30, 1, 1), ("S", "A", 0, 30, 1, 1),
+    ("A", "D", 0, 10, 1, 1), ("A", "D", 0, 30, 1, 1),
+)
+
+
+class TestKeptSpurs:
+    """``yen_plus`` replays the spur searches its graph kept from its last call."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Count the calls to ``_search`` and ``evaluate_route``."""
+        calls = {"search": 0, "evaluate": 0}
+
+        def spy(name, real):
+            def wrapped(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(routesearch, "_search", spy("search", routesearch._search))
+        monkeypatch.setattr(
+            routesearch, "evaluate_route", spy("evaluate", routesearch.evaluate_route)
+        )
+        return calls
+
+    @classmethod
+    def _again(cls, monkeypatch, plan, k, t0, t1, lower=None):
+        """Two ``yen_plus`` calls on one S -> D graph, at ``t0`` and ``t1``,
+        with ``lower(residual)`` run in between, and a fresh graph's call at
+        ``t1`` on the same residual volumes.
+
+        Returns the second call's routes and its ``_search`` and
+        ``evaluate_route`` calls, then the fresh call's.  Both graphs search
+        their first route: the kept ``dijkstra_bdt`` searches are dropped.
+        """
+        calls = cls._spy(monkeypatch)
+        graph = build_contact_graph(plan, "S", "D")
+        yen_plus(graph, k, depart=t0, confirm=False)
+        if lower is not None:
+            lower(graph.residual)
+        graph.searches.clear()
+        fresh = build_contact_graph(plan, "S", "D", dict(graph.residual))
+        out = []
+        for g in (graph, fresh):
+            calls.update(search=0, evaluate=0)
+            out.append((yen_plus(g, k, depart=t1, confirm=False), dict(calls)))
+        return out
+
+    def test_matches_fresh_graph(self, monkeypatch):
+        """A second call on one graph, at a later or equal departure and after
+        residual volumes dropped, returns what a fresh graph's call returns.
+
+        Windows open and close inside the span of the calls; since any
+        window opening or closing there stops a replay, some plans' windows
+        only close and others' only open.  Light times of half a second and
+        half-second departures rule out the shift, and dropped residual
+        volumes reorder tied candidates.  Per example, the second call's
+        spur searches are counted against the fresh call's: some examples
+        replay a kept spur, and in some the graph kept spurs and none is
+        replayed.
+        """
+        calls = self._spy(monkeypatch)
+        replayed, refused = [], []
+        closing = [(0, 30), (0, 30), (0, 8), (0, 12), (0, 15), (0, 20)]
+        opening = [(0, 30), (0, 30), (2, 30), (4, 30), (6, 30), (10, 30)]
+        windows = [(0, 30), (0, 30), (0, 8), (0, 15), (3, 30), (6, 20), (10, 30)]
+
+        @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+        @given(
+            plan=st.one_of(
+                relayed_plans(windows=closing),
+                relayed_plans(windows=opening),
+                relayed_plans(windows=windows, light_times=(0.5, 1)),
+                tie_heavy_plans(
+                    node_count=(3, 6), max_contacts=14, light_times=(1, 2), windows=windows
+                ),
+            ),
+            k=st.integers(1, 6),
+            confirm=st.booleans(),
+            t0=st.integers(0, 8),
+            step=st.sampled_from([0, 1, 1, 2, 3, 5, 0.5]),
+            lowered=st.lists(
+                st.tuples(st.integers(1, 14), st.sampled_from([1, 5, 20])), max_size=3
+            ),
+        )
+        def check(plan, k, confirm, t0, step, lowered):
+            graph = build_contact_graph(plan, "N0", "N1")
+            yen_plus(graph, k, depart=t0, confirm=confirm)
+            kept = sum(len(found) for _, _, found in graph.spurs or ())
+            for cid, drop in lowered:
+                if cid in graph.residual:
+                    graph.residual[cid] = max(0, graph.residual[cid] - drop)
+            graph.searches.clear()
+            t1 = t0 + step
+            calls["search"] = 0
+            got = yen_plus(graph, k, depart=t1, confirm=confirm)
+            searched = calls["search"]
+            fresh = build_contact_graph(plan, "N0", "N1", dict(graph.residual))
+            calls["search"] = 0
+            assert got == yen_plus(fresh, k, depart=t1, confirm=confirm)
+            assert searched <= calls["search"]
+            if searched < calls["search"]:
+                replayed.append(calls["search"] - searched)
+            elif kept:
+                refused.append(kept)
+
+        check()
+        assert replayed and refused
+
+    def test_unchanged_plan_replays_every_kept_spur(self, monkeypatch):
+        # windows stay open over both calls: the round from S -> D at t=9
+        # replays its one spur, S -> A -> D, shifted by 9 s
+        plan = _contacts(
+            ("S", "D", 0, 30, 1, 1), ("S", "A", 0, 30, 1, 1), ("A", "D", 0, 30, 1, 1)
+        )
+        (got, calls), (expected, fresh) = self._again(monkeypatch, plan, 2, 0, 9)
+        assert got == expected
+        assert [(r.hops, r.bdt) for r in got] == [((1,), 10), ((2, 3), 11)]
+        assert (calls["search"], fresh["search"]) == (1, 2)
+        assert calls["evaluate"] == fresh["evaluate"]
+
+    def test_root_wait_shifts_the_spur_start_less(self, monkeypatch):
+        # S -> M opens at t=2, so from t=0 and from t=1 the spur at M starts
+        # at 3 and is replayed unshifted; the spur at S finds nothing and
+        # is searched again
+        plan = _contacts(
+            ("S", "M", 2, 30, 1, 1), ("M", "D", 0, 30, 1, 1),
+            ("M", "A", 0, 30, 1, 1), ("A", "D", 0, 30, 1, 1),
+        )
+        (got, calls), (expected, fresh) = self._again(monkeypatch, plan, 2, 0, 1)
+        assert got == expected
+        assert [(r.hops, r.bdt) for r in got] == [((1, 2), 4), ((1, 3, 4), 5)]
+        assert (calls["search"], fresh["search"]) == (2, 3)
+
+    def test_window_closing_in_the_span_searches_again(self, monkeypatch):
+        # the kept spur S -> A -> D leaves A at 1 on contact 3, open until
+        # t=10; from t=9 it would leave A at 10, after its window, and the
+        # spur takes contact 4 instead
+        (got, calls), (expected, fresh) = self._again(monkeypatch, CLOSING, 2, 0, 9)
+        assert got == expected
+        assert [r.hops for r in got] == [(1,), (2, 4)]
+        assert calls == fresh
+
+    def test_earlier_departure_searches_again(self, monkeypatch):
+        # the spur kept from t=9 takes contact 4; from t=0 contact 3, still
+        # open, ties it at D and comes first
+        (got, calls), (expected, fresh) = self._again(monkeypatch, CLOSING, 2, 9, 0)
+        assert got == expected
+        assert [r.hops for r in got] == [(1,), (2, 3)]
+        assert calls == fresh
+
+    def test_fractional_light_times_search_again(self, monkeypatch):
+        # From t=2 the spur at S reaches D at 2.2 directly and through X
+        # (2.1 + 0.1), and keeps the direct contact it relaxed first; from
+        # t=4, 4.1 + 0.1 rounds to 4.199999999999999, below 4.2.  No
+        # departure is `_exact` on this plan, so the spur is searched again.
+        plan = _contacts(
+            ("S", "D", 0, 30, 0.1, 1), ("S", "D", 0, 30, 0.2, 1),
+            ("S", "X", 0, 30, 0.1, 1), ("X", "D", 0, 30, 0.1, 1),
+        )
+        (got, calls), (expected, fresh) = self._again(monkeypatch, plan, 2, 2, 4)
+        assert got == expected
+        assert [r.hops for r in got] == [(1,), (3, 4)]
+        assert calls == fresh
+
+    def test_window_opening_in_the_span_searches_again(self, monkeypatch):
+        # contact 3 (A -> D) opens at t=5: the kept spur waits for it no
+        # longer from t=5, and ties contact 4 at D, which it comes before
+        plan = _contacts(
+            ("S", "D", 0, 30, 1, 1), ("S", "A", 0, 30, 1, 1),
+            ("A", "D", 5, 30, 1, 1), ("A", "D", 0, 30, 1, 1),
+        )
+        (got, calls), (expected, fresh) = self._again(monkeypatch, plan, 2, 0, 5)
+        assert got == expected
+        assert [r.hops for r in got] == [(1,), (2, 3)]
+        assert calls == fresh
+
+    def test_kept_spur_arriving_after_the_bound_is_none(self, monkeypatch):
+        # The best route is S -> A -> D; from t=0 the spurs at S (through B,
+        # whose contact 3 opens at t=1) and at A (through C) both reach D at
+        # 3, and the first bounds the second.  From t=2, the spur at S no
+        # longer waits and reaches D at 4, which bounds the spur at A; its
+        # kept arrival, 3 + 2, is past that, so it returns None unsearched
+        # and adds no candidate for `evaluate_route`, as the bounded search
+        # finds none.
+        plan = _contacts(
+            ("S", "A", 0, 30, 1, 1), ("A", "D", 0, 30, 1, 1), ("S", "B", 1, 30, 1, 1),
+            ("B", "D", 0, 30, 1, 1), ("A", "C", 0, 30, 1, 1), ("C", "D", 0, 30, 1, 1),
+        )
+        (got, calls), (expected, fresh) = self._again(monkeypatch, plan, 2, 0, 2)
+        assert got == expected
+        assert [(r.hops, r.bdt) for r in got] == [((1, 2), 4), ((3, 4), 4)]
+        assert (calls["search"], fresh["search"]) == (2, 3)
+        assert calls["evaluate"] == fresh["evaluate"]
+
+    def test_reordered_pool_replays_no_later_round(self, monkeypatch):
+        # From t=0 the spurs from S -> M -> D are S -> A -> D (contacts 3, 4)
+        # and S -> M -> D on contact 5; both reach D at 3 and the first
+        # carries more, so the next round deviates from it, at A, and keeps
+        # A -> D on contact 6.  With contact 3's residual volume lowered, the
+        # second call's next round deviates from S -> M -> D instead, at M,
+        # where the kept spur of A does not apply.
+        plan = _contacts(
+            ("S", "M", 0, 30, 1, 1), ("M", "D", 0, 30, 1, 1), ("S", "A", 0, 30, 1, 2),
+            ("A", "D", 0, 30, 2, 2), ("M", "D", 0, 30, 2, 1), ("A", "D", 0, 30, 2, 2),
+        )
+
+        def lower(residual):
+            residual[3] = 10
+
+        (got, calls), (expected, fresh) = self._again(monkeypatch, plan, 3, 0, 1, lower)
+        assert got == expected
+        assert [r.hops for r in got] == [(1, 2), (1, 5), (3, 4)]
+        # the first round replays both its spurs, the next searches at M
+        assert (calls["search"], fresh["search"]) == (2, 4)
+        assert calls["evaluate"] == fresh["evaluate"]
