@@ -31,15 +31,15 @@ so the hops are those of Dijkstra's order (the argument is in ``_search``).
 A ``ContactGraph`` is one source/destination pair's search context; the
 graph is ``ContactPlan.adjacency``, whose storage edges lead from a contact
 to one leaving its receiving node late enough.  ``dijkstra_bdt`` keeps each
-search's hops and last route on it, one per first-hop restriction, and
-answers from them where a fresh search would return the same route: at a
-later departure only where ``_exact`` holds, and a kept route while
-``covers`` holds (see its docstring).  ``yen_plus`` keeps on it a trace of
-its last call, and a later call replays a kept spur search in place of
-searching while its deviation rounds repeat the kept call's and the spur's
-search would make the same decisions, shifted in time (the argument is at
-the spur loop).  Route search counts nothing; ``simcore`` counts
-computations.
+search's hops, arrival and last route on it, one per first-hop restriction,
+and answers from them where a fresh search would return the same route: a
+kept route while ``covers`` holds (see its docstring), and kept hops at the
+search's own departure or where ``_shifts`` holds.  ``yen_plus`` keeps on it
+a trace of its last call, and a later call replays a kept spur search in
+place of searching while its deviation rounds repeat the kept call's and
+``_shifts`` holds for the spur.  ``_shifts`` is the one rule under which a
+kept search stands in for a later one, and holds the argument.  Route search
+counts nothing; ``simcore`` counts computations.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Set
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import NamedTuple
 
 from cgrlab.contactplan import ContactPlan
@@ -95,14 +94,14 @@ class ContactGraph:
 
     ``residual`` maps each contact id to the volume left on it; a run passes
     its own table, which it lowers as it commits data.  ``searches`` maps a
-    ``via`` neighbour (or None) to ``(depart, slack, hops, answered, route)``:
-    the hops ``dijkstra_bdt`` found departing at ``depart`` (None when it
-    found none), which a search departing then, or up to ``slack`` seconds
-    later, finds again, and the route it last returned, for a call departing
-    at ``answered``.  ``spurs`` is the trace of the last ``yen_plus`` call,
-    one ``(base, deviation, found)`` per deviation round: the hops deviated
-    from, the first spur index searched and, per spur index whose search
-    added a pool candidate, ``(start, hops, arrival)`` of that search.
+    ``via`` neighbour (or None) to ``(depart, hops, arrival, answered,
+    route)``: the hops ``dijkstra_bdt`` found departing at ``depart`` and
+    their arrival (both None when it found none), and the route it last
+    returned, for a call departing at ``answered``.  ``spurs`` is the trace
+    of the last ``yen_plus`` call, one ``(base, deviation, found)`` per
+    deviation round: the hops deviated from, the first spur index searched
+    and, per spur index whose search added a pool candidate, ``(start, hops,
+    arrival)`` of that search.
     ``routes`` is the engine's ``(computed_at, routes)``
     (see ``simcore._Engine._routes``).
     """
@@ -112,7 +111,7 @@ class ContactGraph:
     dest: str
     residual: dict[int, float] = field(repr=False, compare=False)
     searches: dict[
-        str | None, tuple[float, float, list[int] | None, float, Route | None]
+        str | None, tuple[float, list[int] | None, float | None, float, Route | None]
     ] = field(default_factory=dict, repr=False, compare=False)
     spurs: list[SpurRound] | None = field(default=None, repr=False, compare=False)
     routes: tuple[float, list[Route]] | None = field(default=None, repr=False, compare=False)
@@ -210,8 +209,8 @@ def _exact(plan: ContactPlan, t: float) -> bool:
     ``plan.positive_whole_times()`` holds, so every label, ``owlt_to`` bound
     and key of the search is a whole number below 2**53, each sum is exact
     and every comparison decides as on the reals.  ``_search`` runs the goal
-    order, and ``dijkstra_bdt`` reuses a search at a later departure, only
-    then.
+    order, and ``_shifts`` lets a kept search stand in for one at a later
+    departure, only then.
     """
     return 0 <= t < 2.0**52 and float(t).is_integer() and plan.positive_whole_times()
 
@@ -224,7 +223,6 @@ def _search(
     banned_nodes: list[int],
     banned_first: Set[int],
     bound: float = math.inf,
-    state: list | None = None,
 ) -> list[int] | None:
     """Earliest-arrival search between node indices; returns the hops or None.
 
@@ -244,9 +242,6 @@ def _search(
     A label ``reach`` at node ``to`` is kept only when ``reach + h[to] <=
     bound``; ``yen_plus`` argues at its prune site why that returns what the
     unbounded search returns whenever that arrives by ``bound``.
-
-    When ``state`` is given, the search appends its ``best`` labels and its
-    ``done`` flags to it on return.
     """
     # The goal-directed order returns the Dijkstra order's hops.  A node's
     # final label is its earliest arrival over the edges the search may take.
@@ -309,7 +304,7 @@ def _search(
                 key = reach if h is None else reach + h[to]
                 if key <= bound:
                     reached[to] = (key if goal else reach, reach, cid)
-    if not reached and state is None:
+    if not reached:
         return hops
     best = [math.inf] * len(adjacency)
     parent: list[tuple[int, int] | None] = [None] * len(adjacency)
@@ -355,44 +350,61 @@ def _search(
                 sender = parent[to][1]
                 if arrival < best[sender] or arrival == best[sender] and node < sender:
                     parent[to] = (cid, node)
-    if state is not None:
-        state += (best, done)
     return hops
 
 
-def _shift_slack(
-    plan: ContactPlan,
-    start: int,
-    dest: int,
-    banned_first: Set[int],
-    best: list[float],
-    done: bytearray,
-) -> float:
-    """How much later a finished search could depart and decide the same.
+def _shifts(plan: ContactPlan, s0: float, s1: float, arrival: float) -> bool:
+    """Whether a search from ``s1`` returns the hops a kept one from ``s0`` did.
 
-    Reads the settled labels of a search from ``start`` and returns the
-    least ``last - label`` over the edges feasible from a settled node
-    other than ``dest``, or ``-inf`` when one of them waited for its window
-    to open.  ``dijkstra_bdt`` argues why that bounds the reuse window.
-    Every edge of a settled node counts, whether or not the search relaxed
-    it, so the window can only come out shorter than it might be.
+    The kept search started at ``s0`` and, unbounded, returned hops arriving
+    at ``arrival``.  The same search (start, banned nodes and banned first
+    hops) from ``s1`` returns the same hops, arriving ``s1 - s0`` later, when
+    ``s1 >= s0``, ``_exact`` holds at both starts, and no window of the plan
+    opens in ``(s0, arrival + s1 - s0]`` or closes (no ``last``) in ``[s0,
+    arrival + s1 - s0)``.  ``dijkstra_bdt`` and ``yen_plus`` reuse kept
+    searches under this one rule.
     """
-    slack = math.inf
-    adjacency = plan.adjacency
-    for node in compress(range(len(done)), done):
-        if node == dest:
-            continue
-        label = best[node]
-        for cid, t_start, last, _, _ in adjacency[node]:
-            if label > last or t_start > last:
-                continue  # infeasible now and at every later departure
-            if node == start and cid in banned_first:
-                continue
-            if label < t_start:
-                return -math.inf
-            if last - label < slack:
-                slack = last - label
-    return slack
+    # Say delta = s1 - s0 and A0 = arrival.  The search from s1 returns the
+    # kept hops at A0 + delta when
+    # (a) delta >= 0 and `_exact` holds at s0 and s1, so both run the goal
+    #     order and every label, h and key is an exact whole number;
+    # (b) no window opens in (s0, A0 + delta];
+    # (c) no window closes (no `last`) in [s0, A0 + delta).
+    # The search from s0 pops keys in rising order, up to dest's A0, and a
+    # label is at most its key, so every node it pops has a label l in
+    # [s0, A0].  Call a reach low when it is at most A0 from s0, or A0 +
+    # delta from s1.  By induction over the pops, the start's settling
+    # first, the search from s1 pops each such node at l + delta, and every
+    # node's best is low in both searches and shifted by delta, with the
+    # same parent, or high in both.  An edge of a popped node either opens
+    # at or before s0 <= l: it leaves at once in both, stays feasible in
+    # both or in neither by (c), and reaches r and r + delta.  Or by (b) it
+    # opens after A0 + delta: it waits in both, is feasible in both or in
+    # neither, and reaches the same W > A0 + delta, high in both.  A low
+    # reach beats a high best in both, a high reach never beats or ties a
+    # low best, and two low reaches compare as their shifts, as does the tie
+    # test on popped labels.  So the low entries pushed are the same,
+    # shifted by delta, and the rest have keys above A0 from s0 and above
+    # A0 + delta from s1, beyond every pop up to dest.  The heap's `(key,
+    # arrival, index)` order of the low entries, the `done` flags and the
+    # parents then match, and so does the return.  The first-hop ban and
+    # the banned nodes are inputs, the same in both.  A wait for a window
+    # that opens after A0 + delta reaches only high labels, so it never
+    # stops a reuse.
+    # The bisects test (b) and (c) over every window of the plan; for whole
+    # x >= 0, `t_end - 1 >= x` exactly when `t_end >= x + 1`, since the
+    # subtraction is exact for 0.5 <= t_end < 2**53 and below 0 otherwise.
+    # Where (a) holds, delta, A0 + delta and the sums with 1 are exact whole
+    # numbers, and so is each comparison.
+    shifted = arrival + (s1 - s0)
+    starts, ends = plan.window_bounds()
+    return (
+        s1 >= s0
+        and _exact(plan, s0)
+        and _exact(plan, s1)
+        and bisect_right(starts, s0) == bisect_right(starts, shifted)
+        and bisect_left(ends, s0 + 1) == bisect_left(ends, shifted + 1)
+    )
 
 
 def dijkstra_bdt(
@@ -406,14 +418,13 @@ def dijkstra_bdt(
     which yields the best route through it.  Returns None when the
     destination is unreachable.
 
-    The graph keeps the last search for each ``via`` (None included) and the
-    last route returned.  A call at that route's departure returns it while
-    ``covers`` holds.  Otherwise a call at the search's departure, whatever
-    the residual volumes, or at a later one inside the window where the same
-    search would make the same decisions (``_exact`` at both departures, no
-    settled label waiting for a window to open or missing one that closes)
-    evaluates the kept hops instead of searching.  The result is the same
-    either way.
+    The graph keeps the last search for each ``via`` (None included), its
+    departure, hops and arrival, and the last route returned.  A call at
+    that route's departure returns it while ``covers`` holds.  Otherwise a
+    call at the search's departure, whatever the residual volumes, or at a
+    later one where ``_shifts`` holds, evaluates the kept hops instead of
+    searching; kept None is reused only at its own departure.  The result is
+    the same either way.
     """
     plan, residual = graph.plan, graph.residual
     kept = graph.searches.get(via)
@@ -423,44 +434,20 @@ def dijkstra_bdt(
         route = kept[4]
         if route is None or covers(residual, route):
             return route
-    # A search from t0 and the same search from t1 = t0 + delta, delta >= 0,
-    # make the same decisions, so they return the same hops or both None,
-    # when:
-    # (a) `_exact` holds at t0 and at t1, so both run the goal order and
-    #     every label, h and key is an exact whole number below 2**53;
-    # (b) no edge relaxed from a settled node u waits: label(u) < t_start
-    #     <= last never holds;
-    # (c) no window closes: delta <= last - label(u) on every relaxed edge
-    #     with label(u) <= last.
-    # By induction over the pops (the start's settling first), the t1
-    # search pops the same entries in the same order with every label
-    # shifted by exactly delta.  At a pop of u at label(u) + delta, an edge
-    # with label(u) > last or t_start > last stays infeasible; by (b) every
-    # other edge leaves at label(u) (+ delta), and by (c) it stays feasible.
-    # Each reach shifts by delta, and so does each key, h not depending on
-    # the departure, exactly by (a); every `reach < best[to]` test, the tie
-    # test on (label, index) and the heap's `(key, arrival, index)` order
-    # come out as before.  `done` flags and the first-hop ban are the same,
-    # so the pops match, and with them the return.  `evaluate_route` at t1
-    # is then what a fresh search returns.  `_shift_slack` computes the
-    # least `last - label` of (c) from the settled labels, after the search
-    # and only on a miss, so the shared per-edge loop of `_search` does no
-    # extra work; a wait makes the window empty, and a node left unsettled
-    # relaxed no edge, so it adds no term.  By (a) the horizon, and with it
-    # every `last`, is below 2**52, so `last - label` with 0 <= label <=
-    # last is exact and `delta <= slack` tests (c) exactly.
-    reusable = _exact(plan, depart)
-    if not (kept and (depart == kept[0] or reusable and 0 <= depart - kept[0] <= kept[1])):
+    if kept and (
+        depart == kept[0] or kept[1] is not None and _shifts(plan, kept[0], depart, kept[2])
+    ):
+        route = None if kept[1] is None else evaluate_route(plan, residual, kept[1], depart)
+    else:
         banned_first = frozenset(
             c.id for c in plan.contacts_from(graph.source) if via is not None and c.to_node != via
         )
         index = plan.node_index
-        start, dest = index[graph.source], index[graph.dest]
-        state: list | None = [] if reusable else None
-        hops = _search(plan, start, depart, dest, [], banned_first, math.inf, state)
-        slack = _shift_slack(plan, start, dest, banned_first, *state) if reusable else -math.inf
-        kept = (depart, slack, hops)
-    route = None if kept[2] is None else evaluate_route(plan, residual, kept[2], depart)
+        hops = _search(plan, index[graph.source], depart, index[graph.dest], [], banned_first)
+        route = None if hops is None else evaluate_route(plan, residual, hops, depart)
+        # `evaluate_route` repeats the search's forward rule on its hops, so at
+        # the search's own departure the route's BDT is the search's arrival
+        kept = (depart, hops, None if route is None else route.bdt)
     graph.searches[via] = kept[:3] + (depart, route)
     return route
 
@@ -493,12 +480,10 @@ def yen_plus(
     the result of each spur search that added a candidate.  A later call on
     the graph, at any departure, uses a kept spur in place of its search
     while every round so far deviated from the same base hops at the same
-    index, the spur starts no earlier than the kept one, both searches run
-    the goal-directed order (``_exact``) and no window of the plan opens or
-    closes between the kept start and the shifted arrival; the arrival is
-    then the kept one shifted, and a spur arriving after the bound is None
-    (Acar, 2005, on reusing a trace of a computation; the argument is at the
-    spur loop).  The result is the same either way.
+    index and ``_shifts`` holds from the kept spur's start to this one's;
+    the arrival is then the kept one shifted, and a spur arriving after the
+    bound is None (Acar, 2005, on reusing a trace of a computation; the
+    argument is at the spur loop).  The result is the same either way.
 
     The loop makes one shortest-path search for the first route, then one
     deviation round per further route sought (Yen, 1971).  With
@@ -533,7 +518,6 @@ def yen_plus(
     # call repeats them (see the spurs), and this call's own rounds
     kept_rounds = iter(graph.spurs or ())
     rounds: list[SpurRound] = []
-    starts, ends = plan.window_bounds()
 
     # once the K-th best BDT is certain, `boundary` holds the BDT class of the
     # first route beyond it; that whole class is still confirmed before
@@ -644,62 +628,24 @@ def yen_plus(
             # spur indices and built every B(R) by the same additions: its
             # search at j had this search's root, banned nodes and banned
             # first hops.  Say it started at s0 and returned hops H arriving
-            # at A0 under its bound, and this one starts at s1 = s0 + delta.
-            # - A bounded search returns the unbounded result exactly when
-            #   that arrives by the bound, by (ii), and None otherwise, since
-            #   each label it sets at dest is the arrival of some route.  So
-            #   the unbounded search from s0 returns H at A0.
-            # - It returns H at A0 + delta from s1 when delta >= 0 and
-            #   (a) `_exact` holds at s0 and s1, so both run the goal order
-            #       and every label, h and key is an exact whole number;
-            #   (b) no window opens in (s0, A0 + delta];
-            #   (c) no window closes (no `last`) in [s0, A0 + delta).
-            #   The search from s0 pops keys in rising order, up to dest's
-            #   A0, and a label is at most its key, so every node it pops
-            #   has a label l in [s0, A0].  Call a reach low when it is at
-            #   most A0 from s0, or A0 + delta from s1.  By induction over
-            #   the pops, the start's settling first, the search from s1
-            #   pops each such node at l + delta, and every node's best is
-            #   low in both searches and shifted by delta, with the same
-            #   parent, or high in both.  An edge of a popped node either
-            #   opens at or before s0 <= l: it leaves at once in both,
-            #   stays feasible in both or in neither by (c), and reaches r
-            #   and r + delta.  Or by (b) it opens after A0 + delta: it
-            #   waits in both, is feasible in both or in neither, and
-            #   reaches the same W > A0 + delta, high in both.  A low reach
-            #   beats a high best in both, a high reach never beats or ties
-            #   a low best, and two low reaches compare as their shifts, as
-            #   does the tie test on popped labels.  So the low entries
-            #   pushed are the same, shifted by delta, and the rest have
-            #   keys above A0 from s0 and above A0 + delta from s1, beyond
-            #   every pop up to dest.  The heap's `(key, arrival, index)`
-            #   order of the low entries, the `done` flags and the parents
-            #   then match, and so does the return.
-            # - So the bounded search from s1 returns H when A0 + delta is
-            #   at most `bound`, and None otherwise, without a search.
-            # `found[j]` holds (s0, H, A0) of a spur that added a pool
-            # candidate, whose BDT equals A0 by (iii).  delta is the spur's
-            # own shift: a later departure moves the spur start by at most
-            # as much, and less where the root waited for a window.  The
-            # bisects test (b) and (c) over every window of the plan; for
-            # whole x >= 0, `t_end - 1 >= x` exactly when `t_end >= x + 1`,
-            # since the subtraction is exact for 0.5 <= t_end < 2**53 and
-            # below 0 otherwise.  Where (a) holds, delta, A0 + delta and the
-            # sums with 1 are exact whole numbers, and so is each comparison.
+            # at A0 under its bound.  A bounded search returns the unbounded
+            # result exactly when that arrives by the bound, by (ii), and
+            # None otherwise, since each label it sets at dest is the
+            # arrival of some route.  So the unbounded search from s0
+            # returns H at A0, and where `_shifts` holds, the one from this
+            # spur's start returns H at A0 + delta, delta = start - s0; the
+            # bounded search then returns H when that is at most `bound`,
+            # and None otherwise, without a search.  `found[j]` holds (s0,
+            # H, A0) of a spur that added a pool candidate, whose BDT equals
+            # A0 by (iii).  delta is the spur's own shift: a later departure
+            # moves the spur start by at most as much, and less where the
+            # root waited for a window.
             spur = None
             kept = replayed.get(j)
             if kept is not None:
                 s0, kept_hops, arrival = kept
-                delta = start_time - s0
-                arrival += delta
-                if (
-                    delta >= 0
-                    and _exact(plan, s0)
-                    and _exact(plan, start_time)
-                    and bisect_right(starts, s0) == bisect_right(starts, arrival)
-                    and bisect_left(ends, s0 + 1) == bisect_left(ends, arrival + 1)
-                ):
-                    if arrival > bound:
+                if _shifts(plan, s0, start_time, arrival):
+                    if arrival + (start_time - s0) > bound:
                         continue
                     spur = kept_hops
             if spur is None:

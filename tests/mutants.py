@@ -47,6 +47,7 @@ class Mutant(NamedTuple):
 
 
 SPURS = "tests/test_routesearch.py::TestKeptSpurs::"
+REUSE = "tests/test_routesearch.py::TestSearchReuse::"
 START = "tests/test_routesearch.py::TestSearchStart::"
 
 MUTANTS = (
@@ -58,40 +59,66 @@ MUTANTS = (
         "if traced is not None:",
         (SPURS + "test_reordered_pool_replays_no_later_round",),
     ),
+    # the shift rule both kept-search sites share
     Mutant(
-        "spurs: replay at an earlier spur start",
+        "shifts: reuse at an earlier start",
         "routesearch.py",
-        "delta >= 0\n                    and ",
-        "",
-        (SPURS + "test_earlier_departure_searches_again",),
+        "        s1 >= s0\n        and ",
+        "        ",
+        (REUSE + "test_earlier_departure_searches_again",
+         SPURS + "test_earlier_departure_searches_again"),
     ),
     Mutant(
-        "spurs: replay where no search is exact",
+        "shifts: reuse where no search is exact",
         "routesearch.py",
-        "and _exact(plan, s0)\n                    and _exact(plan, start_time)\n",
+        "        and _exact(plan, s0)\n        and _exact(plan, s1)\n",
         "",
-        (SPURS + "test_fractional_light_times_search_again",),
+        (REUSE + "test_zero_light_time_searches_again_at_a_later_departure",
+         SPURS + "test_fractional_light_times_search_again"),
     ),
     Mutant(
-        "spurs: no window-opening test",
+        "shifts: no window-opening test",
         "routesearch.py",
-        "and bisect_right(starts, s0) == bisect_right(starts, arrival)\n",
+        "        and bisect_right(starts, s0) == bisect_right(starts, shifted)\n",
         "",
-        (SPURS + "test_matches_fresh_graph", SPURS + "test_window_opening_in_the_span_searches_again"),
+        (
+            REUSE + "test_wait_past_the_shifted_arrival_is_reused",
+            "tests/test_simcore.py::TestSearchReuse::test_search_that_waits_is_never_reused",
+            SPURS + "test_matches_fresh_graph",
+            SPURS + "test_window_opening_in_the_span_searches_again",
+        ),
     ),
     Mutant(
-        "spurs: no window-closing test",
+        "shifts: no window-closing test",
         "routesearch.py",
-        "and bisect_left(ends, s0 + 1) == bisect_left(ends, arrival + 1)\n",
+        "        and bisect_left(ends, s0 + 1) == bisect_left(ends, shifted + 1)\n",
         "",
-        (SPURS + "test_matches_fresh_graph", SPURS + "test_window_closing_in_the_span_searches_again"),
+        (
+            REUSE + "test_matches_fresh_search",
+            "tests/test_simcore.py::TestSearchReuse::"
+            "test_reused_up_to_the_last_departure_the_window_allows",
+            SPURS + "test_matches_fresh_graph",
+            SPURS + "test_window_closing_in_the_span_searches_again",
+        ),
     ),
+    # dijkstra_bdt has no bound, so only the spur loop can test this one
     Mutant(
         "spurs: kept hops past the bound",
         "routesearch.py",
-        "if arrival > bound:\n                        continue\n",
+        "if arrival + (start_time - s0) > bound:\n                        continue\n",
         "",
         (SPURS + "test_kept_spur_arriving_after_the_bound_is_none",),
+    ),
+    Mutant(
+        "dijkstra_bdt: windows tested up to the shifted departure, not the arrival",
+        "routesearch.py",
+        "_shifts(plan, kept[0], depart, kept[2])",
+        "_shifts(plan, kept[0], depart, kept[0])",
+        (
+            REUSE + "test_wait_past_the_shifted_arrival_is_reused",
+            "tests/test_simcore.py::TestSearchReuse::"
+            "test_reused_up_to_the_last_departure_the_window_allows",
+        ),
     ),
     # the standing-route predicate
     Mutant(
@@ -100,8 +127,7 @@ MUTANTS = (
         "return min(map(residual.__getitem__, route.hops)) >= route.volume",
         "return min(map(residual.__getitem__, route.hops)) > route.volume",
         (
-            "tests/test_routesearch.py::TestSearchReuse::"
-            "test_kept_route_returned_while_residuals_cover_it[4]",
+            REUSE + "test_kept_route_returned_while_residuals_cover_it[4]",
             "tests/test_simcore.py::TestRouteListTiming::"
             "test_listed_route_is_timed_again_only_below_its_volume",
             "tests/test_simcore.py::TestCriticalReplication::"
@@ -180,7 +206,6 @@ NOT_TRANSCRIBED = (
     "a bound kept when confirm is set",
     "idle-attempt skip: the enqueue or recompute version bump, the skip, "
     "the version check on memoised routes",
-    "shift window: no wait test, a window one second wider, no whole-number test",
     "copy states: a copy not removed from `stored` when it leaves that state",
     "`_try_start`: the version bump moved to the transmitting branch",
     "occupancy: the bisections swapped or taken on one side",

@@ -4,8 +4,7 @@
 ``(arrival, node index)`` alone, the order every search took before the
 goal-directed one.  A differential test against it checks that ordering by
 arrival plus the light-time bound, with its tie rule, returns the same hops.
-It takes ``_search``'s arguments, ``state`` included, so it can stand in for
-it.
+It takes ``_search``'s arguments, so it can stand in for it.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ import heapq
 import math
 
 
-def dijkstra_search(
-    plan, start, start_time, dest, banned_nodes, banned_first, bound=math.inf, state=None
-):
+def dijkstra_search(plan, start, start_time, dest, banned_nodes, banned_first, bound=math.inf):
     h = plan.owlt_to(dest)
     adjacency = plan.adjacency
     best = [math.inf] * len(adjacency)
@@ -36,8 +33,6 @@ def dijkstra_search(
             while node != start:
                 cid, node = parent[node]
                 hops.append(cid)
-            if state is not None:
-                state += (best, done)
             return hops[::-1]
         for cid, t_start, last, owlt, to in adjacency[node]:
             if done[to] or node == start and cid in banned_first:
@@ -51,6 +46,4 @@ def dijkstra_search(
                 best[to] = reach
                 parent[to] = (cid, node)
                 heapq.heappush(heap, (reach, to))
-    if state is not None:
-        state += (best, done)
     return None

@@ -615,23 +615,17 @@ class TestGoalDirectedOrder:
 
 class TestSearchStart:
     """``_search`` relaxes the start's edges before it allocates labels; each
-    case returns the hops, labels and settled flags of ``dijkstra_search``."""
+    case returns the hops of ``dijkstra_search``."""
 
     @staticmethod
     def _matches_oracle(plan, source, dest, banned=(), banned_first=frozenset(), bound=math.inf):
         index = plan.node_index
         args = (index[source], 0.0, index[dest], [index[n] for n in banned], banned_first, bound)
-        state, expected_state = [], []
-        hops = routesearch._search(plan, *args, state=state)
-        assert hops == dijkstra_search(plan, *args, state=expected_state)
-        assert routesearch._search(plan, *args) == hops
-        best, done = state
-        expected_best, expected_done = expected_state
-        assert best == expected_best and list(map(bool, done)) == expected_done
+        hops = routesearch._search(plan, *args)
+        assert hops == dijkstra_search(plan, *args)
         return hops
 
     def test_banned_start_finds_nothing(self):
-        # with and without `state`, as every case here
         assert self._matches_oracle(_plan(*TIED_SENDERS), "S", "D", banned=["S"]) is None
 
     def test_start_at_dest_returns_no_hops(self):
@@ -694,6 +688,19 @@ def _departures(walk) -> list[float]:
 
 
 class TestSearchReuse:
+    @staticmethod
+    def _searches(monkeypatch):
+        """The argument tuples of every ``_search`` call from here on."""
+        search = routesearch._search
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(routesearch, "_search", spy)
+        return calls
+
     def test_matches_fresh_search(self, monkeypatch):
         """Searches reused at later departures return what a fresh graph returns.
 
@@ -709,14 +716,7 @@ class TestSearchReuse:
         close and searches wait.  The spy records how much later than the
         kept search each call departed that was answered without a search.
         """
-        search = routesearch._search
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return search(*args)
-
-        monkeypatch.setattr(routesearch, "_search", spy)
+        calls = self._searches(monkeypatch)
         reused = []
 
         @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -758,23 +758,16 @@ class TestSearchReuse:
                     assert got == dijkstra_bdt(fresh, depart=depart, via=via)
                     # reused hops are those a fresh search finds, even where
                     # neither evaluates to a route
-                    assert graph.searches[via][2] == fresh.searches[via][2]
+                    assert graph.searches[via][1] == fresh.searches[via][1]
 
         check()
         assert reused and max(reused) > 0
 
     def test_equal_departure_reuses_on_fractional_light_times(self, monkeypatch):
-        # half-second light times rule out the shift window, but a call at the
-        # kept search's own departure runs the identical search; it still
+        # half-second light times rule out `_shifts`, but a call at the kept
+        # search's own departure runs the identical search; it still
         # evaluates the hops against the current residual volumes
-        search = routesearch._search
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return search(*args)
-
-        monkeypatch.setattr(routesearch, "_search", spy)
+        calls = self._searches(monkeypatch)
         plan = ContactPlan.build(
             [
                 Contact(id=1, from_node="S", to_node="A", t_start=0, t_end=30, rate=1, owlt=0.5),
@@ -794,14 +787,7 @@ class TestSearchReuse:
     def test_zero_light_time_searches_again_at_a_later_departure(self, monkeypatch):
         # the light times are whole, but A -> D takes none, so no search
         # runs in the goal order and none is reused at a later departure
-        search = routesearch._search
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return search(*args)
-
-        monkeypatch.setattr(routesearch, "_search", spy)
+        calls = self._searches(monkeypatch)
         plan = ContactPlan.build(
             [
                 Contact(id=1, from_node="S", to_node="A", t_start=0, t_end=30, rate=1, owlt=1),
@@ -862,14 +848,7 @@ class TestSearchReuse:
         assert (first.volume, again.volume) == (26, 25)
 
     def test_kept_none_is_answered_without_a_search(self, monkeypatch):
-        search = routesearch._search
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return search(*args)
-
-        monkeypatch.setattr(routesearch, "_search", spy)
+        calls = self._searches(monkeypatch)
         # D is in the plan but no contact reaches it
         plan = ContactPlan.build(
             [
@@ -881,6 +860,35 @@ class TestSearchReuse:
         assert dijkstra_bdt(graph, depart=3, via="A") is None
         assert dijkstra_bdt(graph, depart=3, via="A") is None
         assert len(calls) == 1
+
+    def test_wait_past_the_shifted_arrival_is_reused(self, monkeypatch):
+        # From t=0 the search settles A at 1 and D at 2.  A's contact to X
+        # opens at 20, so A's label waits for it; that wait reaches X at 21,
+        # after D, from t=5 as from t=0, and the kept search is reused.
+        # From t=18 the shifted arrival, 20, reaches the opening.
+        calls = self._searches(monkeypatch)
+        plan = _contacts(
+            ("S", "A", 0, 30, 1, 1), ("A", "D", 0, 30, 1, 1),
+            ("A", "X", 20, 30, 1, 1), ("X", "D", 0, 30, 1, 1),
+        )
+        graph = build_contact_graph(plan, "S", "D")
+        assert dijkstra_bdt(graph, depart=0, via="A").bdt == 2
+        again = dijkstra_bdt(graph, depart=5, via="A")
+        assert len(calls) == 1
+        assert again == dijkstra_bdt(build_contact_graph(plan, "S", "D"), depart=5, via="A")
+        assert (again.hops, again.bdt) == ((1, 2), 7)
+        calls.clear()
+        dijkstra_bdt(graph, depart=18, via="A")
+        assert len(calls) == 1
+
+    def test_earlier_departure_searches_again(self, monkeypatch):
+        # the search kept from t=9 takes contact 4, as contact 3 closes at
+        # t=10; from t=0 contact 3, still open, ties it at D and comes first
+        calls = self._searches(monkeypatch)
+        graph = build_contact_graph(CLOSING, "S", "D")
+        assert dijkstra_bdt(graph, depart=9, via="A").hops == (2, 4)
+        assert dijkstra_bdt(graph, depart=0, via="A").hops == (2, 3)
+        assert len(calls) == 2
 
 
 def _contacts(*links):

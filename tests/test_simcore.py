@@ -649,14 +649,19 @@ class TestSearchReuse:
     def test_reused_up_to_the_last_departure_the_window_allows(self, monkeypatch):
         log = self._log(monkeypatch)
         links = [("S", "A", 0, 60), ("A", "D", 0, 20), ("A", "B", 0, 60), ("B", "D", 0, 60)]
-        self._run(links, [0.0, 18.0, 19.0])
-        # from S at t0 the search settles A at t0 + 1, and A's contact to D
-        # must be left by 19, so the slack is 19 - (t0 + 1) and the window
-        # ends at 18
+        self._run(links, [0.0, 17.0, 18.0, 19.0])
+        # from S at 0 the search arrives at D at 2, and A's contact to D must
+        # be left by 19, so the kept search stands in while that `last` stays
+        # at or above the shifted arrival 2 + delta: up to 17.  From 18 the
+        # short route still leaves A at 19; from 19 it has closed.
         short, long = (1, 2), (1, 3, 4)
-        assert log[:3] == [(0.0, True, short), (18.0, False, short), (19.0, True, long)]
+        assert log[:4] == [
+            (0.0, True, short), (17.0, False, short), (18.0, True, short), (19.0, True, long)
+        ]
 
     def test_search_that_waits_is_never_reused(self, monkeypatch):
+        # the search waits at S for contact 1, which opens at 10, before the
+        # arrival at D, so the opening lies in every later span below 10
         log = self._log(monkeypatch)
         self._run([("S", "A", 10, 60), ("A", "D", 0, 60)], [0.0, 1.0, 2.0])
         assert [searched for t, searched, _ in log if t < 10] == [True] * 3
