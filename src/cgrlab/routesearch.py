@@ -231,7 +231,9 @@ def _search(
     start out settled and ``banned_first`` removes contacts from the first
     hop.  It returns the hops of the Dijkstra order, which pops labels by
     ``(arrival, node index)``; indices follow the names' string order, so
-    ties break as they would on the names.
+    ties break as they would on the names.  The heap starts with the start
+    alone, and the loop settles it as any other node: a banned start finds
+    nothing, and a start equal to ``dest`` returns no hops.
 
     Heap entries are ``(key, arrival, node index)``.  The key is the arrival
     plus ``h[node]``, with ``h = plan.owlt_to(dest)`` (goal-directed, Hart,
@@ -273,52 +275,14 @@ def _search(
     # hence the positivity guard.
     adjacency = plan.adjacency
     goal = _exact(plan, start_time)
-    h = plan.owlt_to(dest) if goal or bound < math.inf else None
-    # The start is the loop's first pop in either order, and its
-    # relaxations read only the initial labels, so it is settled here,
-    # before any label array exists; a search none of whose start edges
-    # survives returns without allocating.
-    # `reached` keeps, per neighbour, the least reach over the start's edges
-    # and, on an equal reach, the first edge in adjacency order: what the
-    # loop's `reach < best[to]` would keep.  An entry left out here is one
-    # the loop would push and then pop as stale, and heap order depends only
-    # on the entries, so every later pop is the same.  A banned start pops
-    # as settled and a start equal to dest returns no hops.
-    reached: dict[int, tuple[float, float, int]] = {}
-    if start in banned_nodes:
-        hops = None
-    elif start == dest:
-        hops = []
-    else:
-        hops = None
-        for cid, t_start, last, owlt, to in adjacency[start]:
-            if to == start or cid in banned_first or to in banned_nodes:
-                continue
-            dep = start_time if start_time > t_start else t_start
-            if dep > last:
-                continue
-            reach = dep + owlt
-            kept = reached.get(to)
-            if kept is None or reach < kept[1]:
-                # h is None only while bound is inf
-                key = reach if h is None else reach + h[to]
-                if key <= bound:
-                    reached[to] = (key if goal else reach, reach, cid)
-    if not reached:
-        return hops
+    h = plan.owlt_to(dest)
     best = [math.inf] * len(adjacency)
     parent: list[tuple[int, int] | None] = [None] * len(adjacency)
     done = bytearray(len(adjacency))
     for n in banned_nodes:
         done[n] = 1
     best[start] = start_time
-    done[start] = 1
-    heap = []
-    for to, (key, reach, cid) in reached.items():
-        best[to] = reach
-        parent[to] = (cid, start)
-        heap.append((key, reach, to))
-    heapq.heapify(heap)
+    heap = [(start_time + h[start] if goal else start_time, start_time, start)]
     heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
         _, arrival, node = heappop(heap)
@@ -331,16 +295,16 @@ def _search(
                 cid, node = parent[node]
                 hops.append(cid)
             hops.reverse()
-            break
+            return hops
         for cid, t_start, last, owlt, to in adjacency[node]:
-            if done[to]:
+            if done[to] or node == start and cid in banned_first:
                 continue
             dep = arrival if arrival > t_start else t_start
             if dep > last:
                 continue
             reach = dep + owlt
             if reach < best[to]:
-                key = reach if h is None else reach + h[to]
+                key = reach + h[to]
                 if key > bound:
                     continue
                 best[to] = reach
@@ -350,7 +314,7 @@ def _search(
                 sender = parent[to][1]
                 if arrival < best[sender] or arrival == best[sender] and node < sender:
                     parent[to] = (cid, node)
-    return hops
+    return None
 
 
 def _shifts(plan: ContactPlan, s0: float, s1: float, arrival: float) -> bool:
@@ -373,8 +337,8 @@ def _shifts(plan: ContactPlan, s0: float, s1: float, arrival: float) -> bool:
     # The search from s0 pops keys in rising order, up to dest's A0, and a
     # label is at most its key, so every node it pops has a label l in
     # [s0, A0].  Call a reach low when it is at most A0 from s0, or A0 +
-    # delta from s1.  By induction over the pops, the start's settling
-    # first, the search from s1 pops each such node at l + delta, and every
+    # delta from s1.  By induction over the pops, the start's pop first,
+    # the search from s1 pops each such node at l + delta, and every
     # node's best is low in both searches and shifted by delta, with the
     # same parent, or high in both.  An edge of a popped node either opens
     # at or before s0 <= l: it leaves at once in both, stays feasible in
@@ -439,8 +403,8 @@ def dijkstra_bdt(
     ):
         route = None if kept[1] is None else evaluate_route(plan, residual, kept[1], depart)
     else:
-        banned_first = frozenset(
-            c.id for c in plan.contacts_from(graph.source) if via is not None and c.to_node != via
+        banned_first = frozenset() if via is None else frozenset(
+            c.id for c in plan.contacts_from(graph.source) if c.to_node != via
         )
         index = plan.node_index
         hops = _search(plan, index[graph.source], depart, index[graph.dest], [], banned_first)

@@ -20,7 +20,9 @@ itself is never written.  A row is
 The script exits 1 on a survivor or a stale row and prints one summary line
 last.  Pytest does not collect this file (its name does not start with
 ``test_``) and tier-1 does not run it: a row takes a few seconds, the rows
-with property tests longer.  ``EQUIVALENT`` lists mutants that no test can
+with property tests longer.  ``tests/test_mutants_table.py`` runs no mutant
+but checks in tier-1 that every row's text occurs once and every kill id
+names a test that exists.  ``EQUIVALENT`` lists mutants that no test can
 kill, with the reason, and ``NOT_TRANSCRIBED`` the mutation checks recorded
 in CHANGES.md that have no row yet; neither is run.
 """
@@ -115,6 +117,7 @@ MUTANTS = (
         "_shifts(plan, kept[0], depart, kept[2])",
         "_shifts(plan, kept[0], depart, kept[0])",
         (
+            REUSE + "test_matches_fresh_search",
             REUSE + "test_wait_past_the_shifted_arrival_is_reused",
             "tests/test_simcore.py::TestSearchReuse::"
             "test_reused_up_to_the_last_departure_the_window_allows",
@@ -145,29 +148,23 @@ MUTANTS = (
             "test_listed_route_is_timed_again_only_below_its_volume",
         ),
     ),
-    # the search's start, settled before any label array exists
+    # the search's start and banned nodes, which the loop settles
     Mutant(
-        "_search: no banned-start guard",
+        "_search: no first-hop ban",
         "routesearch.py",
-        "    if start in banned_nodes:\n        hops = None\n    elif start == dest:",
-        "    if start == dest:",
-        (START + "test_banned_start_finds_nothing", START + "test_start_at_dest_returns_no_hops"),
+        "if done[to] or node == start and cid in banned_first:",
+        "if done[to]:",
+        (START + "test_banned_first_hops_and_nodes_are_skipped",),
     ),
     Mutant(
-        "_search: no to == start skip",
+        "_search: banned nodes not settled",
         "routesearch.py",
-        "if to == start or cid in banned_first or to in banned_nodes:",
-        "if cid in banned_first or to in banned_nodes:",
-        (START + "test_self_loop_at_start_is_skipped",),
-    ),
-    Mutant(
-        "_search: last edge wins a tie into one neighbour",
-        "routesearch.py",
-        "if kept is None or reach < kept[1]:",
-        "if kept is None or reach <= kept[1]:",
+        "    for n in banned_nodes:\n        done[n] = 1\n",
+        "",
         (
-            START + "test_first_edge_into_one_neighbour_wins_a_tie",
-            "tests/test_routesearch.py::TestGoalDirectedOrder::test_matches_dijkstra_order",
+            START + "test_banned_start_finds_nothing",
+            START + "test_start_at_dest_returns_no_hops",
+            START + "test_banned_first_hops_and_nodes_are_skipped",
         ),
     ),
     # the goal-directed order's tie rule

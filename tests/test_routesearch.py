@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cgrlab import routesearch
@@ -597,8 +597,10 @@ class TestGoalDirectedOrder:
         hops, pops = _search_pops(plan, "S", "D", depart)
         if depart >= 2.0**52:
             # every window closes by the horizon, which `positive_whole_times`
-            # keeps below 2**52, so the start has no edge left and nothing pops
-            assert plan.positive_whole_times() and pops == [] and hops is None
+            # keeps below 2**52, so the start has no edge left and pops alone
+            start = plan.node_index["S"]
+            assert plan.positive_whole_times() and hops is None
+            assert pops == [(depart, depart, start)]
         else:
             assert pops and all(key == arrival for key, arrival, _ in pops)
         assert hops == _dijkstra(plan, "S", "D", depart)
@@ -614,8 +616,8 @@ class TestGoalDirectedOrder:
 
 
 class TestSearchStart:
-    """``_search`` relaxes the start's edges before it allocates labels; each
-    case returns the hops of ``dijkstra_search``."""
+    """``_search``'s loop settles the start as any other node; each case
+    returns the hops of ``dijkstra_search``."""
 
     @staticmethod
     def _matches_oracle(plan, source, dest, banned=(), banned_first=frozenset(), bound=math.inf):
@@ -655,19 +657,10 @@ class TestSearchStart:
         assert self._matches_oracle(plan, "S", "D", banned_first=frozenset({1})) == [2, 4, 5]
         assert self._matches_oracle(plan, "S", "D", banned=["A"]) == [2, 4, 5]
 
-    def test_bound_cutting_every_start_edge_makes_no_heap_operation(self, monkeypatch):
-        plan = _plan(*TIED_SENDERS)
-        index = plan.node_index
-        plan.owlt_to(index["D"])  # filled first: its own heap operations stay out
-        calls = []
-        for name in ("heappop", "heappush", "heapify"):
-            real = getattr(heapq, name)
-            monkeypatch.setattr(heapq, name, lambda *a, real=real, name=name: (
-                calls.append(name), real(*a))[1])
+    def test_bound_cutting_every_start_edge_finds_nothing(self):
         # the start's edges reach A at 1 + 4 and B at 2 + 2 (arrival plus
         # light time left); D is reached at 5
-        assert routesearch._search(plan, index["S"], 0.0, index["D"], [], frozenset(), 3.5) is None
-        assert calls == []
+        plan = _plan(*TIED_SENDERS)
         assert self._matches_oracle(plan, "S", "D", bound=3.5) is None
         assert self._matches_oracle(plan, "S", "D", bound=5.0) == [1, 3, 5]
 
@@ -685,6 +678,17 @@ def _departures(walk) -> list[float]:
             t += step
             out.append(t)
     return out
+
+
+def _windowed(*windows):
+    """Contacts N0 -> N2 -> N1 and N0 -> N3 -> N1, numbered from 1 in that
+    order, with the given ``(t_start, t_end, owlt)``."""
+    links = (("N0", "N2"), ("N2", "N1"), ("N0", "N3"), ("N3", "N1"))
+    contacts = (
+        Contact(cid, frm, to, ts, te, 1, owlt)
+        for cid, ((frm, to), (ts, te, owlt)) in enumerate(zip(links, windows), start=1)
+    )
+    return ContactPlan(tuple(contacts), 30, frozenset({"N0", "N1", "N2", "N3"}))
 
 
 class TestSearchReuse:
@@ -743,6 +747,18 @@ class TestSearchReuse:
                 st.integers(0, 10), st.lists(st.sampled_from([1, 1, 1, 2, 5, 0.5]), max_size=14)
             ).map(_departures),
             vias=st.lists(st.sampled_from([None, "N1", "N2", "N3"]), min_size=1, max_size=3),
+        )
+        # a window opens, or closes, after the shifted departure and before
+        # the shifted arrival on the kept path: from 2 the path through N3,
+        # which waits for contact 4 to open at 4, arrives first; from 4
+        # contact 2 has closed
+        @example(
+            plan=_windowed((0, 30, 2), (0, 30, 2), (0, 30, 1), (4, 30, 1)),
+            departures=[0, 2], vias=[None],
+        )
+        @example(
+            plan=_windowed((0, 30, 1), (0, 5, 1), (0, 30, 2), (0, 30, 2)),
+            departures=[0, 4], vias=[None],
         )
         def check(plan, departures, vias):
             graph = build_contact_graph(plan, "N0", "N1")
