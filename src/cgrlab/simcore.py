@@ -234,6 +234,31 @@ class SimulationMetrics:
         digest.update(self.dispatch_csv().encode())
         return digest.hexdigest()
 
+    def exact_digest(self) -> str:
+        """sha256 over the ``repr`` of every output float, bit for bit.
+
+        ``fingerprint()`` prints times and volumes with ``:g`` (six
+        significant digits); ``repr`` round-trips, so equal digests mean
+        equal doubles.  It covers every row field, each record's delivery
+        time and outcome in id order, every dispatch tuple and
+        ``contact_usage`` in id order, one line each.
+        """
+        digest = hashlib.sha256()
+        digest.update(b"rows\n")
+        for row in self.rows:
+            digest.update((",".join(map(repr, row)) + "\n").encode())
+        digest.update(b"records\n")
+        for bid in sorted(self.records):
+            r = self.records[bid]
+            digest.update(f"{bid!r},{r.t_delivered!r},{r.outcome!r}\n".encode())
+        digest.update(b"dispatches\n")
+        for entry in self.dispatch_log:
+            digest.update((",".join(map(repr, entry)) + "\n").encode())
+        digest.update(b"contact_usage\n")
+        for cid in sorted(self.contact_usage):
+            digest.update(f"{cid!r},{self.contact_usage[cid]!r}\n".encode())
+        return digest.hexdigest()
+
 
 class _Engine:
     def __init__(

@@ -1,9 +1,11 @@
 """Recorded simulation outputs that every change must reproduce bit for bit.
 
 ``golden_runs.json`` maps a run name to the run's ``fingerprint()``,
-``computing_total`` and ``delivered_count``.  The runs cover the acceptance
-NELS plan (plain traffic under both policies, critical traffic under
-``rmdg`` and, for two seeds, under ``standard``), and runs that keep each
+``exact_digest()``, ``computing_total`` and ``delivered_count``; the digest
+sees every output float bit for bit, which the fingerprint's ``:g`` text
+does not.  The runs cover the acceptance NELS plan (plain traffic under
+both policies, critical traffic under ``rmdg`` and, for two seeds, under
+``standard``), and runs that keep each
 plan's own light times (``owlt_mode="file"``): a few NELS seeds, whose
 ranges are fractions of a light-second, the six-node demonstration plan
 with critical and plain traffic under both policies, and that plan with its
@@ -84,6 +86,7 @@ def _outputs(name: str) -> dict:
     )
     return {
         "fingerprint": metrics.fingerprint(),
+        "exact_digest": metrics.exact_digest(),
         "computing_total": metrics.computing_total,
         "delivered_count": metrics.delivered_count,
     }
