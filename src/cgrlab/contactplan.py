@@ -371,6 +371,10 @@ def parse_contact_plan(text: str) -> ContactPlan:
 
     contacts = []
     for idx, (lineno, t_start, t_end, frm, to, rate, owlt) in enumerate(raw_contacts, 1):
+        if horizon_override is not None and t_end > horizon_override:
+            raise ContactPlanError(
+                f"line {lineno}: contact {idx} ends at {t_end}, beyond horizon {horizon_override}"
+            )
         if owlt is None:
             owlt = lookup_owlt(t_start, t_end, frm, to)
         try:

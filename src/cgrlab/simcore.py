@@ -12,10 +12,13 @@ queued transmission, delivery, expiry) under one of two forwarding policies:
 Both policies share candidate review (``_Engine._review_route``), the
 priority transmission discipline, overbooking displacement and rollback.
 The engine is single-threaded and strictly deterministic: identical inputs
-produce bit-identical metrics and dispatch logs.  Metrics are sampled every
-whole second, one row each; a row can change only at an event, so only the
-first two rows after each event are computed and later ones before the next
-event copy the second (see ``_Engine._emit_rows``).
+produce bit-identical metrics and dispatch logs.  The plan's contacts open
+and close on few distinct instants, so each instant at which contacts start
+(after 0) or end is one event that carries those contacts in plan order.
+Metrics are sampled every whole second, one row each; a row can change only
+at an event, so between two events the engine keeps two runs of equal rows,
+the first second's and the rest's, and ``SimulationMetrics.rows`` expands
+them (see ``_Engine._emit_rows``).
 
 A stored copy is re-attempted once per contact start or transmission end at
 its node, so it is often attempted several times at one instant.  The engine
@@ -43,7 +46,11 @@ import csv
 import hashlib
 import heapq
 import io
+import math
+from bisect import bisect_right
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
 from cgrlab.contactplan import Contact, ContactPlan, occupancy_rate
@@ -131,6 +138,59 @@ class MetricsRow(NamedTuple):
     failed: int
 
 
+# (first second, count, row): the rows of seconds first, first + 1, ...,
+# first + count - 1, equal but for t, which is row.t at the first
+RowRun = tuple[float, int, MetricsRow]
+
+# the most seconds of text that metrics_csv and the digests build at once
+_CHUNK_S = 4096
+
+
+class MetricRows(Sequence):
+    """The per-second rows of a run, read-only, expanded from its runs.
+
+    A row's ``t`` is its run's first second plus its offset, which equals
+    the engine's ``s += 1.0`` bit for bit: every second is a whole number
+    below 2**53.  Compares equal to a list or another view with equal rows.
+    """
+
+    __slots__ = ("_runs", "_ends")
+
+    def __init__(self, runs: list[RowRun]) -> None:
+        self._runs = runs
+        self._ends = list(accumulate(count for _, count, _ in runs))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        size = len(self)
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("row index out of range")
+        at = bisect_right(self._ends, index)
+        first, count, row = self._runs[at]
+        offset = index - (self._ends[at] - count)
+        return MetricsRow(first + offset, *row[1:]) if offset else row
+
+    def __iter__(self) -> Iterator[MetricsRow]:
+        for first, count, row in self._runs:
+            yield row
+            for offset in range(1, count):
+                yield MetricsRow(first + offset, *row[1:])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, MetricRows)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"MetricRows({list(self)!r})"
+
+
 @dataclass
 class BundleRecord:
     bundle: Bundle
@@ -152,11 +212,16 @@ class SimulationMetrics:
     policy: str
     seed: int
     k: int
-    rows: list[MetricsRow]
+    runs: list[RowRun]
     records: dict[int, BundleRecord]
     dispatch_log: list[tuple[float, int, str, str, int, str, str]]
     computing_total: int
     contact_usage: dict[int, float]
+
+    @property
+    def rows(self) -> MetricRows:
+        """One row per whole second from 0, expanded from ``runs``."""
+        return MetricRows(self.runs)
 
     @property
     def generated(self) -> int:
@@ -178,10 +243,13 @@ class SimulationMetrics:
         return self.delivered_count / self.generated if self.records else 0.0
 
     def mean_occupancy(self) -> float:
-        return sum(r.r_o for r in self.rows) / len(self.rows) if self.rows else 0.0
+        # one addition per second, in order: float addition is not associative
+        seconds = sum(count for _, count, _ in self.runs)
+        r_o = chain.from_iterable(repeat(row.r_o, count) for _, count, row in self.runs)
+        return sum(r_o) / seconds if seconds else 0.0
 
     def peak_at_sending(self) -> float:
-        return max((r.mb_at_sending for r in self.rows), default=0.0)
+        return max((row.mb_at_sending for _, _, row in self.runs), default=0.0)
 
     def mean_early_margin(self) -> float:
         margins = [
@@ -189,14 +257,30 @@ class SimulationMetrics:
         ]
         return sum(margins) / len(margins) if margins else 0.0
 
+    def _row_lines(
+        self, time: Callable[[float], str], rest: Callable[[MetricsRow], str]
+    ) -> Iterator[str]:
+        """The line ``time(t) + rest(row)`` of every second, in order, joined
+        in chunks of at most ``_CHUNK_S`` seconds; ``rest`` is formatted once
+        per run, since a run's rows differ only in ``t``."""
+        for first, count, row in self.runs:
+            text = rest(row)
+            for lo in range(0, count, _CHUNK_S):
+                offsets = range(lo, min(count, lo + _CHUNK_S))
+                yield "".join([time(first + offset) + text for offset in offsets])
+
+    def _metrics_csv_chunks(self) -> Iterator[str]:
+        yield "t,r_o,computing_cum,storage_bundles,mb_to_send,mb_at_sending,mb_sent,delivered,failed\n"
+        yield from self._row_lines(
+            "{:g}".format,
+            lambda r: (
+                f",{r.r_o:.6f},{r.computing_cum},{r.storage_bundles},"
+                f"{r.mb_to_send:g},{r.mb_at_sending:g},{r.mb_sent:g},{r.delivered},{r.failed}\n"
+            ),
+        )
+
     def metrics_csv(self) -> str:
-        out = ["t,r_o,computing_cum,storage_bundles,mb_to_send,mb_at_sending,mb_sent,delivered,failed"]
-        for r in self.rows:
-            out.append(
-                f"{r.t:g},{r.r_o:.6f},{r.computing_cum},{r.storage_bundles},"
-                f"{r.mb_to_send:g},{r.mb_at_sending:g},{r.mb_sent:g},{r.delivered},{r.failed}"
-            )
-        return "\n".join(out) + "\n"
+        return "".join(self._metrics_csv_chunks())
 
     def bundles_csv(self) -> str:
         out = io.StringIO()
@@ -229,7 +313,8 @@ class SimulationMetrics:
 
     def fingerprint(self) -> str:
         digest = hashlib.sha256()
-        digest.update(self.metrics_csv().encode())
+        for chunk in self._metrics_csv_chunks():
+            digest.update(chunk.encode())
         digest.update(self.bundles_csv().encode())
         digest.update(self.dispatch_csv().encode())
         return digest.hexdigest()
@@ -245,8 +330,8 @@ class SimulationMetrics:
         """
         digest = hashlib.sha256()
         digest.update(b"rows\n")
-        for row in self.rows:
-            digest.update((",".join(map(repr, row)) + "\n").encode())
+        for chunk in self._row_lines(repr, lambda r: "," + ",".join(map(repr, r[1:])) + "\n"):
+            digest.update(chunk.encode())
         digest.update(b"records\n")
         for bid in sorted(self.records):
             r = self.records[bid]
@@ -314,7 +399,7 @@ class _Engine:
         self.delivered = 0
         self.failed = 0
         self.mb_sent = 0.0
-        self.rows: list[MetricsRow] = []
+        self.runs: list[RowRun] = []
         self.dispatch_log: list[tuple[float, int, str, str, int, str, str]] = []
 
         self.heap: list[tuple[float, int, int, object]] = []
@@ -661,48 +746,69 @@ class _Engine:
         )
 
     def _emit_rows(self, s: float, t: float) -> float:
-        """Append the rows of whole seconds ``s, s + 1, ...`` before ``t``.
+        """Append the runs of the rows of whole seconds ``s, s + 1, ...``
+        before ``t``.
 
         Called when the event at ``t`` is popped, so these seconds are all the
         samples between the last handled event, at ``t_prev <= s``, and ``t``
         (before the first event, ``t_prev`` is 0).  Returns the next second
         to sample.
 
-        Only the first two are computed; every later one copies the second
-        with its own ``t``.  A row depends on ``t`` only through
-        ``t_start <= t <= t_end``, ``busy_until > t``, ``first_tx_at < t`` and
-        ``t_gen <= t``, and each threshold is the time of an event: a contact
-        start or end, a transmission end, the event that started a first
-        transmission, a generation.  So each is at most ``t_prev`` or at
-        least ``t``.  For ``t_prev < s < t`` every comparison is therefore
+        Only the first two rows are computed: the row of ``s`` is a run of
+        one, and the row of ``s + 1`` stands for every later second before
+        ``t``, whose row equals it but for ``t``.  A row depends on ``t``
+        only through ``t_start <= t <= t_end``, ``busy_until > t``,
+        ``first_tx_at < t`` and ``t_gen <= t``, and each threshold is the
+        time of an event: a contact start or end, a transmission end, the
+        event that started a first transmission, a generation.  So each is
+        at most ``t_prev`` or at least ``t``.  For ``t_prev < s < t`` every comparison is therefore
         settled; only a sample exactly at ``t_prev`` can differ, where a
         contact ending at ``t_prev`` still counts and a first transmission
         at ``t_prev`` does not yet.  The second sample is past ``t_prev``.
 
-        A copied row has the same engine state and the same settled
-        comparisons as the row it copies, so the conservation assertion in
-        ``_sample`` (and ``occupancy_rate``'s availability check) holds at
-        the copy exactly when it holds at the computed row.
+        A row a run stands for has the same engine state and the same
+        settled comparisons as the computed row, so the conservation
+        assertion in ``_sample`` (and ``occupancy_rate``'s availability
+        check) holds at it exactly when it holds at the computed row.
+
+        Every second is whole and every event time below 2**53, so ``t - s``
+        is exact, and ``s + count`` equals ``count`` additions of 1.0.
         """
-        computed = 0
-        while s < t:
-            if computed < 2:
-                row = self._sample(s)
-                computed += 1
-            else:
-                # not row._replace, which costs almost twice as much per row
-                row = MetricsRow(s, *row[1:])
-            self.rows.append(row)
-            s += 1.0
+        if s >= t:
+            return s
+        self.runs.append((s, 1, self._sample(s)))
+        s += 1.0
+        if s < t:
+            count = math.ceil(t - s)
+            self.runs.append((s, count, self._sample(s)))
+            s += count
         return s
+
+    def _push_contact_edges(self) -> None:
+        """Push one event per distinct contact start after 0 and one per
+        distinct contact end, each carrying its contacts in plan order.
+
+        One event per contact would pop in the same order: only contact
+        edges have ranks 0 and 1, so the events of one instant and rank
+        would pop back to back, in the plan order they were pushed in, and
+        their handlers push nothing that pops between them.  Pushing fewer
+        events keeps the order of the rest.
+        """
+        starts: dict[float, list[Contact]] = {}
+        ends: dict[float, list[Contact]] = {}
+        for c in self.plan.contacts:
+            if c.t_start > 0:
+                starts.setdefault(c.t_start, []).append(c)
+            ends.setdefault(c.t_end, []).append(c)
+        for t, group in starts.items():
+            self._push(t, _R_CONTACT_START, group)
+        for t, group in ends.items():
+            self._push(t, _R_CONTACT_END, group)
 
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> SimulationMetrics:
-        for c in self.plan.contacts:
-            if c.t_start > 0:
-                self._push(c.t_start, _R_CONTACT_START, c)
-            self._push(c.t_end, _R_CONTACT_END, c)
+        self._push_contact_edges()
         for b in self.bundles:
             self._push(b.t_gen, _R_SELECT, b)
             self._push(b.t_exp, _R_EXPIRE, b.id)
@@ -710,7 +816,7 @@ class _Engine:
         # second s is sampled once every event at or before s is handled;
         # the last sample is the first whole second not before the last event;
         # between two events only the first two rows are computed (_emit_rows
-        # says why the rest are exact copies)
+        # says why the second stands for the rest)
         next_sample = 0.0
         while self.heap:
             t, rank, _, payload = heapq.heappop(self.heap)
@@ -721,12 +827,16 @@ class _Engine:
                     batch.append(heapq.heappop(self.heap)[3])
                 self._process_selection_batch(batch, t)
                 continue
+            # one bump for a group of contact edges: no attempt runs between
+            # its contacts, so no attempt could see the bumps between them
             self.version += 1
             if rank == _R_CONTACT_START:
-                self._try_start(payload, t)
-                self._reattempt_stored(payload.from_node, t)
+                for c in payload:
+                    self._try_start(c, t)
+                    self._reattempt_stored(c.from_node, t)
             elif rank == _R_CONTACT_END:
-                self._handle_contact_end(payload, t)
+                for c in payload:
+                    self._handle_contact_end(c, t)
             elif rank == _R_TX_COMPLETE:
                 c, copy = payload
                 self._push(t + c.owlt, _R_ARRIVAL, (copy, c))
@@ -736,13 +846,13 @@ class _Engine:
                 self._handle_arrival(*payload, t)
             else:
                 self._handle_expire(payload, t)
-        self.rows.append(self._sample(next_sample))
+        self.runs.append((next_sample, 1, self._sample(next_sample)))
 
         return SimulationMetrics(
             policy=self.policy,
             seed=self.seed,
             k=self.k,
-            rows=self.rows,
+            runs=self.runs,
             records=self.records,
             dispatch_log=self.dispatch_log,
             computing_total=self.computing,

@@ -51,6 +51,8 @@ class Mutant(NamedTuple):
 SPURS = "tests/test_routesearch.py::TestKeptSpurs::"
 REUSE = "tests/test_routesearch.py::TestSearchReuse::"
 START = "tests/test_routesearch.py::TestSearchStart::"
+EDGES = "tests/test_simcore.py::TestContactEdgeEvents::"
+SERIES = "tests/test_simcore.py::TestMetricsSeries::"
 
 MUTANTS = (
     # kept spur searches in yen_plus
@@ -179,6 +181,54 @@ MUTANTS = (
             "tests/test_routesearch.py::TestGoalDirectedOrder::test_matches_dijkstra_order",
         ),
     ),
+    # a plan error names its line
+    Mutant(
+        "parse: a contact past the horizon line caught only by the plan",
+        "contactplan.py",
+        "if horizon_override is not None and t_end > horizon_override:",
+        "if False:",
+        ("tests/test_cli.py::test_bad_plan_line_is_runtime_error[past-horizon]",),
+    ),
+    # one event per contact-edge instant
+    Mutant(
+        "contact edges: a group's contacts handled in reverse order",
+        "simcore.py",
+        "self._push(t, _R_CONTACT_START, group)\n"
+        "        for t, group in ends.items():\n"
+        "            self._push(t, _R_CONTACT_END, group)",
+        "self._push(t, _R_CONTACT_START, group[::-1])\n"
+        "        for t, group in ends.items():\n"
+        "            self._push(t, _R_CONTACT_END, group[::-1])",
+        (EDGES + "test_one_event_per_edge_instant",
+         EDGES + "test_same_instant_starts_are_handled_in_plan_order",
+         EDGES + "test_same_instant_ends_are_handled_in_plan_order"),
+    ),
+    Mutant(
+        "contact edges: a start group handled for its first contact only",
+        "simcore.py",
+        "for c in payload:\n                    self._try_start(c, t)",
+        "for c in payload[:1]:\n                    self._try_start(c, t)",
+        (EDGES + "test_same_instant_starts_are_handled_in_plan_order",
+         "tests/test_properties.py::test_matches_run_without_shortcuts"),
+    ),
+    # metric rows as runs
+    Mutant(
+        "metric rows: a run one second short",
+        "simcore.py",
+        "self.runs.append((s, count, self._sample(s)))",
+        "self.runs.append((s, count - 1, self._sample(s)))",
+        (SERIES + "test_rows_view_reads_like_a_list",
+         SERIES + "test_idle_run_samples_every_second_to_last_contact_end",
+         "tests/test_properties.py::test_rows_match_per_second_sampling"),
+    ),
+    Mutant(
+        "metric rows: the first row after an event standing for the rest",
+        "simcore.py",
+        "self.runs.append((s, count, self._sample(s)))",
+        "self.runs.append((s, count, self.runs[-1][2]._replace(t=s)))",
+        ("tests/test_properties.py::test_rows_settle_one_second_after_an_event[standard]",
+         "tests/test_properties.py::test_rows_match_per_second_sampling"),
+    ),
 )
 
 EQUIVALENT = (
@@ -196,7 +246,6 @@ EQUIVALENT = (
 NOT_TRANSCRIBED = (
     "graph vertices: pruning contacts that end within 3 s of a node's earliest arrival",
     "same-instant reviews: caching Route objects",
-    "metric rows: copying the first row after an event",
     "Lawler's restriction: skipping j <= d, or only j == d when d > 0",
     "node indices: numeric or insertion-order numbering",
     "bounded spurs: the bound at B* with a strict prune, h[node] for h[to], "

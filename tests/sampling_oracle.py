@@ -1,8 +1,11 @@
 """Per-second metric sampling, kept as a test oracle for the engine's rows.
 
 The engine computes a row only where its state or a time comparison can have
-changed and copies the rest.  ``PerSecondEngine`` is the same engine with the
-row of every whole second computed from scratch by ``_sample``.
+changed, and keeps one run of equal rows for the seconds after it up to the
+next event.  ``PerSecondEngine`` is the same engine with the row of every
+whole second computed from scratch by ``_sample`` and kept as a run of one,
+so its ``rows`` are the engine's expanded runs only if every row a run
+stands for is exact.
 ``available_contacts`` builds the set of contacts available at an instant by
 a scan of the plan, the reference ``contactplan.occupancy_rate``'s bisections
 are compared with.
@@ -22,7 +25,7 @@ def available_contacts(plan: ContactPlan, t: float) -> set[int]:
 class PerSecondEngine(_Engine):
     def _emit_rows(self, s: float, t: float) -> float:
         while s < t:
-            self.rows.append(self._sample(s))
+            self.runs.append((s, 1, self._sample(s)))
             s += 1.0
         return s
 

@@ -280,6 +280,50 @@ def test_bad_depart_is_usage_error(capsys, depart):
     assert len(err_lines) == 1 and "--depart" in err_lines[0]
 
 
+def test_bad_walker_spec_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-plan", "--walker", "12y10", "--alt", "1200"])
+    assert exc.value.code == 2
+    err_lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(err_lines) == 1 and err_lines[0].endswith(
+        "argument --walker: walker spec '12y10' must look like 12x10 (sats-per-plane x planes)"
+    )
+
+
+@pytest.mark.parametrize("command", ["route", "simulate"])
+def test_no_plan_source_is_usage_error(tmp_path, capsys, command):
+    argv = {
+        "route": ["route", "--from", "A", "--to", "F"],
+        "simulate": ["simulate", "--policy", "rmdg", "--source", "A",
+                     "--out", str(tmp_path / "run")],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: one plan source is required: --plan, --walker or --demo-plan\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a contact +-5 +10 A B 1\n", "line 1: negative time '+-5'"),
+        ("a horizon +10 +3\na contact +0 +3 A B 1\n", "line 1: horizon takes one time field"),
+        ("a contact +0 +10 A B 1\na range +0 +10 A B -1\n", "line 2: negative owlt"),
+        ("a contact +0 +10 A B 1 -2\n", "line 1: contact 1: owlt must be non-negative"),
+        ("a horizon +5\na contact +0 +10 A B 1\n",
+         "line 2: contact 1 ends at 10, beyond horizon 5"),
+    ],
+    ids=["negative-time", "two-field-horizon", "negative-range", "negative-light-time",
+         "past-horizon"],
+)
+def test_bad_plan_line_is_runtime_error(tmp_path, capsys, text, message):
+    plan = tmp_path / "plan.txt"
+    plan.write_text(text)
+    code, out, err = run_cli(capsys, "route", "--plan", str(plan), "--from", "A", "--to", "B")
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 class TestSimulateAndCompare:
     def _simulate(self, capsys, tmp_path, policy, extra=()):
         outdir = tmp_path / policy
@@ -299,6 +343,28 @@ class TestSimulateAndCompare:
         assert (outdir / "bundles_rmdg_2.csv").exists()
         rows = list(csv.DictReader((outdir / "summary_rmdg.csv").open()))
         assert [r["seed"] for r in rows] == ["1", "2"]
+
+    def test_empty_seed_list_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("CGRLAB_OUT", raising=False)
+        outdir = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--demo-plan", "--policy", "rmdg", "--source", "A",
+                  "--seed", "", "--out", str(outdir)])
+        assert exc.value.code == 2
+        err_lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(err_lines) == 1 and err_lines[0].endswith("argument --seed: no seeds given")
+        assert not outdir.exists()
+
+    def test_unknown_source_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("CGRLAB_OUT", raising=False)
+        outdir = tmp_path / "run"
+        code, out, err = run_cli(
+            capsys, "simulate", "--demo-plan", "--policy", "rmdg", "--source", "ZZ",
+            "--out", str(outdir),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: source node 'ZZ' not in plan\n"
+        assert not outdir.exists()
 
     def test_invalid_policy_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -483,11 +549,15 @@ class TestSimulateAndCompare:
                 TASK_HEADER + "1,A,F,1,0,0,0,1e300\n",
                 "error: tasks line 2: bundle 1: expires past the run cap of 1000000 s\n",
             ),
+            (
+                TASK_HEADER + "1,A,F,0,1,0,0,40\n",
+                "error: tasks line 2: bundle 1: size must be positive\n",
+            ),
         ],
         ids=[
             "missing-field", "unparsable-field", "duplicate-id", "past-horizon",
             "unknown-node", "inf-expiry", "nan-expiry", "inf-size", "critical-7", "expiry-before-generation",
-            "source-is-destination", "expiry-past-cap",
+            "source-is-destination", "expiry-past-cap", "zero-size",
         ],
     )
     def test_bad_tasks_file_is_runtime_error(self, tmp_path, capsys, monkeypatch, text, message):
@@ -508,7 +578,8 @@ THREE_TASKS = TASK_HEADER + "1,A,F,1,1,0,0,40\n2,B,E,2,2,1,3,50\n3,C,A,1,0,0,10,
 # Tokens a mutation writes: separators, node names, directive words, and
 # numbers that are negative, fractional, not finite, past the run cap of
 # 10**6 s, or late in a 60 s plan.  A finite time far past the plan keeps
-# one run sampling rows up to it (about 4 s for 10**6 s), so none is drawn.
+# one run writing a metrics line per second up to it (10**6 lines for
+# 10**6 s), so none is drawn.
 PAYLOADS = (
     "", " ", ",", "\n", "#", "+", "-", "a", "contact", "range", "horizon", "A", "F", "Z",
     "x", "0", "+0", "1", "+1", "-1", "2", "7", "0.5", "+59", "+61", "+90", "120",

@@ -64,6 +64,10 @@ class TestBundleInvariants:
         with pytest.raises(ValueError, match="bundle 1: size and expiry must be finite"):
             _bundle(size=size, t_exp=t_exp)
 
+    def test_zero_size_rejected(self):
+        with pytest.raises(ValueError, match="bundle 1: size must be positive"):
+            _bundle(size=0.0)
+
     def test_expiry_past_run_cap_rejected(self):
         _bundle(t_exp=float(MAX_RUN_S))
         with pytest.raises(ValueError, match="bundle 1: expires past the run cap of 1000000 s"):

@@ -125,7 +125,8 @@ LEGAL_MOVES = {
 
 class IndexSpyEngine(_Engine):
     """Records every copy and move, and checks the copy indices after every
-    event and every selection attempt."""
+    event (the contact starts or ends of one instant are one event) and
+    every selection attempt."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -412,9 +413,21 @@ def test_selection_matches_full_attempts_across_instants(monkeypatch):
     assert reused and max(reused) > 0
 
 
-class NoShortcutEngine(FullSelectionEngine, PerSecondEngine):
+class PerEdgeEngine(_Engine):
+    """One event per contact start and per contact end, each carrying its
+    one contact: the order the engine's one event per edge instant keeps."""
+
+    def _push_contact_edges(self):
+        for c in self.plan.contacts:
+            if c.t_start > 0:
+                self._push(c.t_start, simcore._R_CONTACT_START, [c])
+            self._push(c.t_end, simcore._R_CONTACT_END, [c])
+
+
+class NoShortcutEngine(FullSelectionEngine, PerSecondEngine, PerEdgeEngine):
     """Every attempt in full, no kept search, route or spur trace, every
-    listed route timed again, every row sampled."""
+    listed route timed again, every row sampled, every contact edge its own
+    event."""
 
 
 def check_no_shortcut_run(scenario, policy, owlt_mode):

@@ -1,5 +1,6 @@
 """Simulation engine: lifecycles, discipline invariants, metrics, determinism."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -703,6 +704,54 @@ class TestMetricsSeries:
         metrics = run_simulation(_one_hop_plan(), [], POLICY_STANDARD)
         assert [r.t for r in metrics.rows] == [float(s) for s in range(61)]
 
+    def test_rows_view_reads_like_a_list(self):
+        metrics = run_simulation(_one_hop_plan(), [_bundle(size=5.0)], POLICY_STANDARD)
+        rows = metrics.rows
+        expanded = list(rows)
+        assert len(metrics.runs) < len(rows) == len(expanded) == 61
+        assert [rows[i] for i in range(len(rows))] == expanded
+        assert [rows[i] for i in range(-len(rows), 0)] == expanded
+        assert rows[11:15] == expanded[11:15] and rows[::-7] == expanded[::-7]
+        assert rows == expanded and expanded == rows and rows == metrics.rows
+        assert rows != expanded[:-1] and rows != [*expanded[:-1], expanded[0]]
+        for index in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                rows[index]
+
+    def test_long_idle_run_keeps_runs_bounded_by_its_events(self, monkeypatch):
+        # delivered at t=34, the bundle's expiry at t=999999 keeps the run
+        # sampling a row per second up to it: 10**6 rows, a few dozen runs
+        bundle = _bundle(src="A", dst="F", ttl=999999.0)
+        engine = simcore._Engine(make_demo_plan(), [bundle], POLICY_STANDARD, 0, 4, "file")
+        metrics = engine.run()
+        assert len(metrics.rows) == 1_000_000 and metrics.rows[-1].t == 999999.0
+        # _emit_rows adds at most two runs per popped event, run() one more
+        assert len(metrics.runs) <= 2 * engine.event_seq + 1 < 100
+
+        # the digests hash the rows in chunks, never expanding the view
+        def refuse(*args):
+            raise AssertionError("the full row list was built")
+
+        sizes = []
+
+        class Sha256:
+            def __init__(self):
+                self.digest = hashlib.sha256()
+
+            def update(self, data):
+                sizes.append(len(data))
+                self.digest.update(data)
+
+            def hexdigest(self):
+                return self.digest.hexdigest()
+
+        monkeypatch.setattr(simcore.MetricRows, "__iter__", refuse)
+        monkeypatch.setattr(simcore.MetricRows, "__getitem__", refuse)
+        monkeypatch.setattr(simcore, "hashlib", type("hashlib", (), {"sha256": Sha256}))
+        metrics.fingerprint()
+        metrics.exact_digest()
+        assert max(sizes) < 200 * simcore._CHUNK_S
+
     def test_delivered_bundle_keeps_sampling_until_its_expiry(self):
         # the bundle is delivered at t=34 and the plan ends at t=60, yet its
         # expiry event at t=500 stays queued and the run samples up to it
@@ -790,6 +839,72 @@ class TestMetricsSeries:
         metrics = run_simulation(plan, bundles, POLICY_STANDARD, owlt_mode="file")
         series = [row.computing_cum for row in metrics.rows]
         assert series == sorted(series)
+
+
+# S -> M and T -> M open at t=10 and close at t=20; M -> D is open throughout
+TWO_STARTS = ContactPlan.build(
+    [
+        Contact(id=1, from_node="S", to_node="M", t_start=10, t_end=20, rate=1, owlt=1),
+        Contact(id=2, from_node="T", to_node="M", t_start=10, t_end=20, rate=1, owlt=1),
+        Contact(id=3, from_node="M", to_node="D", t_start=0, t_end=60, rate=1, owlt=1),
+    ]
+)
+
+
+class TestContactEdgeEvents:
+    def test_one_event_per_edge_instant(self, monkeypatch):
+        pushed = []
+        push = simcore._Engine._push
+
+        def spy(engine, t, rank, payload):
+            if rank in (simcore._R_CONTACT_START, simcore._R_CONTACT_END):
+                pushed.append((t, rank, [c.id for c in payload]))
+            push(engine, t, rank, payload)
+
+        monkeypatch.setattr(simcore._Engine, "_push", spy)
+        run_simulation(TWO_STARTS, [], POLICY_STANDARD)
+        assert sorted(pushed) == [
+            (10, simcore._R_CONTACT_START, [1, 2]),
+            (20, simcore._R_CONTACT_END, [1, 2]),
+            (60, simcore._R_CONTACT_END, [3]),
+        ]
+
+    def test_same_instant_starts_are_handled_in_plan_order(self):
+        # bundle 1 waits at S for contact 1 and bundle 2 at T for contact
+        # 2; both transmissions start at t=10 and end at t=11, and the
+        # arrivals at M are selected at t=12 in the order they started
+        bundles = [
+            Bundle(id=bid, source=src, dest="D", size=1.0, priority=0, critical=False,
+                   t_gen=0.0, t_exp=40.0)
+            for bid, src in ((1, "S"), (2, "T"))
+        ]
+        metrics = run_simulation(TWO_STARTS, bundles, POLICY_STANDARD)
+        assert [e[:3] for e in metrics.dispatch_log if e[0] > 0] == [(12.0, 1, "M"), (12.0, 2, "M")]
+        assert metrics.delivered_count == 2
+
+    def test_same_instant_ends_are_handled_in_plan_order(self):
+        # S -> D and T -> D each open in [0, 10] and [20, 30].  At each
+        # node bundle 4 (priority 1) overtakes bundle 3, which is still
+        # queued when the first windows close at t=10; the two flushed
+        # copies are selected onto the second windows in plan order
+        plan = ContactPlan.build(
+            [
+                Contact(id=cid, from_node=frm, to_node="D", t_start=ts, t_end=ts + 10, rate=1,
+                        owlt=1)
+                for cid, (frm, ts) in enumerate([("S", 0), ("T", 0), ("S", 20), ("T", 20)], 1)
+            ]
+        )
+        bundles = [
+            _bundle(bid=first + i, src=src, size=size, priority=priority, t_gen=t_gen)
+            for first, src in ((1, "S"), (5, "T"))
+            for i, (size, priority, t_gen) in enumerate(
+                [(1.0, 0, 0.0), (2.0, 0, 4.0), (1.0, 0, 4.0), (4.0, 1, 5.0)]
+            )
+        ]
+        metrics = run_simulation(plan, bundles, POLICY_STANDARD)
+        assert [e[:5] for e in metrics.dispatch_log if e[0] >= 10] == [
+            (10, 3, "S", "D", 3), (10, 7, "T", "D", 4)
+        ]
 
 
 class TestComputingMetric:
