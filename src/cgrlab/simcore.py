@@ -21,11 +21,15 @@ the first second's and the rest's, and ``SimulationMetrics.rows`` expands
 them (see ``_Engine._emit_rows``).
 
 A stored copy is re-attempted once per contact start or transmission end at
-its node, so it is often attempted several times at one instant.  The engine
-keeps a ``version`` that moves on every change an attempt can read; an
-attempt that repeats, at the same instant and version, an attempt of the same
-copy that changed nothing is skipped.  Per-neighbour routes are reused
-through ``routesearch.dijkstra_bdt``'s kept searches.
+its node, so it is often attempted several times at one instant; each such
+re-attempt is one selection event that carries the node's stored copies in
+copy-id order.  An attempt that repeats, at the same instant and key, an
+attempt of the same copy that changed nothing is skipped.  The key is a
+``version`` that moves on every change an attempt can read, except for a
+critical copy under ``standard``: its key is its node's stamp, which moves
+only on changes to the contacts leaving the node (see ``_attempt_forward``).
+Per-neighbour routes are reused through ``routesearch.dijkstra_bdt``'s kept
+searches, over a per-node table of neighbours and their last usable seconds.
 
 The paper's ``computing`` metric is one counter, ``_Engine.computing``, moved
 only here.  One computation is a candidate review, a per-neighbour
@@ -118,7 +122,7 @@ class _Copy:
     state: str = _STORED
     queued_on: int | None = None
     no_rollback_to: str | None = None
-    # (now, version, computing delta) of its last attempt that changed nothing
+    # (now, key, computing delta) of its last attempt that changed nothing
     idle_attempt: tuple[float, int, int] | None = None
 
     @property
@@ -393,6 +397,12 @@ class _Engine:
         # event, accepted enqueue and route-cache recompute; _try_start runs
         # only right after an event or an accepted enqueue
         self.version = 0
+        # per node, moves on every change to the queue, residual volume or
+        # busy_until of a contact leaving it: the key of a blanket attempt
+        self.stamps = dict.fromkeys(self.nodes, 0)
+        # per node, (neighbour, last second of its latest contact) in
+        # neighbour order, filled on first use by _critical_candidates
+        self.neighbours: dict[str, list[tuple[str, float]]] = {}
         self.booking_seq = 0
         self.copy_seq = 0
 
@@ -488,13 +498,19 @@ class _Engine:
         """
         node = copy.at_node
         graph = self._graph(node, copy.bundle.dest)
-        neighbors = {
-            c.to_node
-            for c in self.plan.contacts_from(node)
-            if c.t_end - 1 >= now and c.to_node not in copy.hop_trace
-        }
+        table = self.neighbours.get(node)
+        if table is None:
+            # a neighbour is usable while any contact into it has a whole
+            # second left, so while the latest of them has
+            last: dict[str, float] = {}
+            for c in self.plan.contacts_from(node):
+                last[c.to_node] = max(last.get(c.to_node, -math.inf), c.t_end - 1)
+            table = self.neighbours[node] = sorted(last.items())
+        hop_trace = copy.hop_trace
         cands: list[CandidateRoute] = []
-        for neighbor in sorted(neighbors):
+        for neighbor, last_s in table:
+            if last_s < now or neighbor in hop_trace:
+                continue
             self.computing += 1
             route = dijkstra_bdt(graph, depart=now, via=neighbor)
             if route is None:
@@ -538,13 +554,21 @@ class _Engine:
         copy.queued_on = queued_on
         if state == _STORED:
             stored[copy.copy_id] = copy
-            self._push(now, _R_SELECT, copy)
+            self._push(now, _R_SELECT, [copy])
         elif state == _RETIRED:
             del self.alive[copy.copy_id]
 
     def _reattempt_stored(self, node: str, now: float) -> None:
-        for _, copy in sorted(self.nodes[node].stored.items()):
-            self._push(now, _R_SELECT, copy)
+        """Push one selection event carrying ``node``'s stored copies in
+        copy-id order.
+
+        One event per copy would pop in the same order: their pushes would
+        take consecutive sequence numbers at one instant and rank, so they
+        would pop back to back, and the batch expands the group in place.
+        """
+        stored = self.nodes[node].stored
+        if stored:
+            self._push(now, _R_SELECT, [stored[i] for i in sorted(stored)])
 
     # -- dispatch ---------------------------------------------------------
 
@@ -559,6 +583,7 @@ class _Engine:
         if not accepted:
             return False
         self.version += 1
+        self.stamps[contact.from_node] += 1
         for victim in displaced:
             queue.remove(victim)
             self.dispatch_log.append(
@@ -578,6 +603,7 @@ class _Engine:
     def _try_start(self, c: Contact, now: float) -> None:
         queue = self.queues[c.id]
         while queue and self.busy_until.get(c.id, -1.0) <= now and c.t_start <= now < c.t_end:
+            self.stamps[c.from_node] += 1
             booking = min(queue, key=lambda b: (-b.priority, b.seq))
             queue.remove(booking)
             copy = self.alive[booking.copy_id]
@@ -640,29 +666,46 @@ class _Engine:
         # never at its destination: a bundle's source is not its destination,
         # and an arrival there retires the copy
         if now > bundle.t_exp:
-            self._move(copy, _RETIRED, now)
-            return
+            # _handle_expire retires every stored copy at t_exp, after every
+            # selection at that instant (expiry ranks last), and an arrival
+            # after t_exp retires its copy
+            raise AssertionError(
+                f"copy {copy.copy_id}: attempted at {now}, after its expiry at {bundle.t_exp}")
+        blanket = bundle.critical and self.policy == POLICY_STANDARD
+        key = self.stamps[copy.at_node] if blanket else self.version
         idle = copy.idle_attempt
-        if idle is not None and idle[0] == now and idle[1] == self.version:
-            # This copy's last attempt ran at this instant and version and
+        if idle is not None and idle[0] == now and idle[1] == key:
+            # This copy's last attempt ran at this instant and key and
             # changed nothing: it moved neither the version nor the booking
-            # and copy sequences, so it dispatched nothing and left the copy
-            # stored.  Everything an attempt reads (the copy and its bundle,
-            # the queues, the residual table the graphs share, busy_until,
-            # the holder sets and the route-cache timestamp) changes only
-            # where the version moves or in the _try_start right after, so
-            # this attempt would read what that one read, and equal inputs
-            # give equal outputs; the plan is never written.  The
-            # caches it reads are pure: a graph's kept searches and routes
-            # give what a fresh search returns, and the route-cache live
-            # filter writes back a list that filtering again at the same or a
-            # later `now` leaves as it is.  So the attempt would end as the
-            # last one did, having counted the same computations.
+            # and copy sequences, so it dispatched nothing, tried no enqueue
+            # and left the copy stored.  This attempt would read what that
+            # one read, and equal inputs give equal outputs; the plan is
+            # never written.
+            # - The version: everything an attempt reads (the copy and its
+            #   bundle, the queues, the residual table the graphs share,
+            #   busy_until, the holder sets and the route-cache timestamp)
+            #   changes only where the version moves or in the _try_start
+            #   right after.
+            # - The node's stamp, for a blanket attempt (a critical copy
+            #   under standard): apart from `now` and the copy, whose node
+            #   changes only on arrival, which clears its record, such an
+            #   attempt reads only contacts leaving its node: each first
+            #   hop's queue and busy_until (ETO, PAT) and the rollback
+            #   contact's queue and residual.  A route's hops, BDT and
+            #   None-ness depend on the plan and `now` alone; a residual
+            #   moves only its volume, and so its rank, and rank matters
+            #   only among admissible candidates, of which the last attempt
+            #   had none.  Standard reads no holder set.
+            # The caches it reads are pure: a graph's kept searches and
+            # routes give what a fresh search returns, and the route-cache
+            # live filter writes back a list that filtering again at the same
+            # or a later `now` leaves as it is.  So the attempt would end as
+            # the last one did, having counted the same computations.
             self.computing += idle[2]
             return
         before = (self.version, self.booking_seq, self.copy_seq)
         counted = self.computing
-        if bundle.critical and self.policy == POLICY_STANDARD:
+        if blanket:
             cands = self._critical_candidates(copy, now)
         else:
             cands = self._candidates(copy, now)
@@ -671,11 +714,13 @@ class _Engine:
         else:
             self._rollback(copy, now)
         if (self.version, self.booking_seq, self.copy_seq) == before:
-            copy.idle_attempt = (now, self.version, self.computing - counted)
+            # no enqueue ran, so no stamp moved either
+            copy.idle_attempt = (now, key, self.computing - counted)
 
     def _handle_arrival(self, copy: _Copy, contact: Contact, now: float) -> None:
         from_node, to_node = contact.from_node, contact.to_node
         copy.hop_trace += (to_node,)
+        copy.idle_attempt = None  # it was kept against the stamp of the node it left
         bundle = copy.bundle
         if bundle.critical:
             holders = self.nodes[to_node].seen_critical.setdefault(bundle.id, set())
@@ -698,12 +743,14 @@ class _Engine:
         # a copy in flight retires on arrival
         for copy in [c for c in self.alive.values() if c.bundle.id == bundle_id]:
             if copy.state == _QUEUED:
+                self.stamps[self.plan.contact(copy.queued_on).from_node] += 1
                 queue = self.queues[copy.queued_on]
                 queue[:] = [b for b in queue if b.copy_id != copy.copy_id]
             if copy.state != _IN_FLIGHT:
                 self._move(copy, _RETIRED, now)
 
     def _handle_contact_end(self, c: Contact, now: float) -> None:
+        self.stamps[c.from_node] += 1
         flushed = self.queues[c.id]
         self.queues[c.id] = []
         for booking in flushed:
@@ -810,7 +857,7 @@ class _Engine:
     def run(self) -> SimulationMetrics:
         self._push_contact_edges()
         for b in self.bundles:
-            self._push(b.t_gen, _R_SELECT, b)
+            self._push(b.t_gen, _R_SELECT, [b])
             self._push(b.t_exp, _R_EXPIRE, b.id)
 
         # second s is sampled once every event at or before s is handled;
@@ -822,9 +869,11 @@ class _Engine:
             t, rank, _, payload = heapq.heappop(self.heap)
             next_sample = self._emit_rows(next_sample, t)
             if rank == _R_SELECT:
-                batch = [payload]
+                # each selection event carries a list of bundles and copies;
+                # the batch is the first one's, extended in place
+                batch = payload
                 while self.heap and self.heap[0][0] == t and self.heap[0][1] == _R_SELECT:
-                    batch.append(heapq.heappop(self.heap)[3])
+                    batch += heapq.heappop(self.heap)[3]
                 self._process_selection_batch(batch, t)
                 continue
             # one bump for a group of contact edges: no attempt runs between

@@ -53,6 +53,11 @@ REUSE = "tests/test_routesearch.py::TestSearchReuse::"
 START = "tests/test_routesearch.py::TestSearchStart::"
 EDGES = "tests/test_simcore.py::TestContactEdgeEvents::"
 SERIES = "tests/test_simcore.py::TestMetricsSeries::"
+IDLE = "tests/test_simcore.py::TestBlanketIdleKey::"
+REPEATS = "tests/test_simcore.py::TestRepeatSelections::"
+GROUPS = "tests/test_simcore.py::TestReattemptGroups::"
+NEIGHBOURS = ("tests/test_simcore.py::TestCriticalReplication::"
+              "test_one_search_per_neighbour_with_a_whole_second_left")
 
 MUTANTS = (
     # kept spur searches in yen_plus
@@ -229,6 +234,99 @@ MUTANTS = (
         ("tests/test_properties.py::test_rows_settle_one_second_after_an_event[standard]",
          "tests/test_properties.py::test_rows_match_per_second_sampling"),
     ),
+    # the idle-attempt skip and its keys
+    Mutant(
+        "idle-attempt skip: never taken",
+        "simcore.py",
+        "if idle is not None and idle[0] == now and idle[1] == key:",
+        "if False:",
+        (REPEATS + "test_same_instant_repeats_are_counted_not_reviewed",
+         IDLE + "test_change_between_repeats[enqueue-elsewhere]"),
+    ),
+    Mutant(
+        "idle-attempt skip: no version bump on an accepted enqueue",
+        "simcore.py",
+        "        self.version += 1\n        self.stamps[contact.from_node] += 1\n",
+        "        self.stamps[contact.from_node] += 1\n",
+        (REPEATS + "test_version_keyed_repeat_after_an_enqueue_elsewhere_is_attempted_in_full",),
+    ),
+    Mutant(
+        "idle-attempt skip: no version bump on a route-list recompute",
+        "simcore.py",
+        "        graph.routes = (now, routes)\n        self.version += 1\n",
+        "        graph.routes = (now, routes)\n",
+        (REPEATS + "test_version_keyed_repeat_after_an_enqueue_elsewhere_is_attempted_in_full",),
+    ),
+    Mutant(
+        "blanket idle key: no stamp bump on an accepted enqueue",
+        "simcore.py",
+        "        self.stamps[contact.from_node] += 1\n",
+        "",
+        (IDLE + "test_change_between_repeats[enqueue-leaving-A]",
+         REPEATS + "test_enqueue_between_repeats_forces_a_fresh_review"),
+    ),
+    Mutant(
+        "blanket idle key: no stamp bump on a transmission start",
+        "simcore.py",
+        "            self.stamps[c.from_node] += 1\n            booking = min(",
+        "            booking = min(",
+        (IDLE + "test_change_between_repeats[transmission-start-leaving-A]",),
+    ),
+    Mutant(
+        "blanket idle key: no stamp bump on an expiry removal",
+        "simcore.py",
+        "                self.stamps[self.plan.contact(copy.queued_on).from_node] += 1\n",
+        "",
+        (IDLE + "test_change_between_repeats[expiry-removal-leaving-A]",),
+    ),
+    Mutant(
+        "blanket idle key: no stamp bump on a contact-end flush",
+        "simcore.py",
+        "        self.stamps[c.from_node] += 1\n        flushed",
+        "        flushed",
+        (IDLE + "test_change_between_repeats[contact-end-flush-leaving-A]",),
+    ),
+    Mutant(
+        "blanket idle key: the record kept across an arrival",
+        "simcore.py",
+        "        copy.idle_attempt = None",
+        "        pass",
+        (IDLE + "test_arrival_clears_the_idle_record",),
+    ),
+    # one selection event per re-attempt group
+    Mutant(
+        "re-attempt groups: a group handled in reverse",
+        "simcore.py",
+        "[stored[i] for i in sorted(stored)]",
+        "[stored[i] for i in sorted(stored, reverse=True)]",
+        (GROUPS + "test_one_event_carries_the_stored_copies_in_copy_id_order",
+         GROUPS + "test_group_is_attempted_in_copy_id_order",
+         "tests/test_properties.py::test_matches_run_without_shortcuts_under_contention"),
+    ),
+    # the per-node neighbour table of blanket replication
+    Mutant(
+        "neighbour table: no dedupe",
+        "simcore.py",
+        "table = self.neighbours[node] = sorted(last.items())",
+        "table = self.neighbours[node] = sorted(\n"
+        "                (c.to_node, c.t_end - 1) for c in self.plan.contacts_from(node))",
+        (NEIGHBOURS + "[open]", NEIGHBOURS + "[on-trace]"),
+    ),
+    Mutant(
+        "neighbour table: no `t_end - 1 >= now` filter",
+        "simcore.py",
+        "if last_s < now or neighbor in hop_trace:",
+        "if neighbor in hop_trace:",
+        (NEIGHBOURS + "[one-closed]",),
+    ),
+    # expiry retires stored copies, so no attempt comes after it
+    Mutant(
+        "expiry: a stored copy not retired",
+        "simcore.py",
+        "            if copy.state != _IN_FLIGHT:\n                self._move(copy, _RETIRED, now)",
+        "            if copy.state == _QUEUED:\n                self._move(copy, _RETIRED, now)",
+        ("tests/test_simcore.py::TestRollback::test_stuck_at_source_is_stored_until_expiry",),
+    ),
 )
 
 EQUIVALENT = (
@@ -250,8 +348,6 @@ NOT_TRANSCRIBED = (
     "node indices: numeric or insertion-order numbering",
     "bounded spurs: the bound at B* with a strict prune, h[node] for h[to], "
     "a bound kept when confirm is set",
-    "idle-attempt skip: the enqueue or recompute version bump, the skip, "
-    "the version check on memoised routes",
     "copy states: a copy not removed from `stored` when it leaves that state",
     "`_try_start`: the version bump moved to the transmitting branch",
     "occupancy: the bisections swapped or taken on one side",

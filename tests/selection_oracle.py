@@ -1,11 +1,13 @@
 """Route selection without repeat skipping or route reuse, kept as a test oracle.
 
-The engine skips an attempt that repeats, at the same instant and engine
-version, an attempt of the same copy that changed nothing.  ``dijkstra_bdt``
-reuses a search kept on the engine's graph at its own departure and, where
-the goal-directed order runs (``routesearch._exact``), at later ones, and the
-route it last returned while ``routesearch.covers`` holds against the
-engine's residual volume table, which every graph of the run shares.
+The engine skips an attempt that repeats, at the same instant and key, an
+attempt of the same copy that changed nothing; the key is the engine's
+version, or for a critical copy under ``standard`` its node's stamp.
+``dijkstra_bdt`` reuses a search kept on the engine's graph at its own
+departure and, where the goal-directed order runs (``routesearch._exact``),
+at later ones, and the route it last returned while ``routesearch.covers``
+holds against the engine's residual volume table, which every graph of the
+run shares.
 ``_candidates`` uses a listed route as it stands when its list was computed
 at the same instant and ``covers`` holds.  ``yen_plus`` replays the spur
 searches of the graph's last call, kept in ``ContactGraph.spurs``.
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from cgrlab.routesearch import ContactGraph, evaluate_route
 from cgrlab.forwarding import POLICY_STANDARD
-from cgrlab.simcore import _RETIRED, _STORED, SimulationMetrics, _Engine
+from cgrlab.simcore import _STORED, SimulationMetrics, _Engine
 
 
 class _KeepNothing(dict):
@@ -58,9 +60,6 @@ class FullSelectionEngine(_Engine):
         if copy.state != _STORED:
             return
         bundle = copy.bundle
-        if now > bundle.t_exp:
-            self._move(copy, _RETIRED, now)
-            return
         if bundle.critical and self.policy == POLICY_STANDARD:
             cands = self._critical_candidates(copy, now)
         else:

@@ -407,6 +407,18 @@ class TestSimulateAndCompare:
         ]
         assert len(out.strip().splitlines()) == 3
 
+    def test_compare_out_writes_its_table(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("CGRLAB_OUT", raising=False)
+        self._simulate(capsys, tmp_path, "rmdg")
+        summary = tmp_path / "rmdg" / "summary_rmdg.csv"
+        outdir = tmp_path / "cmp"
+        code, out, _ = run_cli(
+            capsys, "compare", "--a", str(summary), "--b", str(summary), "--out", str(outdir)
+        )
+        assert code == 0
+        assert (outdir / "comparison.csv").read_text() == out
+        assert out.startswith("seed,delta_delivery_rate,") and len(out.splitlines()) == 3
+
     def test_compare_disjoint_seeds_is_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("CGRLAB_OUT", raising=False)
         self._simulate(capsys, tmp_path, "rmdg")

@@ -161,6 +161,15 @@ class TestParsing:
         with pytest.raises(ContactPlanError, match="node 'B' not in the plan"):
             ContactPlan(contacts=(c,), horizon=5, node_ids=frozenset("A"))
 
+    def test_contact_rejects_reversed_window(self):
+        with pytest.raises(ContactPlanError, match="^contact 7: t_start 20 > t_end 10$"):
+            Contact(id=7, from_node="A", to_node="B", t_start=20, t_end=10, rate=1)
+
+    def test_contact_past_horizon_rejected(self):
+        c = Contact(id=1, from_node="A", to_node="B", t_start=0, t_end=5, rate=1)
+        with pytest.raises(ContactPlanError, match="^contact 1 ends at 5, beyond horizon 4$"):
+            ContactPlan(contacts=(c,), horizon=4, node_ids=frozenset("AB"))
+
     def test_duplicate_contact_id_rejected(self):
         c = Contact(id=1, from_node="A", to_node="B", t_start=0, t_end=5, rate=1)
         with pytest.raises(ContactPlanError, match="duplicate"):

@@ -249,6 +249,11 @@ class TestForwardCritical:
         with pytest.raises(ValueError):
             forward_critical(_bundle(), [_cand(plan, route)], set(), POLICY_STANDARD)
 
+    def test_unknown_policy_rejected(self):
+        plan, route = _demo_route()
+        with pytest.raises(ValueError, match="^unknown policy 'bogus'$"):
+            forward_critical(self._crit(), [_cand(plan, route)], {"A"}, "bogus")
+
     def test_single_candidate_both_policies(self):
         plan, route = _demo_route()
         for policy in (POLICY_STANDARD, POLICY_RMDG):

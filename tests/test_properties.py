@@ -219,6 +219,11 @@ RETIMED = (
     ),
     [_bulk(1, 25.0, 0.0, priority=1), _bulk(2, 1.0, 0.0)],
 )
+# EXPIRED with bundles 5 and 6 (1 Mb, expiring at t=12), stored at t=7: the
+# first window's backlog leaves them no room and the second is too late.  At
+# t=9 bundle 4's transmission ends, and of S's re-attempted copies the first
+# takes the first window's last second
+REORDERED = (TWO_WINDOWS, EXPIRED[1] + [_bulk(5, 1.0, 7.0, ttl=5.0), _bulk(6, 1.0, 7.0, ttl=5.0)])
 # two or three nodes share short windows late in the horizon, so copies
 # contend for them and some leave a queue untransmitted, as in FLUSHED and
 # EXPIRED
@@ -230,7 +235,8 @@ CONTENDED = scenarios(
 
 def under_contention(check):
     """``check(scenario, policy, owlt_mode)`` as a test over CONTENDED, FLUSHED,
-    EXPIRED, LOWERED and RETIMED."""
+    EXPIRED, LOWERED, RETIMED and REORDERED."""
+    check = example(scenario=REORDERED, policy=POLICY_STANDARD, owlt_mode="uniform")(check)
     check = example(scenario=RETIMED, policy=POLICY_RMDG, owlt_mode="uniform")(check)
     check = example(scenario=LOWERED, policy=POLICY_STANDARD, owlt_mode="uniform")(check)
     check = example(scenario=EXPIRED, policy=POLICY_RMDG, owlt_mode="uniform")(check)
@@ -424,10 +430,19 @@ class PerEdgeEngine(_Engine):
             self._push(c.t_end, simcore._R_CONTACT_END, [c])
 
 
-class NoShortcutEngine(FullSelectionEngine, PerSecondEngine, PerEdgeEngine):
+class PerCopyReattemptEngine(_Engine):
+    """One selection event per stored copy a contact start or transmission
+    end re-attempts: the order the engine's one event per group keeps."""
+
+    def _reattempt_stored(self, node, now):
+        for _, copy in sorted(self.nodes[node].stored.items()):
+            self._push(now, simcore._R_SELECT, [copy])
+
+
+class NoShortcutEngine(FullSelectionEngine, PerSecondEngine, PerEdgeEngine, PerCopyReattemptEngine):
     """Every attempt in full, no kept search, route or spur trace, every
-    listed route timed again, every row sampled, every contact edge its own
-    event."""
+    listed route timed again, every row sampled, every contact edge and every
+    re-attempted copy its own event."""
 
 
 def check_no_shortcut_run(scenario, policy, owlt_mode):

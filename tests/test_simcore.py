@@ -24,6 +24,7 @@ from cgrlab.simcore import (
 )
 from cgrlab.traffic import ScenarioSpec, generate_scenario
 
+from selection_oracle import full_selection_run
 from spur_oracle import yen_full_loop
 
 
@@ -60,6 +61,12 @@ class TestSingleBundle:
     def test_unknown_node_rejected_before_start(self):
         with pytest.raises(ValueError, match="unknown node"):
             run_simulation(_one_hop_plan(), [_bundle(dst="Z")], POLICY_STANDARD)
+
+    def test_unknown_policy_or_owlt_mode_rejected(self):
+        with pytest.raises(ValueError, match="^unknown policy 'bogus'$"):
+            run_simulation(_one_hop_plan(), [_bundle()], "bogus")
+        with pytest.raises(ValueError, match="^unknown owlt mode 'bogus'$"):
+            run_simulation(_one_hop_plan(), [_bundle()], POLICY_STANDARD, owlt_mode="bogus")
 
     def test_duplicate_bundle_id_rejected_before_start(self):
         bundles = [_bundle(bid=7), _bundle(bid=7, t_gen=2.0)]
@@ -272,6 +279,13 @@ class TestQueuePaths:
 
 
 class TestCopyStates:
+    def test_attempt_after_expiry_is_refused(self):
+        # _handle_expire retires every stored copy at its bundle's expiry
+        engine = simcore._Engine(_one_hop_plan(), [_bundle()], POLICY_STANDARD, 0, 4, "uniform")
+        copy = engine._new_copy(engine.bundles[0], ("S",))
+        with pytest.raises(AssertionError, match="copy 1: attempted at 31.0, after its expiry at 30.0"):
+            engine._attempt_forward(copy, 31.0)
+
     def test_move_refuses_illegal_transitions(self):
         engine = simcore._Engine(_one_hop_plan(), [_bundle()], POLICY_STANDARD, 0, 4, "uniform")
         copy = engine._new_copy(engine.bundles[0], ("S",))
@@ -434,6 +448,40 @@ class TestCriticalReplication:
         assert reviews == [(1, 0.0, 10.0), (2, 0.0, 8.0), (3, 0.0, 8.0)]
         assert evaluations == [0.0, 0.0]
 
+    @pytest.mark.parametrize(
+        "now, trace, searched",
+        [(0.0, ("A",), ["B", "C"]), (6.0, ("A",), ["B"]), (15.0, ("A",), ["B"]),
+         (0.0, ("C", "A"), ["B"])],
+        ids=["open", "one-closed", "latest-window", "on-trace"],
+    )
+    def test_one_search_per_neighbour_with_a_whole_second_left(
+        self, monkeypatch, now, trace, searched
+    ):
+        # A reaches B over two contacts, [0, 10] and [20, 40], and C over one
+        # whose last whole second starts at t=4
+        plan = ContactPlan.build(
+            [
+                Contact(id=cid, from_node=frm, to_node=to, t_start=ts, t_end=te, rate=1.0, owlt=1)
+                for cid, (frm, to, ts, te) in enumerate(
+                    [("A", "B", 0, 10), ("A", "B", 20, 40), ("A", "C", 0, 5),
+                     ("B", "D", 0, 40), ("C", "D", 0, 40)],
+                    start=1,
+                )
+            ]
+        )
+        vias = []
+
+        def bdt(graph, depart, via, real=simcore.dijkstra_bdt):
+            vias.append(via)
+            return real(graph, depart=depart, via=via)
+
+        monkeypatch.setattr(simcore, "dijkstra_bdt", bdt)
+        bundle = _bundle(src="A", priority=2, critical=True)
+        engine = simcore._Engine(plan, [bundle], POLICY_STANDARD, 0, 4, "uniform")
+        engine._critical_candidates(engine._new_copy(bundle, trace), now)
+        assert vias == searched
+        assert engine.computing == len(searched) * 2  # a search and a review each
+
     def test_standard_uses_more_transmissions(self):
         plan = make_demo_plan()
         std = run_simulation(plan, [self._critical()], POLICY_STANDARD, owlt_mode="file")
@@ -570,6 +618,141 @@ class TestRepeatSelections:
         engine._attempt_forward(held, 5.0)
         assert len(reviews) == 6
         assert engine.computing == 4 * self.ATTEMPT
+
+    def test_version_keyed_repeat_after_an_enqueue_elsewhere_is_attempted_in_full(
+        self, monkeypatch
+    ):
+        # under rmdg the copy's key is the engine's version.  The first
+        # attempt computes the route list (one search per route and one more,
+        # then two passes of three reviews), which moves the version, so only
+        # the second is kept as idle; an enqueue at B moves the version too
+        _, reviews = self._spy(monkeypatch)
+        held_bundle = self._critical()
+        other = _bundle(bid=2, src="B")
+        engine = simcore._Engine(self._plan(), [held_bundle, other], POLICY_RMDG, 0, 4, "uniform")
+        held = engine._new_copy(held_bundle, ("A",))
+        engine.nodes["A"].seen_critical[held_bundle.id] = {"A"}
+        counted = []
+        for attempt in range(5):
+            if attempt == 3:
+                # contact 4, B -> D, opens at t=25: the copy stays queued
+                assert engine._enqueue(
+                    engine._new_copy(other, ("B",)), engine.plan.contact(4), 5.0, "select")
+            before = engine.computing
+            engine._attempt_forward(held, 5.0)
+            counted.append(engine.computing - before)
+        assert counted == [10, 6, 6, 6, 6]
+        assert reviews == [1] * 6 + [2] * 6 + [4] * 6
+
+    def test_full_selection_oracle_runs_every_repeat(self, monkeypatch):
+        # the oracle has its own _attempt_forward: count candidate computations
+        computed = []
+        real = simcore._Engine._critical_candidates
+
+        def critical(engine, copy, now):
+            computed.append(now)
+            return real(engine, copy, now)
+
+        monkeypatch.setattr(simcore._Engine, "_critical_candidates", critical)
+        plan, bundles = self._plan(), [self._critical()]
+        metrics = full_selection_run(plan, bundles, POLICY_STANDARD)
+        assert computed == [0.0] + [10.0] * 3
+        expected = run_simulation(plan, bundles, POLICY_STANDARD)
+        assert computed[4:] == [0.0, 10.0]
+        assert metrics.computing_total == expected.computing_total == 4 * self.ATTEMPT
+
+
+class TestBlanketIdleKey:
+    """A blanket attempt (a critical copy under standard) is kept as idle
+    against its node's stamp, which moves with the queue, residual volume or
+    busy_until of a contact leaving the node and with nothing else."""
+
+    # A holds a critical bundle for D that expires at t=20: through B and
+    # through C it reaches D only at t=26, so every attempt counts two
+    # searches and two reviews and changes nothing.  X -> Y is elsewhere.
+    LINKS = [("A", "B", 10, 30), ("A", "C", 10, 30), ("B", "D", 25, 30), ("C", "D", 25, 30),
+             ("X", "Y", 10, 30), ("A", "B", 0, 8), ("X", "Y", 0, 8)]
+    # per change: the contact it acts on at A, the one elsewhere, and its instant
+    CHANGES = {
+        "enqueue": (1, 5, 5.0),
+        "transmission-start": (1, 5, 10.0),
+        "expiry-removal": (1, 5, 8.0),
+        "contact-end-flush": (6, 7, 8.0),
+    }
+
+    def _engine(self, other):
+        plan = ContactPlan.build(
+            [
+                Contact(id=cid, from_node=frm, to_node=to, t_start=ts, t_end=te, rate=1.0, owlt=1)
+                for cid, (frm, to, ts, te) in enumerate(self.LINKS, start=1)
+            ]
+        )
+        held_bundle = _bundle(src="A", priority=2, critical=True, ttl=20.0)
+        engine = simcore._Engine(plan, [held_bundle, *other], POLICY_STANDARD, 0, 4, "uniform")
+        held = engine._new_copy(held_bundle, ("A",))
+        engine.nodes["A"].seen_critical[held_bundle.id] = {"A"}
+        return engine, held
+
+    def _reviews(self, monkeypatch):
+        reviews = []
+        real_review = simcore._Engine._review_route
+
+        def review(engine, route, copy, now):
+            reviews.append(now)
+            return real_review(engine, route, copy, now)
+
+        monkeypatch.setattr(simcore._Engine, "_review_route", review)
+        return reviews
+
+    @pytest.mark.parametrize("at_a", [True, False], ids=["leaving-A", "elsewhere"])
+    @pytest.mark.parametrize("change", list(CHANGES))
+    def test_change_between_repeats(self, monkeypatch, change, at_a):
+        reviews = self._reviews(monkeypatch)
+        at, elsewhere, now = self.CHANGES[change]
+        # other's copy waits in the queue of a contact that is not open
+        frm, to, *_ = self.LINKS[(at if at_a else elsewhere) - 1]
+        other = _bundle(bid=2, src=frm, dst=to, ttl=8.0 if change == "expiry-removal" else 30.0)
+        engine, held = self._engine([other])
+        contact = engine.plan.contact(at if at_a else elsewhere)
+        queued = engine._new_copy(other, (frm,))
+        if change != "enqueue":
+            enqueue_at = 5.0 if change == "transmission-start" else now
+            assert engine._enqueue(queued, contact, enqueue_at, "select")
+            assert queued.state == simcore._QUEUED
+        counted = []
+        for attempt in range(3):
+            if attempt == 2:
+                if change == "enqueue":
+                    assert engine._enqueue(queued, contact, now, "select")
+                elif change == "transmission-start":
+                    engine._try_start(contact, now)
+                    assert queued.state == simcore._IN_FLIGHT
+                elif change == "expiry-removal":
+                    engine._handle_expire(other.id, now)
+                    assert queued.state == simcore._RETIRED
+                else:
+                    engine._handle_contact_end(contact, now)
+                    assert queued.state == simcore._STORED
+            before = len(reviews)
+            engine._attempt_forward(held, now)
+            counted.append(len(reviews) - before)
+        assert counted == ([2, 0, 2] if at_a else [2, 0, 0])
+        assert engine.computing == 3 * 4
+        assert held.state == simcore._STORED
+
+    def test_arrival_clears_the_idle_record(self, monkeypatch):
+        # kept at A against A's stamp, the record would match B's equal
+        # stamp after an arrival at B at the same instant
+        reviews = self._reviews(monkeypatch)
+        engine, held = self._engine([])
+        engine._attempt_forward(held, 12.0)
+        engine._move(held, simcore._QUEUED, 12.0, queued_on=1)
+        engine._move(held, simcore._IN_FLIGHT, 12.0)
+        engine._handle_arrival(held, engine.plan.contact(1), 12.0)
+        assert held.at_node == "B" and engine.stamps["A"] == engine.stamps["B"] == 0
+        engine._attempt_forward(held, 12.0)
+        # through D only, which it reaches at t=26
+        assert reviews == [12.0, 12.0, 12.0]
 
 
 class TestRouteListTiming:
@@ -905,6 +1088,53 @@ class TestContactEdgeEvents:
         assert [e[:5] for e in metrics.dispatch_log if e[0] >= 10] == [
             (10, 3, "S", "D", 3), (10, 7, "T", "D", 4)
         ]
+
+
+class TestReattemptGroups:
+    """A contact start or transmission end re-attempts its node's stored
+    copies as one selection event, in copy-id order."""
+
+    def test_one_event_carries_the_stored_copies_in_copy_id_order(self):
+        bundles = [_bundle(bid=1), _bundle(bid=2)]
+        engine = simcore._Engine(_one_hop_plan(), bundles, POLICY_STANDARD, 0, 4, "uniform")
+        first, second = (engine._new_copy(b, ("S",)) for b in bundles)
+        # back into the store after the second copy
+        engine._move(first, simcore._QUEUED, 0.0, queued_on=1)
+        engine._move(first, simcore._STORED, 0.0)
+        assert list(engine.nodes["S"].stored) == [2, 1]
+        engine.heap.clear()
+        engine._reattempt_stored("S", 0.0)
+        engine._reattempt_stored("D", 0.0)
+        assert [(t, rank, payload) for t, rank, _, payload in engine.heap] == [
+            (0.0, simcore._R_SELECT, [first, second])
+        ]
+
+    def test_group_is_attempted_in_copy_id_order(self):
+        # S -> D is open in [0, 10] and [20, 30].  Bundle 4 (priority 1)
+        # overtakes queued bundle 3, which expires at t=8.  Bundles 5 and 6
+        # (1 Mb, expiring at t=12) are stored at t=7: the first window's
+        # backlog leaves them no room, and the second is too late.  At t=9
+        # bundle 4's transmission ends, and of the re-attempted copies the
+        # first takes the first window's last second
+        plan = ContactPlan.build(
+            [
+                Contact(id=cid, from_node="S", to_node="D", t_start=ts, t_end=ts + 10, rate=1,
+                        owlt=1)
+                for cid, ts in ((1, 0), (2, 20))
+            ]
+        )
+        bundles = [
+            _bundle(bid=1, size=1.0),
+            _bundle(bid=2, size=3.0, t_gen=3.0),
+            _bundle(bid=3, size=1.0, t_gen=4.0, ttl=4.0),
+            _bundle(bid=4, size=3.0, priority=1, t_gen=5.0),
+            _bundle(bid=5, size=1.0, t_gen=7.0, ttl=5.0),
+            _bundle(bid=6, size=1.0, t_gen=7.0, ttl=5.0),
+        ]
+        metrics = run_simulation(plan, bundles, POLICY_STANDARD)
+        assert [e[:2] for e in metrics.dispatch_log if e[0] > 5] == [(9.0, 5)]
+        assert metrics.records[5].outcome == OUTCOME_DELIVERED
+        assert metrics.records[6].outcome == OUTCOME_NEVER_ROUTED
 
 
 class TestComputingMetric:
