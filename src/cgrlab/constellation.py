@@ -5,6 +5,15 @@ evenly over 360 degrees and in-plane slots are evenly phased, with the
 standard Walker inter-plane phase offset.  Intra-plane neighbours hold
 permanent links; inter-plane links pair same-slot satellites in adjacent
 planes and stay up while the pair is within the configured range.
+
+``_positions`` is the one place the orbital arithmetic lives: ``propagate``
+is its view of every plane at one instant, and ``generate_contact_plan``
+takes one plane over every sample at a time.  Generation thus runs one
+adjacent plane pair at a time, in O(T x S) memory for T samples and S
+satellites per plane, and finds each pair's windows with array diffs over
+the (T, S) ranges of its same-slot satellites.  The arithmetic is
+element-wise and the same as ``propagate``'s, so a plan is bit-identical to
+one built from per-sample positions (``tests/plan_oracle.py``).
 """
 
 from __future__ import annotations
@@ -75,23 +84,22 @@ def sat_node_id(params: WalkerParams, plane: int, slot: int) -> str:
     return str(plane * params.sats_per_plane + slot + 1)
 
 
-def propagate(params: WalkerParams, t: float) -> np.ndarray:
-    """Earth-centered inertial positions (km) of every satellite at time t.
+def _positions(params: WalkerParams, times: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """Earth-centered inertial positions (km), shape (T, len(planes), S, 3).
 
-    Row index is plane * sats_per_plane + slot.
+    Entry ``[i, j, s]`` is the satellite in plane ``planes[j]`` and slot
+    ``s`` at ``times[i]``.  The arithmetic is element-wise, so a position
+    is the same whatever times and planes are computed beside it.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
     a = params.semi_major_axis_km
     inc = math.radians(params.inclination_deg)
     n = 2.0 * math.pi / orbit_period(params)
-    planes = np.arange(params.planes)
     slots = np.arange(params.sats_per_plane)
     raan = 2.0 * math.pi * planes / params.planes
     phase = (
         2.0 * math.pi * slots[None, :] / params.sats_per_plane
         + 2.0 * math.pi * params.phase_factor * planes[:, None] / params.total_sats
-        + n * t
+        + n * times[:, None, None]
     )
     cos_u, sin_u = np.cos(phase), np.sin(phase)
     cos_o, sin_o = np.cos(raan)[:, None], np.sin(raan)[:, None]
@@ -99,7 +107,18 @@ def propagate(params: WalkerParams, t: float) -> np.ndarray:
     x = a * (cos_o * cos_u - sin_o * sin_u * cos_i)
     y = a * (sin_o * cos_u + cos_o * sin_u * cos_i)
     z = a * (sin_u * sin_i)
-    return np.stack([x, y, z], axis=-1).reshape(params.total_sats, 3)
+    return np.stack([x, y, z], axis=-1)
+
+
+def propagate(params: WalkerParams, t: float) -> np.ndarray:
+    """Earth-centered inertial positions (km) of every satellite at time t.
+
+    Row index is plane * sats_per_plane + slot.
+    """
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    times = np.array([t], dtype=float)
+    return _positions(params, times, np.arange(params.planes)).reshape(params.total_sats, 3)
 
 
 def pairwise_distance(positions: np.ndarray, i: int, j: int) -> float:
@@ -112,20 +131,14 @@ def intraorbit_chord_km(params: WalkerParams) -> float:
     return 2.0 * params.semi_major_axis_km * math.sin(math.pi / params.sats_per_plane)
 
 
-def _windows(mask: np.ndarray, times: np.ndarray, horizon: float) -> list[tuple[float, float]]:
-    """Maximal sampled intervals where the mask holds."""
-    windows = []
-    start = None
-    for ok, t in zip(mask, times):
-        if ok and start is None:
-            start = t
-        elif not ok and start is not None:
-            windows.append((start, prev_t))
-            start = None
-        prev_t = t
-    if start is not None:
-        windows.append((start, min(times[-1], horizon)))
-    return windows
+def _runs(in_range: np.ndarray) -> list[list[tuple[int, int]]]:
+    """Per column, the first and last row of each maximal run where it holds."""
+    edges = np.diff(in_range, axis=0, prepend=False, append=False)
+    cols, rows = np.nonzero(edges.T)  # column-major: each run's start, then its stop
+    runs: list[list[tuple[int, int]]] = [[] for _ in range(in_range.shape[1])]
+    for col, first, stop in zip(cols[::2].tolist(), rows[::2].tolist(), rows[1::2].tolist()):
+        runs[col].append((first, stop - 1))
+    return runs
 
 
 def generate_contact_plan(
@@ -149,7 +162,6 @@ def generate_contact_plan(
         raise ValueError("step must be at least 1 second")
     S, P = params.sats_per_plane, params.planes
     times = np.arange(0.0, horizon + step, step)
-    positions = np.stack([propagate(params, t) for t in times])  # (T, N, 3)
 
     contacts: list[Contact] = []
     next_id = 1
@@ -177,33 +189,40 @@ def generate_contact_plan(
             for s in range(S):
                 a = sat_node_id(params, p, s)
                 b = sat_node_id(params, p, (s + 1) % S)
-                if a == b:
-                    continue
                 add_pair(a, b, 0, horizon, intra_owlt)
                 link_count[a] += 1
                 link_count[b] += 1
 
     if constraints.max_interorbit_km > 0 and P > 1:
-        plane_pairs = [(p, (p + 1) % P) for p in range(P if P > 2 else 1)]
-        for p, q in plane_pairs:
+        # A run still open at the last sample ends at the horizon; its light
+        # time spans the samples up to the first at or past that end.
+        last_end = min(times[-1], horizon)
+        last_stop = int(np.searchsorted(times, last_end))
+
+        def plane(p: int) -> np.ndarray:  # (T, S, 3)
+            return _positions(params, times, np.array([p]))[:, 0]
+
+        here = plane(0)
+        for p in range(P if P > 2 else 1):
+            q = (p + 1) % P
+            there = plane(q)
+            dist = np.linalg.norm(here - there, axis=-1)  # (T, S): slot s to slot s
+            here = there
+            runs = _runs(dist <= constraints.max_interorbit_km)
             for s in range(S):
                 a = sat_node_id(params, p, s)
                 b = sat_node_id(params, q, s)
-                if link_count[a] >= constraints.terminals_per_sat:
+                if max(link_count[a], link_count[b]) >= constraints.terminals_per_sat:
                     continue
-                if link_count[b] >= constraints.terminals_per_sat:
-                    continue
-                ia = p * S + s
-                ib = q * S + s
-                dist = np.linalg.norm(positions[:, ia] - positions[:, ib], axis=1)
-                mask = dist <= constraints.max_interorbit_km
                 spans = []
-                for ts, te in _windows(mask, times, horizon):
-                    i0 = int(np.searchsorted(times, ts))
-                    i1 = int(np.searchsorted(times, te))
-                    owlt = float(dist[i0 : i1 + 1].max()) / LIGHT_SPEED_KM_S
-                    ts, te = math.ceil(ts), math.floor(te)
+                for i0, i1 in runs[s]:
+                    if i1 < len(times) - 1:
+                        te, stop = times[i1], i1
+                    else:
+                        te, stop = last_end, last_stop
+                    ts, te = math.ceil(times[i0]), math.floor(te)
                     if te > ts:
+                        owlt = float(dist[i0 : stop + 1, s].max()) / LIGHT_SPEED_KM_S
                         spans.append((float(ts), float(te), owlt))
                 if not spans:
                     continue
@@ -212,13 +231,7 @@ def generate_contact_plan(
                 for ts, te, owlt in spans:
                     add_pair(a, b, ts, te, owlt)
 
-    plan_nodes = frozenset(link_count)
-    plan = ContactPlan(
-        contacts=tuple(contacts),
-        horizon=horizon,
-        node_ids=plan_nodes | frozenset(n for c in contacts for n in (c.from_node, c.to_node)),
-    )
-    return plan
+    return ContactPlan(contacts=tuple(contacts), horizon=horizon, node_ids=frozenset(link_count))
 
 
 def positions_csv(params: WalkerParams, times: list[float]) -> str:

@@ -56,6 +56,7 @@ SERIES = "tests/test_simcore.py::TestMetricsSeries::"
 IDLE = "tests/test_simcore.py::TestBlanketIdleKey::"
 REPEATS = "tests/test_simcore.py::TestRepeatSelections::"
 GROUPS = "tests/test_simcore.py::TestReattemptGroups::"
+PLAN = "tests/test_constellation.py::TestPlanOracle::"
 NEIGHBOURS = ("tests/test_simcore.py::TestCriticalReplication::"
               "test_one_search_per_neighbour_with_a_whole_second_left")
 
@@ -326,6 +327,42 @@ MUTANTS = (
         "            if copy.state != _IN_FLIGHT:\n                self._move(copy, _RETIRED, now)",
         "            if copy.state == _QUEUED:\n                self._move(copy, _RETIRED, now)",
         ("tests/test_simcore.py::TestRollback::test_stuck_at_source_is_stored_until_expiry",),
+    ),
+    # plan generation per plane pair, against the per-sample generator
+    Mutant(
+        "plan windows: a run open at the last sample ends past the horizon",
+        "constellation.py",
+        "last_end = min(times[-1], horizon)",
+        "last_end = times[-1]",
+        (PLAN + "test_window_open_at_a_last_sample_past_the_horizon",
+         PLAN + "test_random_walker_plans"),
+    ),
+    Mutant(
+        "plan windows: a run's last sample one sample late",
+        "constellation.py",
+        "runs[col].append((first, stop - 1))",
+        "runs[col].append((first, stop))",
+        (PLAN + "test_bench_and_gate_plans[episodic-12x10]",
+         PLAN + "test_episodic_plan_has_windows_that_open_and_close"),
+    ),
+    Mutant(
+        "plan windows: the light time leaves out the window's last sample",
+        "constellation.py",
+        "dist[i0 : stop + 1, s]",
+        "dist[i0 : stop, s]",
+        (PLAN + "test_bench_and_gate_plans[nels-130s]",
+         PLAN + "test_bench_and_gate_plans[episodic-12x10]",
+         PLAN + "test_random_walker_plans"),
+    ),
+    Mutant(
+        "plane pairs: plane q's slots misaligned by one",
+        "constellation.py",
+        "there = plane(q)",
+        "there = np.roll(plane(q), 1, axis=1)",
+        (PLAN + "test_bench_and_gate_plans[nels-130s]",
+         PLAN + "test_bench_and_gate_plans[orbit-24x20]",
+         PLAN + "test_edge_shapes[two-planes]",
+         PLAN + "test_random_walker_plans"),
     ),
 )
 

@@ -13,7 +13,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cgrlab.cli import main
+from cgrlab.constellation import IslConstraints, WalkerParams, generate_contact_plan
 from cgrlab.contactplan import make_demo_plan, parse_contact_plan, serialize_contact_plan
+from cgrlab.routesearch import build_contact_graph, routes_to_csv, yen_plus
 
 
 TASK_HEADER = "bundle_id,source,dest,size_mb,priority,critical,t_gen,t_exp\n"
@@ -68,6 +70,19 @@ class TestGenPlan:
         plan = parse_contact_plan(out.read_text())
         planes = {(int(c.from_node) - 1) // 4 == (int(c.to_node) - 1) // 4 for c in plan.contacts}
         assert planes == {True}
+
+    def test_stdout_is_the_serialized_plan(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "gen-plan", "--walker", "6x4", "--alt", "1200", "--horizon", "1000",
+            "--step", "5", "--max-interorbit", "2500",
+        )
+        assert code == 0
+        assert err == ""
+        params = WalkerParams(sats_per_plane=6, planes=4, phase_factor=1,
+                              altitude_km=1200.0, inclination_deg=55.0)
+        plan = generate_contact_plan(params, IslConstraints(2500.0, 4), horizon=1000.0, step=5.0)
+        assert out == serialize_contact_plan(plan)
 
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -140,6 +155,18 @@ class TestRoute:
         )
         assert code == 0
         assert out.splitlines()[1].startswith("1,32,10,0,9,")
+
+    def test_depart_is_the_search_departure(self, capsys):
+        code, out, err = run_cli(
+            capsys, "route", "--demo-plan", "--from", "A", "--to", "F", "--depart", "10"
+        )
+        assert code == 0
+        assert err == ""
+        graph = build_contact_graph(make_demo_plan(), "A", "F")
+        assert out == routes_to_csv(yen_plus(graph, 7, depart=10.0))
+        _, at_zero, _ = run_cli(capsys, "route", "--demo-plan", "--from", "A", "--to", "F")
+        assert out != at_zero
+        assert all(int(row.split(",")[3]) >= 10 for row in out.splitlines()[1:])
 
     def test_unreachable_destination_warns_empty(self, tmp_path, capsys):
         plan = tmp_path / "p.txt"
@@ -235,8 +262,9 @@ def test_traffic_past_horizon_is_usage_error(tmp_path, capsys):
         ("--step", "0", "step must be at least 1 second"),
         ("--alt", "-5", "constellation dimensions must be positive"),
         ("--rate", "0", "contact 1: rate must be positive"),
+        ("--max-interorbit", "-5", "max_interorbit_km must be non-negative"),
     ],
-    ids=["phase", "terminals", "step", "alt", "rate"],
+    ids=["phase", "terminals", "step", "alt", "rate", "max-interorbit"],
 )
 def test_rejected_walker_flag_is_usage_error(tmp_path, capsys, command, flag, value, message):
     argv = {

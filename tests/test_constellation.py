@@ -1,7 +1,14 @@
 """Walker-delta geometry and constellation contact-plan generation."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import plan_oracle
 
 from cgrlab.constellation import (
     IslConstraints,
@@ -138,6 +145,10 @@ class TestPlanGeneration:
         with pytest.raises(ValueError, match="max_interorbit_km must be finite"):
             IslConstraints(max_interorbit_km=value, terminals_per_sat=4)
 
+    def test_negative_interorbit_range_rejected(self):
+        with pytest.raises(ValueError, match="max_interorbit_km must be non-negative"):
+            IslConstraints(max_interorbit_km=-1.0, terminals_per_sat=4)
+
     def test_owlt_below_one_light_second(self, plan):
         # every link in this constellation is far below one light-second
         assert all(c.owlt < 0.02 for c in plan.contacts)
@@ -150,3 +161,119 @@ def _same_plane(contact, params) -> bool:
     a = (int(contact.from_node) - 1) // params.sats_per_plane
     b = (int(contact.to_node) - 1) // params.sats_per_plane
     return a == b
+
+
+ORBIT_24X20 = WalkerParams(
+    sats_per_plane=24, planes=20, phase_factor=1, altitude_km=1200.0, inclination_deg=55.0
+)
+EPISODIC_ISL = IslConstraints(max_interorbit_km=4000.0, terminals_per_sat=4)
+
+
+def _fields(plan):
+    """Every contact field, light times by ``repr``, so equal means bit-equal."""
+    return [
+        (c.id, c.from_node, c.to_node, c.t_start, c.t_end, c.rate, repr(c.owlt))
+        for c in plan.contacts
+    ]
+
+
+def _assert_matches_oracle(params, constraints, horizon, step, rate=1.0):
+    plan = generate_contact_plan(params, constraints, horizon, step, rate)
+    reference = plan_oracle.generate_contact_plan(params, constraints, horizon, step, rate)
+    assert _fields(plan) == _fields(reference)
+    assert plan.node_ids == reference.node_ids
+    assert plan.horizon == reference.horizon
+    return plan
+
+
+def _walker(sats, planes, phase=1, alt=1200.0, inc=55.0):
+    return WalkerParams(sats_per_plane=sats, planes=planes, phase_factor=phase,
+                        altitude_km=alt, inclination_deg=inc)
+
+
+class TestPlanOracle:
+    """Plane-pair generation against the per-sample generator of ``plan_oracle``."""
+
+    @pytest.mark.parametrize(
+        "params, constraints, horizon, step",
+        [
+            (NELS, NELS_ISL, 130.0, 5.0),
+            (NELS, EPISODIC_ISL, 6565.0, 5.0),
+            (ORBIT_24X20, NELS_ISL, 6565.0, 5.0),
+        ],
+        ids=["nels-130s", "episodic-12x10", "orbit-24x20"],
+    )
+    def test_bench_and_gate_plans(self, params, constraints, horizon, step):
+        _assert_matches_oracle(params, constraints, horizon, step)
+
+    def test_episodic_plan_has_windows_that_open_and_close(self):
+        plan = _assert_matches_oracle(NELS, EPISODIC_ISL, 6565.0, 5.0)
+        assert len(plan.contacts) == 796
+        assert any(0 < c.t_start and c.t_end < plan.horizon for c in plan.contacts)
+
+    @pytest.mark.parametrize(
+        "params, constraints, horizon, step",
+        [
+            (_walker(5, 1, phase=0), IslConstraints(9000.0, 4), 3000.0, 5.0),
+            (_walker(1, 5, phase=2), IslConstraints(9000.0, 4), 3000.0, 5.0),
+            (_walker(8, 2, alt=800.0, inc=70.0), IslConstraints(6000.0, 4), 3000.0, 7.0),
+            (_walker(6, 4), IslConstraints(2500.0, 4), 600.0, 1.0),
+            (_walker(6, 4), IslConstraints(2500.0, 4), 1000.0, 7.5),
+        ],
+        ids=["one-plane", "one-sat-planes", "two-planes", "step-1", "step-7.5"],
+    )
+    def test_edge_shapes(self, params, constraints, horizon, step):
+        _assert_matches_oracle(params, constraints, horizon, step)
+
+    def test_window_open_at_a_last_sample_past_the_horizon(self):
+        # samples run to 6565 s; a run still in range there ends at 6562
+        plan = _assert_matches_oracle(NELS, EPISODIC_ISL, 6562.0, 5.0)
+        assert any(0 < c.t_start and c.t_end == 6562.0 for c in plan.contacts)
+
+    def test_rate_is_every_contacts_rate(self):
+        plan = _assert_matches_oracle(NELS, NELS_ISL, 60.0, 10.0, rate=2.5)
+        assert {c.rate for c in plan.contacts} == {2.5}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sats=st.integers(1, 6),
+        planes=st.integers(1, 5),
+        phase=st.integers(0, 4),
+        alt=st.floats(400.0, 3000.0),
+        inc=st.floats(0.0, 120.0),
+        reach=st.floats(0.0, 1.5),
+        terminals=st.integers(2, 5),
+        horizon=st.integers(1, 4000),
+        step=st.integers(2, 30).map(lambda k: k / 2),
+    )
+    def test_random_walker_plans(self, sats, planes, phase, alt, inc, reach, terminals,
+                                 horizon, step):
+        params = _walker(sats, planes, phase=phase % planes, alt=alt, inc=inc)
+        # the range in units of the adjacent-plane chord, so some pairs come and go
+        max_km = reach * 2 * params.semi_major_axis_km * math.sin(math.pi / planes)
+        _assert_matches_oracle(params, IslConstraints(max_km, terminals), float(horizon), step)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sats=st.integers(1, 6),
+        planes=st.integers(1, 5),
+        phase=st.integers(0, 4),
+        alt=st.floats(400.0, 3000.0),
+        inc=st.floats(0.0, 120.0),
+        t=st.floats(0.0, 1e6),
+    )
+    def test_propagate_equals_per_sample_positions(self, sats, planes, phase, alt, inc, t):
+        params = _walker(sats, planes, phase=phase % planes, alt=alt, inc=inc)
+        assert np.array_equal(propagate(params, t), plan_oracle.propagate(params, t))
+
+
+def test_orbit_plan_generation_memory_stays_per_plane():
+    # the per-sample generator held a (T, N, 3) cube and peaked near 30 MB here
+    generate_contact_plan(ORBIT_24X20, NELS_ISL, horizon=6565.0, step=5.0)  # warm caches
+    tracemalloc.start()
+    try:
+        generate_contact_plan(ORBIT_24X20, NELS_ISL, horizon=6565.0, step=5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

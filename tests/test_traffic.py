@@ -106,6 +106,16 @@ class TestScenario:
         low = [b for b in bundles if b.priority == 0]
         assert len(low) == 3 * len(high)
 
+    def test_empty_high_priority_draw_keeps_one_bundle(self):
+        # seed 4 draws no expedited bundle in a 10 s window, and there is no
+        # streaming class without critical traffic
+        spec = _spec(seed=4, duration=10, with_critical=False)
+        bundles = generate_scenario(spec)
+        high = [b for b in bundles if b.priority > 0]
+        assert [(b.t_gen, b.size, b.priority, b.critical) for b in high] == [(0.0, 1.0, 1, False)]
+        assert len(bundles) == 4
+        assert [b.priority for b in bundles].count(0) == 3
+
     def test_data_bursts_ignore_duration(self):
         # burst b lands in [25 b, 25 b + 25) whatever the duration; every
         # golden run depends on this placement
