@@ -152,7 +152,8 @@ def generate_contact_plan(
 
     Intra-plane neighbour links span the whole horizon.  Inter-plane links
     pair same-slot satellites in adjacent planes, consuming the terminals
-    left after the two intra-plane links, and contribute one contact pair
+    left after the intra-plane links (one in a two-satellite plane, whose
+    ring closes on the same neighbour), and contribute one contact pair
     per maximal sampled interval where the pair stays within range, rounded
     inward to whole seconds; an interval that rounds to nothing is dropped.
     Each pair's light time is its largest sampled range over the interval,
@@ -186,7 +187,7 @@ def generate_contact_plan(
     link_count = {sat_node_id(params, p, s): 0 for p in range(P) for s in range(S)}
     if S > 1:
         for p in range(P):
-            for s in range(S):
+            for s in range(S if S > 2 else 1):
                 a = sat_node_id(params, p, s)
                 b = sat_node_id(params, p, (s + 1) % S)
                 add_pair(a, b, 0, horizon, intra_owlt)

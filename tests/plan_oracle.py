@@ -87,7 +87,7 @@ def generate_contact_plan(
     link_count = {sat_node_id(params, p, s): 0 for p in range(P) for s in range(S)}
     if S > 1:
         for p in range(P):
-            for s in range(S):
+            for s in range(S if S > 2 else 1):
                 a = sat_node_id(params, p, s)
                 b = sat_node_id(params, p, (s + 1) % S)
                 add_pair(a, b, 0, horizon, intra_owlt)

@@ -156,6 +156,20 @@ class TestPlanGeneration:
     def test_node_count(self, plan):
         assert len(plan.node_ids) == 120
 
+    def test_two_satellite_plane_links_once_and_keeps_terminals(self):
+        # the ring wraps back onto the same neighbour, so it is one link, not two
+        params = WalkerParams(sats_per_plane=2, planes=3, phase_factor=1,
+                              altitude_km=1200.0, inclination_deg=55.0)
+        reach = 2 * params.semi_major_axis_km  # every pair always in range
+        plan = generate_contact_plan(params, IslConstraints(reach, 3), horizon=100.0, step=5.0)
+        intra = [(c.from_node, c.to_node) for c in plan.contacts if _same_plane(c, params)]
+        assert sorted(intra) == [("1", "2"), ("2", "1"), ("3", "4"), ("4", "3"),
+                                 ("5", "6"), ("6", "5")]
+        # one intra-plane terminal each leaves two for both adjacent planes
+        for node in sorted(plan.node_ids):
+            peers = {c.to_node for c in plan.contacts_from(node) if not _same_plane(c, params)}
+            assert len(peers) == 2, node
+
 
 def _same_plane(contact, params) -> bool:
     a = (int(contact.from_node) - 1) // params.sats_per_plane
