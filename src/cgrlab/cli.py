@@ -155,7 +155,8 @@ def _cmd_gen_plan(args: argparse.Namespace) -> int:
     if args.positions:
         # the plan's own sampling instants k * step up to the horizon
         times = [k * args.step for k in range(int(args.horizon // args.step) + 1)]
-        Path(args.positions).write_text(constellation.positions_csv(params, times))
+        with Path(args.positions).open("w") as out:
+            out.writelines(constellation.positions_csv_chunks(params, times))
     return 0
 
 

@@ -150,7 +150,9 @@ def evaluate_route(
     rows of ``plan.timing``.
     """
     if not hops:
-        return None
+        # every caller's hops lead from a node to a destination it differs
+        # from: a search's, or a root and a spur from a node before the end
+        raise AssertionError("evaluate_route: a route needs at least one hop")
     timing = plan.timing
     rows = [timing[h] for h in hops]
     arrival = depart
@@ -621,7 +623,8 @@ def yen_plus(
                 continue
             route = evaluate_route(plan, residual, total, depart)
             if route is None:
-                continue
+                # (iii): the root and the spur pass the search's forward rule
+                raise AssertionError(f"yen_plus: spur {total} fails the forward rule")
             seen.add(total)
             seq += 1
             heapq.heappush(pool, (route.sort_key, seq, route, j))

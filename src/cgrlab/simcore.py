@@ -23,11 +23,11 @@ them (see ``_Engine._emit_rows``).
 A stored copy is re-attempted once per contact start or transmission end at
 its node, so it is often attempted several times at one instant; each such
 re-attempt is one selection event that carries the node's stored copies in
-copy-id order.  An attempt that repeats, at the same instant and key, an
-attempt of the same copy that changed nothing is skipped.  The key is a
-``version`` that moves on every change an attempt can read, except for a
-critical copy under ``standard``: its key is its node's stamp, which moves
-only on changes to the contacts leaving the node (see ``_attempt_forward``).
+copy-id order.  A blanket attempt (a critical copy under ``standard``) that
+repeats, at the same instant and with its node's stamp unmoved, an attempt
+of the same copy that changed nothing is skipped; the stamp moves only on
+changes to the contacts leaving the node (see ``_attempt_forward``).  Every
+other attempt runs in full.
 Per-neighbour routes are reused through ``routesearch.dijkstra_bdt``'s kept
 searches, over a per-node table of neighbours and their last usable seconds.
 
@@ -122,7 +122,8 @@ class _Copy:
     state: str = _STORED
     queued_on: int | None = None
     no_rollback_to: str | None = None
-    # (now, key, computing delta) of its last attempt that changed nothing
+    # (now, its node's stamp, computing delta) of its last blanket attempt
+    # that changed nothing
     idle_attempt: tuple[float, int, int] | None = None
 
     @property
@@ -393,10 +394,6 @@ class _Engine:
 
         self.graphs: dict[tuple[str, str], ContactGraph] = {}
         self.computing = 0  # the paper's metric (see the module docstring)
-        # moves on every change a selection attempt can read: each non-select
-        # event, accepted enqueue and route-cache recompute; _try_start runs
-        # only right after an event or an accepted enqueue
-        self.version = 0
         # per node, moves on every change to the queue, residual volume or
         # busy_until of a contact leaving it: the key of a blanket attempt
         self.stamps = dict.fromkeys(self.nodes, 0)
@@ -441,7 +438,6 @@ class _Engine:
         routes = yen_plus(graph, self.k, depart=now, confirm=False)
         self.computing += min(len(routes) + 1, self.k)  # see yen_plus
         graph.routes = (now, routes)
-        self.version += 1
         return routes
 
     def _review_route(self, route: Route, copy: _Copy, now: float) -> CandidateRoute | None:
@@ -582,7 +578,6 @@ class _Engine:
         accepted, displaced = handle_overbooking(self.residual[contact.id], queue, booking)
         if not accepted:
             return False
-        self.version += 1
         self.stamps[contact.from_node] += 1
         for victim in displaced:
             queue.remove(victim)
@@ -671,39 +666,29 @@ class _Engine:
             # after t_exp retires its copy
             raise AssertionError(
                 f"copy {copy.copy_id}: attempted at {now}, after its expiry at {bundle.t_exp}")
-        blanket = bundle.critical and self.policy == POLICY_STANDARD
-        key = self.stamps[copy.at_node] if blanket else self.version
         idle = copy.idle_attempt
-        if idle is not None and idle[0] == now and idle[1] == key:
-            # This copy's last attempt ran at this instant and key and
-            # changed nothing: it moved neither the version nor the booking
-            # and copy sequences, so it dispatched nothing, tried no enqueue
-            # and left the copy stored.  This attempt would read what that
-            # one read, and equal inputs give equal outputs; the plan is
-            # never written.
-            # - The version: everything an attempt reads (the copy and its
-            #   bundle, the queues, the residual table the graphs share,
-            #   busy_until, the holder sets and the route-cache timestamp)
-            #   changes only where the version moves or in the _try_start
-            #   right after.
-            # - The node's stamp, for a blanket attempt (a critical copy
-            #   under standard): apart from `now` and the copy, whose node
-            #   changes only on arrival, which clears its record, such an
-            #   attempt reads only contacts leaving its node: each first
-            #   hop's queue and busy_until (ETO, PAT) and the rollback
-            #   contact's queue and residual.  A route's hops, BDT and
-            #   None-ness depend on the plan and `now` alone; a residual
-            #   moves only its volume, and so its rank, and rank matters
-            #   only among admissible candidates, of which the last attempt
-            #   had none.  Standard reads no holder set.
-            # The caches it reads are pure: a graph's kept searches and
-            # routes give what a fresh search returns, and the route-cache
-            # live filter writes back a list that filtering again at the same
-            # or a later `now` leaves as it is.  So the attempt would end as
-            # the last one did, having counted the same computations.
+        if idle is not None and idle[0] == now and idle[1] == self.stamps[copy.at_node]:
+            # This copy's last attempt was a blanket attempt (a critical copy
+            # under standard) at this instant and stamp that changed
+            # nothing: it moved neither the booking nor the copy sequence,
+            # so it dispatched nothing, tried no enqueue and left the copy
+            # stored.  Apart from `now` and the copy, whose node changes
+            # only on arrival, which clears its record, such an attempt
+            # reads only contacts leaving its node: each first hop's queue
+            # and busy_until (ETO, PAT) and the rollback contact's queue and
+            # residual, and each change to them moves the node's stamp.  A
+            # route's hops, BDT and None-ness depend on the plan and `now`
+            # alone; a residual moves only its volume, and so its rank, and
+            # rank matters only among admissible candidates, of which the
+            # last attempt had none.  Standard reads no holder set.  The
+            # graph's kept searches and routes give what a fresh search
+            # returns, and the plan is never written.  So this attempt would
+            # read what that one read and end as it did, having counted the
+            # same computations.
             self.computing += idle[2]
             return
-        before = (self.version, self.booking_seq, self.copy_seq)
+        blanket = bundle.critical and self.policy == POLICY_STANDARD
+        before = (self.booking_seq, self.copy_seq)
         counted = self.computing
         if blanket:
             cands = self._critical_candidates(copy, now)
@@ -713,9 +698,9 @@ class _Engine:
             self._dispatch_candidates(copy, cands, now)
         else:
             self._rollback(copy, now)
-        if (self.version, self.booking_seq, self.copy_seq) == before:
-            # no enqueue ran, so no stamp moved either
-            copy.idle_attempt = (now, key, self.computing - counted)
+        if blanket and (self.booking_seq, self.copy_seq) == before:
+            # every enqueue moves the booking sequence, so no stamp moved
+            copy.idle_attempt = (now, self.stamps[copy.at_node], self.computing - counted)
 
     def _handle_arrival(self, copy: _Copy, contact: Contact, now: float) -> None:
         from_node, to_node = contact.from_node, contact.to_node
@@ -876,9 +861,6 @@ class _Engine:
                     batch += heapq.heappop(self.heap)[3]
                 self._process_selection_batch(batch, t)
                 continue
-            # one bump for a group of contact edges: no attempt runs between
-            # its contacts, so no attempt could see the bumps between them
-            self.version += 1
             if rank == _R_CONTACT_START:
                 for c in payload:
                     self._try_start(c, t)

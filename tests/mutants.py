@@ -57,6 +57,7 @@ IDLE = "tests/test_simcore.py::TestBlanketIdleKey::"
 REPEATS = "tests/test_simcore.py::TestRepeatSelections::"
 GROUPS = "tests/test_simcore.py::TestReattemptGroups::"
 PLAN = "tests/test_constellation.py::TestPlanOracle::"
+BLANKET_ONLY = REPEATS + "test_only_a_blanket_repeat_is_skipped"
 NEIGHBOURS = ("tests/test_simcore.py::TestCriticalReplication::"
               "test_one_search_per_neighbour_with_a_whole_second_left")
 
@@ -207,7 +208,8 @@ MUTANTS = (
         "            self._push(t, _R_CONTACT_END, group[::-1])",
         (EDGES + "test_one_event_per_edge_instant",
          EDGES + "test_same_instant_starts_are_handled_in_plan_order",
-         EDGES + "test_same_instant_ends_are_handled_in_plan_order"),
+         EDGES + "test_same_instant_ends_are_handled_in_plan_order",
+         "tests/test_properties.py::test_matches_run_without_shortcuts_under_contention"),
     ),
     Mutant(
         "contact edges: a start group handled for its first contact only",
@@ -239,24 +241,18 @@ MUTANTS = (
     Mutant(
         "idle-attempt skip: never taken",
         "simcore.py",
-        "if idle is not None and idle[0] == now and idle[1] == key:",
+        "if idle is not None and idle[0] == now and idle[1] == self.stamps[copy.at_node]:",
         "if False:",
         (REPEATS + "test_same_instant_repeats_are_counted_not_reviewed",
          IDLE + "test_change_between_repeats[enqueue-elsewhere]"),
     ),
     Mutant(
-        "idle-attempt skip: no version bump on an accepted enqueue",
+        "idle-attempt skip: every idle attempt kept, not only blanket ones",
         "simcore.py",
-        "        self.version += 1\n        self.stamps[contact.from_node] += 1\n",
-        "        self.stamps[contact.from_node] += 1\n",
-        (REPEATS + "test_version_keyed_repeat_after_an_enqueue_elsewhere_is_attempted_in_full",),
-    ),
-    Mutant(
-        "idle-attempt skip: no version bump on a route-list recompute",
-        "simcore.py",
-        "        graph.routes = (now, routes)\n        self.version += 1\n",
-        "        graph.routes = (now, routes)\n",
-        (REPEATS + "test_version_keyed_repeat_after_an_enqueue_elsewhere_is_attempted_in_full",),
+        "if blanket and (self.booking_seq, self.copy_seq) == before:",
+        "if (self.booking_seq, self.copy_seq) == before:",
+        (BLANKET_ONLY + "[rmdg-critical]", BLANKET_ONLY + "[rmdg]", BLANKET_ONLY + "[standard]",
+         "tests/test_properties.py::test_selection_matches_full_attempts"),
     ),
     Mutant(
         "blanket idle key: no stamp bump on an accepted enqueue",
@@ -319,6 +315,21 @@ MUTANTS = (
         "if last_s < now or neighbor in hop_trace:",
         "if neighbor in hop_trace:",
         (NEIGHBOURS + "[one-closed]",),
+    ),
+    # branches dead by argument, now faults
+    Mutant(
+        "evaluate_route: empty hops give None",
+        "routesearch.py",
+        'raise AssertionError("evaluate_route: a route needs at least one hop")',
+        "return None",
+        ("tests/test_routesearch.py::TestEvaluateRoute::test_empty_hops_are_a_fault",),
+    ),
+    Mutant(
+        "yen_plus: a spur failing the forward rule skipped",
+        "routesearch.py",
+        'raise AssertionError(f"yen_plus: spur {total} fails the forward rule")',
+        "continue",
+        ("tests/test_routesearch.py::TestYenPlus::test_spur_failing_the_forward_rule_is_a_fault",),
     ),
     # expiry retires stored copies, so no attempt comes after it
     Mutant(
@@ -386,7 +397,6 @@ NOT_TRANSCRIBED = (
     "bounded spurs: the bound at B* with a strict prune, h[node] for h[to], "
     "a bound kept when confirm is set",
     "copy states: a copy not removed from `stored` when it leaves that state",
-    "`_try_start`: the version bump moved to the transmitting branch",
     "occupancy: the bisections swapped or taken on one side",
     "residual tables: an uncached `uniform()`, a residual table kept on the plan, "
     "a rollback or EVL that ignores the table, no `Bundle` check",

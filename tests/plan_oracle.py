@@ -6,7 +6,9 @@ time axis at a time and finds each pair's windows with array diffs.
 satellite's position at every sample (``propagate``, one call per sample),
 each inter-plane pair's range by ``np.linalg.norm`` over that cube, and its
 windows by a walk over the samples.  Plans from the two must be equal field
-for field, light times to the last bit.
+for field, light times to the last bit.  ``positions_csv`` is likewise the
+per-sample build that ``constellation.positions_csv_chunks`` must equal
+byte for byte.
 """
 
 from __future__ import annotations
@@ -123,3 +125,15 @@ def generate_contact_plan(
         horizon=horizon,
         node_ids=frozenset(link_count),
     )
+
+
+def positions_csv(params: WalkerParams, times: list[float]) -> str:
+    """Satellite positions as CSV rows ``t,sat_id,x,y,z``, one sample at a time."""
+    lines = ["t,sat_id,x,y,z"]
+    for t in times:
+        pos = propagate(params, t)
+        for p in range(params.planes):
+            for s in range(params.sats_per_plane):
+                x, y, z = pos[p * params.sats_per_plane + s]
+                lines.append(f"{t:g},{sat_node_id(params, p, s)},{x:.3f},{y:.3f},{z:.3f}")
+    return "\n".join(lines) + "\n"

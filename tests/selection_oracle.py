@@ -1,8 +1,8 @@
 """Route selection without repeat skipping or route reuse, kept as a test oracle.
 
-The engine skips an attempt that repeats, at the same instant and key, an
-attempt of the same copy that changed nothing; the key is the engine's
-version, or for a critical copy under ``standard`` its node's stamp.
+The engine skips a blanket attempt (a critical copy under ``standard``) that
+repeats, at the same instant and with its node's stamp unmoved, an attempt
+of the same copy that changed nothing.
 ``dijkstra_bdt`` reuses a search kept on the engine's graph at its own
 departure and, where the goal-directed order runs (``routesearch._exact``),
 at later ones, and the route it last returned while ``routesearch.covers``

@@ -17,6 +17,7 @@ from cgrlab.constellation import (
     intraorbit_chord_km,
     orbit_period,
     pairwise_distance,
+    positions_csv_chunks,
     propagate,
     sat_node_id,
 )
@@ -291,3 +292,36 @@ def test_orbit_plan_generation_memory_stays_per_plane():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+@pytest.mark.parametrize(
+    "params, horizon, step",
+    [
+        (NELS, 130.0, 5.0),
+        (_walker(20, 24), 600.0, 7.5),
+        (_walker(1, 1, phase=0), 10.0, 2.5),
+        (_walker(5, 3, phase=2), 3.0, 1.0),
+    ],
+    ids=["nels", "orbit-24x20-fractional-step", "one-satellite", "5x3"],
+)
+def test_positions_csv_equals_per_sample_rows(params, horizon, step):
+    # gen-plan --positions samples the plan's instants k * step
+    times = [k * step for k in range(int(horizon // step) + 1)]
+    chunks = list(positions_csv_chunks(params, times))
+    assert "".join(chunks) == plan_oracle.positions_csv(params, times)
+    assert all(chunk.endswith("\n") for chunk in chunks)
+
+
+def test_positions_csv_memory_stays_per_block():
+    # a full orbit of the 24x20 plan every 50 s: joining its 63,841 rows
+    # peaked near 11 MB (at step 5, 631k rows, near 105 MB); tracemalloc
+    # makes a run at step 5 take seconds
+    times = [k * 50.0 for k in range(int(6565.0 // 50.0) + 1)]
+    tracemalloc.start()
+    try:
+        rows = sum(chunk.count("\n") for chunk in positions_csv_chunks(ORBIT_24X20, times))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == 1 + len(times) * ORBIT_24X20.total_sats
+    assert peak < 4e6

@@ -224,6 +224,18 @@ RETIMED = (
 # t=9 bundle 4's transmission ends, and of S's re-attempted copies the first
 # takes the first window's last second
 REORDERED = (TWO_WINDOWS, EXPIRED[1] + [_bulk(5, 1.0, 7.0, ttl=5.0), _bulk(6, 1.0, 7.0, ttl=5.0)])
+# FLUSHED at S and again at T: S -> D and T -> D share both windows, so at
+# t=10 one group of contact ends flushes a copy at each node, and the two are
+# selected onto the second windows in the order those ends are handled
+TWIN_FLUSHED = (
+    ContactPlan.build(
+        [
+            Contact(id=cid, from_node=frm, to_node="D", t_start=ts, t_end=ts + 10, rate=1, owlt=1)
+            for cid, (frm, ts) in enumerate([("S", 0), ("T", 0), ("S", 20), ("T", 20)], 1)
+        ]
+    ),
+    FLUSHED[1] + [replace(b, id=b.id + 4, source="T") for b in FLUSHED[1]],
+)
 # two or three nodes share short windows late in the horizon, so copies
 # contend for them and some leave a queue untransmitted, as in FLUSHED and
 # EXPIRED
@@ -235,7 +247,8 @@ CONTENDED = scenarios(
 
 def under_contention(check):
     """``check(scenario, policy, owlt_mode)`` as a test over CONTENDED, FLUSHED,
-    EXPIRED, LOWERED, RETIMED and REORDERED."""
+    EXPIRED, LOWERED, RETIMED, REORDERED and TWIN_FLUSHED."""
+    check = example(scenario=TWIN_FLUSHED, policy=POLICY_STANDARD, owlt_mode="uniform")(check)
     check = example(scenario=REORDERED, policy=POLICY_STANDARD, owlt_mode="uniform")(check)
     check = example(scenario=RETIMED, policy=POLICY_RMDG, owlt_mode="uniform")(check)
     check = example(scenario=LOWERED, policy=POLICY_STANDARD, owlt_mode="uniform")(check)
@@ -331,7 +344,8 @@ def test_selection_matches_full_attempts():
             skipped.add(policy)
 
     check()
-    assert skipped == set(POLICIES)
+    # only a blanket attempt, a critical copy under standard, is skipped
+    assert skipped == {POLICY_STANDARD}
 
 
 def test_selection_matches_full_attempts_under_contention(monkeypatch):

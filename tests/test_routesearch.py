@@ -128,6 +128,20 @@ class TestYenPlus:
         with pytest.raises(ValueError):
             yen_plus(g, 0)
 
+    def test_spur_failing_the_forward_rule_is_a_fault(self, monkeypatch):
+        # by argument (iii) a root and a spur the search found pass
+        # evaluate_route, so a None there is not a candidate to skip
+        calls = []
+
+        def evaluate(plan, residual, hops, depart, real=routesearch.evaluate_route):
+            calls.append(hops)
+            return real(plan, residual, hops, depart) if len(calls) == 1 else None
+
+        monkeypatch.setattr(routesearch, "evaluate_route", evaluate)
+        _, g = _demo_graph()
+        with pytest.raises(AssertionError, match="fails the forward rule"):
+            yen_plus(g, 3)
+
     def test_no_route_gives_empty_list(self):
         plan = ContactPlan.build(
             [Contact(id=1, from_node="S", to_node="M", t_start=0, t_end=5, rate=1)],
@@ -249,6 +263,12 @@ class TestEvaluateRoute:
         )
         assert evaluate_route(plan, plan.volumes(), (1,), depart=10) is None
         assert evaluate_route(plan, plan.volumes(), (1,), depart=9) is not None
+
+    def test_empty_hops_are_a_fault(self):
+        # no caller has a route of no hops: its source and destination differ
+        plan = make_demo_plan()
+        with pytest.raises(AssertionError, match="at least one hop"):
+            evaluate_route(plan, plan.volumes(), (), depart=0)
 
     def test_margin_inflates_arrival(self):
         plan = ContactPlan.build(

@@ -619,30 +619,29 @@ class TestRepeatSelections:
         assert len(reviews) == 6
         assert engine.computing == 4 * self.ATTEMPT
 
-    def test_version_keyed_repeat_after_an_enqueue_elsewhere_is_attempted_in_full(
-        self, monkeypatch
-    ):
-        # under rmdg the copy's key is the engine's version.  The first
-        # attempt computes the route list (one search per route and one more,
-        # then two passes of three reviews), which moves the version, so only
-        # the second is kept as idle; an enqueue at B moves the version too
+    @pytest.mark.parametrize(
+        "policy, critical",
+        [(POLICY_RMDG, True), (POLICY_RMDG, False), (POLICY_STANDARD, False)],
+        ids=["rmdg-critical", "rmdg", "standard"],
+    )
+    def test_only_a_blanket_repeat_is_skipped(self, monkeypatch, policy, critical):
+        # a copy that is not a critical copy under standard reads the route
+        # list, so a same-instant repeat runs its reviews again.  The first
+        # attempt computes the list (one search per route and one more, then
+        # two passes of three reviews); each repeat finds it live
         _, reviews = self._spy(monkeypatch)
-        held_bundle = self._critical()
-        other = _bundle(bid=2, src="B")
-        engine = simcore._Engine(self._plan(), [held_bundle, other], POLICY_RMDG, 0, 4, "uniform")
+        held_bundle = _bundle(src="A", priority=2, critical=critical, ttl=20.0)
+        engine = simcore._Engine(self._plan(), [held_bundle], policy, 0, 4, "uniform")
         held = engine._new_copy(held_bundle, ("A",))
         engine.nodes["A"].seen_critical[held_bundle.id] = {"A"}
         counted = []
-        for attempt in range(5):
-            if attempt == 3:
-                # contact 4, B -> D, opens at t=25: the copy stays queued
-                assert engine._enqueue(
-                    engine._new_copy(other, ("B",)), engine.plan.contact(4), 5.0, "select")
+        for _ in range(3):
             before = engine.computing
             engine._attempt_forward(held, 5.0)
             counted.append(engine.computing - before)
-        assert counted == [10, 6, 6, 6, 6]
-        assert reviews == [1] * 6 + [2] * 6 + [4] * 6
+        assert counted == [10, 6, 6]
+        assert reviews == [1] * 6 + [2] * 6 + [3] * 6
+        assert held.idle_attempt is None
 
     def test_full_selection_oracle_runs_every_repeat(self, monkeypatch):
         # the oracle has its own _attempt_forward: count candidate computations
@@ -897,6 +896,8 @@ class TestMetricsSeries:
         assert rows[11:15] == expanded[11:15] and rows[::-7] == expanded[::-7]
         assert rows == expanded and expanded == rows and rows == metrics.rows
         assert rows != expanded[:-1] and rows != [*expanded[:-1], expanded[0]]
+        # like a list, it does not equal a tuple of its rows
+        assert rows != tuple(expanded) and repr(rows) == f"MetricRows({expanded!r})"
         for index in (len(rows), -len(rows) - 1):
             with pytest.raises(IndexError):
                 rows[index]
