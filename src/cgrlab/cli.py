@@ -13,6 +13,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from cgrlab import constellation, simcore, traffic
 from cgrlab.contactplan import (
     ContactPlan,
@@ -153,8 +155,9 @@ def _cmd_gen_plan(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
     if args.positions:
-        # the plan's own sampling instants k * step up to the horizon
-        times = [k * args.step for k in range(int(args.horizon // args.step) + 1)]
+        # the plan's own sampling instants, those at or below the horizon
+        times = np.arange(0.0, args.horizon + args.step, args.step)
+        times = times[times <= args.horizon].tolist()
         with Path(args.positions).open("w") as out:
             out.writelines(constellation.positions_csv_chunks(params, times))
     return 0

@@ -7,14 +7,14 @@ permanent links; inter-plane links pair same-slot satellites in adjacent
 planes and stay up while the pair is within the configured range.
 
 ``_positions`` is the one place the orbital arithmetic lives: ``propagate``
-is its view of every plane at one instant, ``generate_contact_plan`` takes
-one plane over every sample at a time, and ``positions_csv_chunks`` every
-plane over a block of samples at a time.  Generation thus runs one
-adjacent plane pair at a time, in O(T x S) memory for T samples and S
-satellites per plane, and finds each pair's windows with array diffs over
-the (T, S) ranges of its same-slot satellites.  The arithmetic is
-element-wise and the same as ``propagate``'s, so a plan is bit-identical to
-one built from per-sample positions (``tests/plan_oracle.py``).
+is its view of every plane at one instant, which ``positions_csv_chunks``
+writes one sample at a time, and ``generate_contact_plan`` takes one plane
+over every sample at a time.  Generation thus runs one adjacent plane pair
+at a time, in O(T x S) memory for T samples and S satellites per plane, and
+finds each pair's windows with array diffs over the (T, S) ranges of its
+same-slot satellites.  The arithmetic is element-wise and the same as
+``propagate``'s, so a plan is bit-identical to one built from per-sample
+positions (``tests/plan_oracle.py``).
 """
 
 from __future__ import annotations
@@ -25,13 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cgrlab.contactplan import LIGHT_SPEED_KM_S, Contact, ContactPlan
+from cgrlab.contactplan import LIGHT_SPEED_KM_S, Contact, ContactPlan, _fmt
 
 EARTH_RADIUS_KM = 6371.0
 MU_KM3_S2 = 398600.4418
-
-# the most CSV rows positions_csv_chunks builds at once, unless one sample has more
-_POSITION_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -243,21 +240,16 @@ def generate_contact_plan(
 def positions_csv_chunks(params: WalkerParams, times: list[float]) -> Iterator[str]:
     """Satellite positions as CSV rows ``t,sat_id,x,y,z``, the header first.
 
-    Each later chunk holds every satellite's rows at a block of samples, at
-    most ``_POSITION_ROWS`` rows (or one sample's), from one ``_positions``
-    call over every plane, so a caller that writes the chunks as they come
-    holds one block.
+    Each later chunk holds every satellite's rows at one sample, from one
+    ``propagate`` call, its time written as plan lines write theirs, so a
+    caller that writes the chunks as they come holds one sample's rows.
     """
     yield "t,sat_id,x,y,z\n"
     S, P = params.sats_per_plane, params.planes
     ids = [sat_node_id(params, p, s) for p in range(P) for s in range(S)]
-    planes = np.arange(P)
-    block = max(1, _POSITION_ROWS // params.total_sats)
-    for lo in range(0, len(times), block):
-        samples = times[lo : lo + block]
-        positions = _positions(params, np.array(samples, dtype=float), planes)
+    for t in times:
+        stamp = _fmt(t)
         yield "".join([
-            f"{t:g},{sat},{x:.3f},{y:.3f},{z:.3f}\n"
-            for t, at_t in zip(samples, positions.reshape(len(samples), -1, 3).tolist())
-            for sat, (x, y, z) in zip(ids, at_t)
+            f"{stamp},{sat},{x:.3f},{y:.3f},{z:.3f}\n"
+            for sat, (x, y, z) in zip(ids, propagate(params, t).tolist())
         ])

@@ -30,16 +30,14 @@ so the hops are those of Dijkstra's order (the argument is in ``_search``).
 
 A ``ContactGraph`` is one source/destination pair's search context; the
 graph is ``ContactPlan.adjacency``, whose storage edges lead from a contact
-to one leaving its receiving node late enough.  ``dijkstra_bdt`` keeps each
-search's hops, arrival and last route on it, one per first-hop restriction,
-and answers from them where a fresh search would return the same route: a
-kept route while ``covers`` holds (see its docstring), and kept hops at the
-search's own departure or where ``_shifts`` holds.  ``yen_plus`` keeps on it
-a trace of its last call, and a later call replays a kept spur search in
-place of searching while its deviation rounds repeat the kept call's and
-``_shifts`` holds for the spur.  ``_shifts`` is the one rule under which a
-kept search stands in for a later one, and holds the argument.  Route search
-counts nothing; ``simcore`` counts computations.
+to one leaving its receiving node late enough.  Both kept-search sites keep
+one record, ``(start, route)``: the start of a search and the route it gave,
+or None when it found none.  ``dijkstra_bdt`` keeps its last answer per
+first-hop restriction, and ``yen_plus`` a trace of its last call with a
+record per spur search that added a candidate.  ``_answers`` is the one test
+of whether a record stands in for a later search: at its own start, or where
+``_shifts``, which holds the argument, moves it to a later one.  Route
+search counts nothing; ``simcore`` counts computations.
 """
 
 from __future__ import annotations
@@ -84,8 +82,10 @@ class Route(NamedTuple):
 
 _new_tuple = tuple.__new__
 
+# a kept search: its start and the route it gave, or None (see `_answers`)
+Kept = tuple[float, Route | None]
 # one deviation round of a `yen_plus` call, as `ContactGraph.spurs` keeps it
-SpurRound = tuple[tuple[int, ...], int, dict[int, tuple[float, list[int], float]]]
+SpurRound = tuple[tuple[int, ...], int, dict[int, Kept]]
 
 
 @dataclass
@@ -94,14 +94,12 @@ class ContactGraph:
 
     ``residual`` maps each contact id to the volume left on it; a run passes
     its own table, which it lowers as it commits data.  ``searches`` maps a
-    ``via`` neighbour (or None) to ``(depart, hops, arrival, answered,
-    route)``: the hops ``dijkstra_bdt`` found departing at ``depart`` and
-    their arrival (both None when it found none), and the route it last
-    returned, for a call departing at ``answered``.  ``spurs`` is the trace
-    of the last ``yen_plus`` call, one ``(base, deviation, found)`` per
-    deviation round: the hops deviated from, the first spur index searched
-    and, per spur index whose search added a pool candidate, ``(start, hops,
-    arrival)`` of that search.
+    ``via`` neighbour (or None) to the ``(start, route)`` record of the last
+    ``dijkstra_bdt`` call: its departure and the route it returned.
+    ``spurs`` is the trace of the last ``yen_plus`` call, one ``(base,
+    deviation, found)`` per deviation round: the hops deviated from, the
+    first spur index searched and, per spur index whose search added a pool
+    candidate, the ``(start, route)`` record of that search and candidate.
     ``routes`` is the engine's ``(computed_at, routes)``
     (see ``simcore._Engine._routes``).
     """
@@ -110,9 +108,7 @@ class ContactGraph:
     source: str
     dest: str
     residual: dict[int, float] = field(repr=False, compare=False)
-    searches: dict[
-        str | None, tuple[float, list[int] | None, float | None, float, Route | None]
-    ] = field(default_factory=dict, repr=False, compare=False)
+    searches: dict[str | None, Kept] = field(default_factory=dict, repr=False, compare=False)
     spurs: list[SpurRound] | None = field(default=None, repr=False, compare=False)
     routes: tuple[float, list[Route]] | None = field(default=None, repr=False, compare=False)
 
@@ -327,8 +323,8 @@ def _shifts(plan: ContactPlan, s0: float, s1: float, arrival: float) -> bool:
     hops) from ``s1`` returns the same hops, arriving ``s1 - s0`` later, when
     ``s1 >= s0``, ``_exact`` holds at both starts, and no window of the plan
     opens in ``(s0, arrival + s1 - s0]`` or closes (no ``last``) in ``[s0,
-    arrival + s1 - s0)``.  ``dijkstra_bdt`` and ``yen_plus`` reuse kept
-    searches under this one rule.
+    arrival + s1 - s0)``.  ``_answers`` applies it to both kept-search
+    sites.
     """
     # Say delta = s1 - s0 and A0 = arrival.  The search from s1 returns the
     # kept hops at A0 + delta when
@@ -373,6 +369,19 @@ def _shifts(plan: ContactPlan, s0: float, s1: float, arrival: float) -> bool:
     )
 
 
+def _answers(plan: ContactPlan, kept: Kept, start: float) -> bool:
+    """Whether a kept search ``(s0, route)`` answers the same search from ``start``.
+
+    A search reads only the plan and its start, so one from ``s0`` repeats
+    the kept one whatever the residual volumes.  A route's BDT is its
+    search's arrival, since ``evaluate_route`` repeats the search's forward
+    rule, so where ``_shifts`` holds for it a later search returns the
+    route's hops.
+    """
+    s0, route = kept
+    return start == s0 or route is not None and _shifts(plan, s0, start, route.bdt)
+
+
 def dijkstra_bdt(
     graph: ContactGraph,
     depart: float = 0.0,
@@ -384,26 +393,20 @@ def dijkstra_bdt(
     which yields the best route through it.  Returns None when the
     destination is unreachable.
 
-    The graph keeps the last search for each ``via`` (None included), its
-    departure, hops and arrival, and the last route returned.  A call at
-    that route's departure returns it while ``covers`` holds.  Otherwise a
-    call at the search's departure, whatever the residual volumes, or at a
-    later one where ``_shifts`` holds, evaluates the kept hops instead of
-    searching; kept None is reused only at its own departure.  The result is
-    the same either way.
+    The graph keeps the last answer for each ``via`` (None included) as a
+    ``(depart, route)`` record.  Where ``_answers`` holds, the call takes the
+    kept route's hops instead of searching: at the record's own departure
+    the route stands while ``covers`` holds, and otherwise its hops are
+    timed again.  Each answer re-keys the record at its own departure, which
+    loses no later hit: a window edge between the two starts would have
+    refused this answer.  The result is the same either way.
     """
     plan, residual = graph.plan, graph.residual
     kept = graph.searches.get(via)
-    # A search reads only the plan and its departure, so one at the kept
-    # departure repeats the kept one whatever the residual volumes.
-    if kept and depart == kept[3]:
-        route = kept[4]
-        if route is None or covers(residual, route):
-            return route
-    if kept and (
-        depart == kept[0] or kept[1] is not None and _shifts(plan, kept[0], depart, kept[2])
-    ):
-        route = None if kept[1] is None else evaluate_route(plan, residual, kept[1], depart)
+    if kept and _answers(plan, kept, depart):
+        route = kept[1]
+        if route is not None and not (depart == kept[0] and covers(residual, route)):
+            route = evaluate_route(plan, residual, route.hops, depart)
     else:
         banned_first = frozenset() if via is None else frozenset(
             c.id for c in plan.contacts_from(graph.source) if c.to_node != via
@@ -411,10 +414,7 @@ def dijkstra_bdt(
         index = plan.node_index
         hops = _search(plan, index[graph.source], depart, index[graph.dest], [], banned_first)
         route = None if hops is None else evaluate_route(plan, residual, hops, depart)
-        # `evaluate_route` repeats the search's forward rule on its hops, so at
-        # the search's own departure the route's BDT is the search's arrival
-        kept = (depart, hops, None if route is None else route.bdt)
-    graph.searches[via] = kept[:3] + (depart, route)
+    graph.searches[via] = (depart, route)
     return route
 
 
@@ -443,13 +443,14 @@ def yen_plus(
     search call).
 
     Each call keeps on the graph the base hops of each deviation round and
-    the result of each spur search that added a candidate.  A later call on
-    the graph, at any departure, uses a kept spur in place of its search
-    while every round so far deviated from the same base hops at the same
-    index and ``_shifts`` holds from the kept spur's start to this one's;
-    the arrival is then the kept one shifted, and a spur arriving after the
-    bound is None (Acar, 2005, on reusing a trace of a computation; the
-    argument is at the spur loop).  The result is the same either way.
+    the ``(start, route)`` record of each spur search that added a
+    candidate.  A later call on the graph, at any departure, uses a kept
+    spur in place of its search while every round so far deviated from the
+    same base hops at the same index and ``_answers`` holds for the spur's
+    start; the arrival is then the kept one shifted, and a spur arriving
+    after the bound is None (Acar, 2005, on reusing a trace of a
+    computation; the argument is at the spur loop).  The result is the same
+    either way.
 
     The loop makes one shortest-path search for the first route, then one
     deviation round per further route sought (Yen, 1971).  With
@@ -531,7 +532,7 @@ def yen_plus(
         else:
             replayed = {}
             kept_rounds = iter(())
-        found: dict[int, tuple[float, list[int], float]] = {}
+        found: dict[int, Kept] = {}
         rounds.append((base, deviation, found))
         spur_node = source
         start_time = depart
@@ -593,32 +594,30 @@ def yen_plus(
             # same deviation index as this call.  So both visited the same
             # spur indices and built every B(R) by the same additions: its
             # search at j had this search's root, banned nodes and banned
-            # first hops.  Say it started at s0 and returned hops H arriving
-            # at A0 under its bound.  A bounded search returns the unbounded
-            # result exactly when that arrives by the bound, by (ii), and
-            # None otherwise, since each label it sets at dest is the
-            # arrival of some route.  So the unbounded search from s0
-            # returns H at A0, and where `_shifts` holds, the one from this
-            # spur's start returns H at A0 + delta, delta = start - s0; the
-            # bounded search then returns H when that is at most `bound`,
-            # and None otherwise, without a search.  `found[j]` holds (s0,
-            # H, A0) of a spur that added a pool candidate, whose BDT equals
-            # A0 by (iii).  delta is the spur's own shift: a later departure
-            # moves the spur start by at most as much, and less where the
-            # root waited for a window.
-            spur = None
+            # first hops.  `found[j]` holds (s0, route) of a spur that added
+            # a pool candidate: it started at s0 and returned, under its
+            # bound, the spur of `route`, whose hops are the root's and the
+            # spur's and whose BDT is the spur's arrival A0 by (iii).  A
+            # bounded search returns the unbounded result exactly when that
+            # arrives by the bound, by (ii), and None otherwise, since each
+            # label it sets at dest is the arrival of some route.  So the
+            # unbounded search from s0 returns that spur at A0, and where
+            # `_answers` holds, the one from this spur's start returns it at
+            # A0 + delta, delta = start - s0; the bounded search then
+            # returns it when that is at most `bound`, and None otherwise,
+            # without a search.  delta is the spur's own shift: a later
+            # departure moves the spur start by at most as much, and less
+            # where the root waited for a window.
             kept = replayed.get(j)
-            if kept is not None:
-                s0, kept_hops, arrival = kept
-                if _shifts(plan, s0, start_time, arrival):
-                    if arrival + (start_time - s0) > bound:
-                        continue
-                    spur = kept_hops
-            if spur is None:
+            if kept is not None and _answers(plan, kept, start_time):
+                if kept[1].bdt + (start_time - kept[0]) > bound:
+                    continue
+                total = kept[1].hops
+            else:
                 spur = _search(plan, spur_node, start_time, dest, root_nodes, banned_first, bound)
                 if spur is None:
                     continue
-            total = root_hops + tuple(spur)
+                total = root_hops + tuple(spur)
             if total in seen:
                 continue
             route = evaluate_route(plan, residual, total, depart)
@@ -628,7 +627,7 @@ def yen_plus(
             seen.add(total)
             seq += 1
             heapq.heappush(pool, (route.sort_key, seq, route, j))
-            found[j] = (start_time, spur, route.bdt)
+            found[j] = (start_time, route)
             if not confirm and route.bdt < cutoff and len(pool) >= k - len(accepted):
                 cutoff = heapq.nsmallest(k - len(accepted), pool)[-1][2].bdt
                 bound = cutoff + 1e-9 * (1.0 + abs(cutoff))

@@ -58,6 +58,7 @@ REPEATS = "tests/test_simcore.py::TestRepeatSelections::"
 GROUPS = "tests/test_simcore.py::TestReattemptGroups::"
 PLAN = "tests/test_constellation.py::TestPlanOracle::"
 BLANKET_ONLY = REPEATS + "test_only_a_blanket_repeat_is_skipped"
+BOUNDED = "tests/test_routesearch.py::TestBoundedSpurs::test_matches_unbounded_loop"
 NEIGHBOURS = ("tests/test_simcore.py::TestCriticalReplication::"
               "test_one_search_per_neighbour_with_a_whole_second_left")
 
@@ -116,15 +117,45 @@ MUTANTS = (
     Mutant(
         "spurs: kept hops past the bound",
         "routesearch.py",
-        "if arrival + (start_time - s0) > bound:\n                        continue\n",
+        "if kept[1].bdt + (start_time - kept[0]) > bound:\n                    continue\n",
         "",
         (SPURS + "test_kept_spur_arriving_after_the_bound_is_none",),
     ),
+    # the one reuse test of both kept-search sites, one row per clause
     Mutant(
-        "dijkstra_bdt: windows tested up to the shifted departure, not the arrival",
+        "answers: no equal-start clause",
         "routesearch.py",
-        "_shifts(plan, kept[0], depart, kept[2])",
-        "_shifts(plan, kept[0], depart, kept[0])",
+        "return start == s0 or route is not None and _shifts(",
+        "return route is not None and _shifts(",
+        (
+            REUSE + "test_equal_departure_reuses_on_fractional_light_times",
+            REUSE + "test_kept_none_is_answered_without_a_search",
+            SPURS + "test_fractional_light_times_replay_a_spur_at_its_own_start",
+        ),
+    ),
+    Mutant(
+        "answers: no shift clause",
+        "routesearch.py",
+        "return start == s0 or route is not None and _shifts(plan, s0, start, route.bdt)",
+        "return start == s0",
+        (
+            REUSE + "test_matches_fresh_search",
+            REUSE + "test_wait_past_the_shifted_arrival_is_reused",
+            SPURS + "test_unchanged_plan_replays_every_kept_spur",
+        ),
+    ),
+    Mutant(
+        "answers: a kept None shifted",
+        "routesearch.py",
+        "or route is not None and _shifts(",
+        "or _shifts(",
+        (REUSE + "test_matches_fresh_search",),
+    ),
+    Mutant(
+        "answers: windows tested up to the shifted start, not the arrival",
+        "routesearch.py",
+        "_shifts(plan, s0, start, route.bdt)",
+        "_shifts(plan, s0, start, s0)",
         (
             REUSE + "test_matches_fresh_search",
             REUSE + "test_wait_past_the_shifted_arrival_is_reused",
@@ -316,6 +347,39 @@ MUTANTS = (
         "if neighbor in hop_trace:",
         (NEIGHBOURS + "[one-closed]",),
     ),
+    # the record answers the same calls whether or not it is re-keyed (a
+    # window edge in [s0, s1) would have refused the answer at s1), but
+    # only the re-keyed one lets the route stand at s1
+    Mutant(
+        "dijkstra_bdt: record kept at the search's first start",
+        "routesearch.py",
+        "    graph.searches[via] = (depart, route)\n    return route",
+        "        graph.searches[via] = (depart, route)\n    return route",
+        (REUSE + "test_matches_fresh_search",
+         REUSE + "test_route_answered_at_a_later_departure_stands_there"),
+    ),
+    # bounded spurs, against the unbounded full loop
+    Mutant(
+        "bounded spurs: the bound at B* with a strict prune",
+        "routesearch.py",
+        "bound = cutoff + 1e-9 * (1.0 + abs(cutoff))",
+        "bound = math.nextafter(cutoff, -math.inf)",
+        (BOUNDED,),
+    ),
+    Mutant(
+        "bounded spurs: h[node] for h[to]",
+        "routesearch.py",
+        "key = reach + h[to]",
+        "key = reach + h[node]",
+        (BOUNDED,),
+    ),
+    Mutant(
+        "bounded spurs: a bound kept when confirm is set",
+        "routesearch.py",
+        "if not confirm and route.bdt < cutoff",
+        "if route.bdt < cutoff",
+        (BOUNDED,),
+    ),
     # branches dead by argument, now faults
     Mutant(
         "evaluate_route: empty hops give None",
@@ -394,8 +458,6 @@ NOT_TRANSCRIBED = (
     "same-instant reviews: caching Route objects",
     "Lawler's restriction: skipping j <= d, or only j == d when d > 0",
     "node indices: numeric or insertion-order numbering",
-    "bounded spurs: the bound at B* with a strict prune, h[node] for h[to], "
-    "a bound kept when confirm is set",
     "copy states: a copy not removed from `stored` when it leaves that state",
     "occupancy: the bisections swapped or taken on one side",
     "residual tables: an uncached `uniform()`, a residual table kept on the plan, "

@@ -7,8 +7,9 @@ satellite's position at every sample (``propagate``, one call per sample),
 each inter-plane pair's range by ``np.linalg.norm`` over that cube, and its
 windows by a walk over the samples.  Plans from the two must be equal field
 for field, light times to the last bit.  ``positions_csv`` is likewise the
-per-sample build that ``constellation.positions_csv_chunks`` must equal
-byte for byte.
+row-by-row build over this module's ``propagate``, each time written as
+plan lines write theirs (``contactplan._fmt``), that
+``constellation.positions_csv_chunks`` must equal byte for byte.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from cgrlab.constellation import (
     orbit_period,
     sat_node_id,
 )
-from cgrlab.contactplan import LIGHT_SPEED_KM_S, Contact, ContactPlan
+from cgrlab.contactplan import LIGHT_SPEED_KM_S, Contact, ContactPlan, _fmt
 
 
 def propagate(params: WalkerParams, t: float) -> np.ndarray:
@@ -135,5 +136,5 @@ def positions_csv(params: WalkerParams, times: list[float]) -> str:
         for p in range(params.planes):
             for s in range(params.sats_per_plane):
                 x, y, z = pos[p * params.sats_per_plane + s]
-                lines.append(f"{t:g},{sat_node_id(params, p, s)},{x:.3f},{y:.3f},{z:.3f}")
+                lines.append(f"{_fmt(t)},{sat_node_id(params, p, s)},{x:.3f},{y:.3f},{z:.3f}")
     return "\n".join(lines) + "\n"

@@ -3,14 +3,16 @@
 The engine skips a blanket attempt (a critical copy under ``standard``) that
 repeats, at the same instant and with its node's stamp unmoved, an attempt
 of the same copy that changed nothing.
-``dijkstra_bdt`` reuses a search kept on the engine's graph at its own
-departure and, where the goal-directed order runs (``routesearch._exact``),
-at later ones, and the route it last returned while ``routesearch.covers``
-holds against the engine's residual volume table, which every graph of the
-run shares.
+``dijkstra_bdt`` and ``yen_plus`` keep one ``(start, route)`` record per
+search on the engine's graph and answer from it where
+``routesearch._answers`` holds: at the record's own start or, where the
+goal-directed order runs (``routesearch._exact``), at later ones.
+``dijkstra_bdt`` keeps its last answer, whose route stands at its own start
+while ``routesearch.covers`` holds against the engine's residual volume
+table, which every graph of the run shares; ``yen_plus`` keeps the spur
+searches of the graph's last call, in ``ContactGraph.spurs``.
 ``_candidates`` uses a listed route as it stands when its list was computed
-at the same instant and ``covers`` holds.  ``yen_plus`` replays the spur
-searches of the graph's last call, kept in ``ContactGraph.spurs``.
+at the same instant and ``covers`` holds.
 ``FullSelectionEngine`` is the same engine with every attempt run in full,
 every ``dijkstra_bdt`` call searching, every ``yen_plus`` call finding no
 trace to replay, so that every spur searches, and every listed route timed

@@ -118,6 +118,20 @@ class TestGenPlan:
         rows = list(csv.DictReader(io.StringIO(pos.read_text())))
         assert list(dict.fromkeys(r["t"] for r in rows)) == ["0", "2.5", "5", "7.5", "10"]
 
+    def test_positions_keep_the_horizon_sample(self, tmp_path, capsys):
+        # 11 // 1.1 is 9.0, but the plan samples 10 * 1.1 == 11.0 too
+        pos = tmp_path / "positions.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "gen-plan", "--walker", "4x3", "--alt", "1200", "--horizon", "11",
+            "--step", "1.1", "--out", str(tmp_path / "plan.txt"), "--positions", str(pos),
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(pos.read_text())))
+        stamps = list(dict.fromkeys(r["t"] for r in rows))
+        assert len(stamps) == 11
+        assert stamps[-1] == "11"
+
     def test_fractional_step_plan_parses_and_routes(self, tmp_path, capsys):
         # at a 2.5 s step the sampled inter-plane windows end on half seconds
         out = tmp_path / "plan.txt"

@@ -312,6 +312,21 @@ def test_positions_csv_equals_per_sample_rows(params, horizon, step):
     assert all(chunk.endswith("\n") for chunk in chunks)
 
 
+@pytest.mark.parametrize(
+    "times, stamps",
+    [
+        ([999999.0, 1e6, 1000001.0], ["999999", "1000000", "1000001"]),
+        ([100002.5], ["100002.5"]),
+    ],
+    ids=["whole-near-a-million", "half-second-past-100000"],
+)
+def test_positions_csv_writes_times_as_plan_lines_do(times, stamps):
+    # `:g` kept six significant digits: 1e+06 twice, and 100002 for 100002.5
+    rows = "".join(positions_csv_chunks(NELS, times)).splitlines()[1:]
+    assert list(dict.fromkeys(row.split(",")[0] for row in rows)) == stamps
+    assert len(rows) == len(times) * NELS.total_sats
+
+
 def test_positions_csv_memory_stays_per_block():
     # a full orbit of the 24x20 plan every 50 s: joining its 63,841 rows
     # peaked near 11 MB (at step 5, 631k rows, near 105 MB); tracemalloc

@@ -404,10 +404,11 @@ def test_selection_matches_full_attempts_across_instants(monkeypatch):
         return real_search(*args)
 
     def bdt(graph, depart, via):
-        before = len(searches)
+        # read before the call, since each answer re-keys the record
+        before, kept = len(searches), graph.searches.get(via)
         route = real_bdt(graph, depart=depart, via=via)
         if len(searches) == before:
-            reused.append(depart - graph.searches[via][0])
+            reused.append(depart - kept[0])
         return route
 
     monkeypatch.setattr(routesearch, "_search", search)

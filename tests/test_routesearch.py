@@ -738,7 +738,8 @@ class TestSearchReuse:
         departures reuse a search only at its own departure, and the plans
         whose light times are all 1 or 2 s keep reuse reachable where windows
         close and searches wait.  The spy records how much later than the
-        kept search each call departed that was answered without a search.
+        kept record each call departed that was answered without a search;
+        the record is read before the call, since each answer re-keys it.
         """
         calls = self._searches(monkeypatch)
         reused = []
@@ -785,16 +786,14 @@ class TestSearchReuse:
             for depart in departures:
                 for via in vias:
                     searched = len(calls)
+                    kept = graph.searches.get(via)
                     got = dijkstra_bdt(graph, depart=depart, via=via)
                     if len(calls) == searched:
-                        kept_at = graph.searches[via][0]
-                        assert depart == kept_at or routesearch._exact(plan, depart)
-                        reused.append(depart - kept_at)
+                        assert depart == kept[0] or routesearch._exact(plan, depart)
+                        reused.append(depart - kept[0])
                     fresh = build_contact_graph(plan, "N0", "N1")
                     assert got == dijkstra_bdt(fresh, depart=depart, via=via)
-                    # reused hops are those a fresh search finds, even where
-                    # neither evaluates to a route
-                    assert graph.searches[via][1] == fresh.searches[via][1]
+                    assert graph.searches[via] == fresh.searches[via]
 
         check()
         assert reused and max(reused) > 0
@@ -882,6 +881,24 @@ class TestSearchReuse:
         assert calls == ["evaluate"]
         assert again.hops == first.hops == (1, 2)
         assert (first.volume, again.volume) == (26, 25)
+
+    def test_route_answered_at_a_later_departure_stands_there(self, monkeypatch):
+        # the search from t=3 answers t=5 by the shift rule, and the record
+        # moves to t=5, where the route then stands while `covers` holds
+        calls = self._searches(monkeypatch)
+        evaluate, evaluated = routesearch.evaluate_route, []
+
+        def spy(plan, residual, hops, depart):
+            evaluated.append(depart)
+            return evaluate(plan, residual, hops, depart)
+
+        monkeypatch.setattr(routesearch, "evaluate_route", spy)
+        graph = build_contact_graph(_contacts(("S", "A", 0, 30, 1, 1), ("A", "D", 0, 30, 1, 1)),
+                                    "S", "D")
+        dijkstra_bdt(graph, depart=3, via="A")
+        later = dijkstra_bdt(graph, depart=5, via="A")
+        assert dijkstra_bdt(graph, depart=5, via="A") is later
+        assert (len(calls), evaluated) == (1, [3, 5])
 
     def test_kept_none_is_answered_without_a_search(self, monkeypatch):
         calls = self._searches(monkeypatch)
@@ -1120,6 +1137,22 @@ class TestKeptSpurs:
         assert got == expected
         assert [r.hops for r in got] == [(1,), (3, 4)]
         assert calls == fresh
+
+    def test_fractional_light_times_replay_a_spur_at_its_own_start(self, monkeypatch):
+        # No departure is `_exact` on this plan, but S -> M opens at t=2, so
+        # from t=0 and from t=1 the spur at M starts at 2.5: it is the kept
+        # search itself and is replayed; the spur at S finds nothing and is
+        # searched again
+        plan = _contacts(
+            ("S", "M", 2, 30, 0.5, 1), ("M", "D", 0, 30, 0.5, 1),
+            ("M", "A", 0, 30, 0.5, 1), ("A", "D", 0, 30, 0.5, 1),
+        )
+        assert not plan.positive_whole_times()
+        (got, calls), (expected, fresh) = self._again(monkeypatch, plan, 2, 0, 1)
+        assert got == expected
+        assert [(r.hops, r.bdt) for r in got] == [((1, 2), 3), ((1, 3, 4), 3.5)]
+        assert (calls["search"], fresh["search"]) == (2, 3)
+        assert calls["evaluate"] == fresh["evaluate"]
 
     def test_window_opening_in_the_span_searches_again(self, monkeypatch):
         # contact 3 (A -> D) opens at t=5: the kept spur waits for it no
