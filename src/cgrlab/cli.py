@@ -207,7 +207,8 @@ def _scenario_bundles(args: argparse.Namespace, plan: ContactPlan, seed: int):
 
 def _run_one(plan, bundles, policy, seed, k, outdir) -> dict:
     metrics = simcore.run_simulation(plan, bundles, policy, seed=seed, k=k)
-    (outdir / f"metrics_{policy}_{seed}.csv").write_text(metrics.metrics_csv())
+    with (outdir / f"metrics_{policy}_{seed}.csv").open("w") as out:
+        out.writelines(metrics.metrics_csv_chunks())
     (outdir / f"bundles_{policy}_{seed}.csv").write_text(metrics.bundles_csv())
     return {
         "seed": seed,

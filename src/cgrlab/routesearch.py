@@ -49,7 +49,7 @@ from collections.abc import Set
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from cgrlab.contactplan import ContactPlan
+from cgrlab.contactplan import ContactPlan, _fmt
 
 
 class Route(NamedTuple):
@@ -651,6 +651,6 @@ def routes_to_csv(routes: list[Route]) -> str:
     for rank, r in enumerate(routes, start=1):
         hops = ";".join(str(h) for h in r.hops)
         lines.append(
-            f"{rank},{r.bdt:g},{r.volume:g},{r.vti[0]:g},{r.vti[1]:g},{hops}"
+            f"{rank},{_fmt(r.bdt)},{_fmt(r.volume)},{_fmt(r.vti[0])},{_fmt(r.vti[1])},{hops}"
         )
     return "\n".join(lines) + "\n"

@@ -17,8 +17,9 @@ and close on few distinct instants, so each instant at which contacts start
 (after 0) or end is one event that carries those contacts in plan order.
 Metrics are sampled every whole second, one row each; a row can change only
 at an event, so between two events the engine keeps two runs of equal rows,
-the first second's and the rest's, and ``SimulationMetrics.rows`` expands
-them (see ``_Engine._emit_rows``).
+the first second's and the rest's (see ``_Engine._emit_rows``).  The CSV
+writer and the digests read these runs in chunks; ``SimulationMetrics.rows``
+expands them into a list.
 
 A stored copy is re-attempted once per contact start or transmission end at
 its node, so it is often attempted several times at one instant; each such
@@ -46,15 +47,12 @@ copies of a bundle share one ``Bundle``; a copy's node ends its ``hop_trace``.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import heapq
-import io
 import math
-from bisect import bisect_right
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from cgrlab.contactplan import Contact, ContactPlan, occupancy_rate
@@ -147,53 +145,8 @@ class MetricsRow(NamedTuple):
 # first + count - 1, equal but for t, which is row.t at the first
 RowRun = tuple[float, int, MetricsRow]
 
-# the most seconds of text that metrics_csv and the digests build at once
+# the most seconds of text that metrics_csv_chunks and the digests build at once
 _CHUNK_S = 4096
-
-
-class MetricRows(Sequence):
-    """The per-second rows of a run, read-only, expanded from its runs.
-
-    A row's ``t`` is its run's first second plus its offset, which equals
-    the engine's ``s += 1.0`` bit for bit: every second is a whole number
-    below 2**53.  Compares equal to a list or another view with equal rows.
-    """
-
-    __slots__ = ("_runs", "_ends")
-
-    def __init__(self, runs: list[RowRun]) -> None:
-        self._runs = runs
-        self._ends = list(accumulate(count for _, count, _ in runs))
-
-    def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        size = len(self)
-        if index < 0:
-            index += size
-        if not 0 <= index < size:
-            raise IndexError("row index out of range")
-        at = bisect_right(self._ends, index)
-        first, count, row = self._runs[at]
-        offset = index - (self._ends[at] - count)
-        return MetricsRow(first + offset, *row[1:]) if offset else row
-
-    def __iter__(self) -> Iterator[MetricsRow]:
-        for first, count, row in self._runs:
-            yield row
-            for offset in range(1, count):
-                yield MetricsRow(first + offset, *row[1:])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (list, MetricRows)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __repr__(self) -> str:
-        return f"MetricRows({list(self)!r})"
 
 
 @dataclass
@@ -224,9 +177,18 @@ class SimulationMetrics:
     contact_usage: dict[int, float]
 
     @property
-    def rows(self) -> MetricRows:
-        """One row per whole second from 0, expanded from ``runs``."""
-        return MetricRows(self.runs)
+    def rows(self) -> list[MetricsRow]:
+        """One row per whole second from 0, expanded from ``runs`` on each read.
+
+        A row's ``t`` is its run's first second plus its offset, which equals
+        the engine's ``s += 1.0`` bit for bit: every second is a whole number
+        below 2**53.
+        """
+        return [
+            MetricsRow(first + offset, *row[1:])
+            for first, count, row in self.runs
+            for offset in range(count)
+        ]
 
     @property
     def generated(self) -> int:
@@ -274,7 +236,7 @@ class SimulationMetrics:
                 offsets = range(lo, min(count, lo + _CHUNK_S))
                 yield "".join([time(first + offset) + text for offset in offsets])
 
-    def _metrics_csv_chunks(self) -> Iterator[str]:
+    def metrics_csv_chunks(self) -> Iterator[str]:
         yield "t,r_o,computing_cum,storage_bundles,mb_to_send,mb_at_sending,mb_sent,delivered,failed\n"
         yield from self._row_lines(
             "{:g}".format,
@@ -284,31 +246,19 @@ class SimulationMetrics:
             ),
         )
 
-    def metrics_csv(self) -> str:
-        return "".join(self._metrics_csv_chunks())
-
     def bundles_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(
-            ["bundle_id", "priority", "critical", "t_gen", "t_exp", "t_delivered", "early_margin", "outcome"]
-        )
+        # csv.writer's line end, which the fingerprint hashes
+        out = ["bundle_id,priority,critical,t_gen,t_exp,t_delivered,early_margin,outcome\r\n"]
         for bid in sorted(self.records):
             r = self.records[bid]
             b = r.bundle
-            writer.writerow(
-                [
-                    bid,
-                    b.priority,
-                    int(b.critical),
-                    f"{b.t_gen:g}",
-                    f"{b.t_exp:g}",
-                    "" if r.t_delivered is None else f"{r.t_delivered:g}",
-                    "" if r.early_margin is None else f"{r.early_margin:g}",
-                    r.outcome or "",
-                ]
+            delivered = "" if r.t_delivered is None else f"{r.t_delivered:g}"
+            margin = "" if r.early_margin is None else f"{r.early_margin:g}"
+            out.append(
+                f"{bid},{b.priority},{int(b.critical)},{b.t_gen:g},{b.t_exp:g},"
+                f"{delivered},{margin},{r.outcome or ''}\r\n"
             )
-        return out.getvalue()
+        return "".join(out)
 
     def dispatch_csv(self) -> str:
         out = ["time,bundle_id,from,to,contact_id,policy,reason"]
@@ -318,7 +268,7 @@ class SimulationMetrics:
 
     def fingerprint(self) -> str:
         digest = hashlib.sha256()
-        for chunk in self._metrics_csv_chunks():
+        for chunk in self.metrics_csv_chunks():
             digest.update(chunk.encode())
         digest.update(self.bundles_csv().encode())
         digest.update(self.dispatch_csv().encode())
@@ -670,9 +620,10 @@ class _Engine:
         if idle is not None and idle[0] == now and idle[1] == self.stamps[copy.at_node]:
             # This copy's last attempt was a blanket attempt (a critical copy
             # under standard) at this instant and stamp that changed
-            # nothing: it moved neither the booking nor the copy sequence,
-            # so it dispatched nothing, tried no enqueue and left the copy
-            # stored.  Apart from `now` and the copy, whose node changes
+            # nothing: it left the booking sequence where it was, so it
+            # tried no enqueue, created no copy (each critical child it
+            # creates is enqueued at once), dispatched nothing and left the
+            # copy stored.  Apart from `now` and the copy, whose node changes
             # only on arrival, which clears its record, such an attempt
             # reads only contacts leaving its node: each first hop's queue
             # and busy_until (ETO, PAT) and the rollback contact's queue and
@@ -688,7 +639,7 @@ class _Engine:
             self.computing += idle[2]
             return
         blanket = bundle.critical and self.policy == POLICY_STANDARD
-        before = (self.booking_seq, self.copy_seq)
+        before = self.booking_seq
         counted = self.computing
         if blanket:
             cands = self._critical_candidates(copy, now)
@@ -698,7 +649,7 @@ class _Engine:
             self._dispatch_candidates(copy, cands, now)
         else:
             self._rollback(copy, now)
-        if blanket and (self.booking_seq, self.copy_seq) == before:
+        if blanket and self.booking_seq == before:
             # every enqueue moves the booking sequence, so no stamp moved
             copy.idle_attempt = (now, self.stamps[copy.at_node], self.computing - counted)
 

@@ -22,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from cgrlab.contactplan import ContactPlan
+from cgrlab.contactplan import ContactPlan, _fmt
 from cgrlab.forwarding import Bundle
 
 TTL_RANGE = (20, 30)  # bundle lifetimes, whole seconds
@@ -164,7 +164,7 @@ def write_tasks(bundles: list[Bundle]) -> str:
     writer.writerow(name for name, _ in _TASK_COLUMNS)
     for b in bundles:
         writer.writerow(
-            [b.id, b.source, b.dest, f"{b.size:g}", b.priority, int(b.critical), f"{b.t_gen:g}", f"{b.t_exp:g}"]
+            [b.id, b.source, b.dest, _fmt(b.size), b.priority, int(b.critical), _fmt(b.t_gen), _fmt(b.t_exp)]
         )
     return out.getvalue()
 

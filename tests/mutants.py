@@ -256,7 +256,7 @@ MUTANTS = (
         "simcore.py",
         "self.runs.append((s, count, self._sample(s)))",
         "self.runs.append((s, count - 1, self._sample(s)))",
-        (SERIES + "test_rows_view_reads_like_a_list",
+        (SERIES + "test_rows_expand_the_runs",
          SERIES + "test_idle_run_samples_every_second_to_last_contact_end",
          "tests/test_properties.py::test_rows_match_per_second_sampling"),
     ),
@@ -280,8 +280,8 @@ MUTANTS = (
     Mutant(
         "idle-attempt skip: every idle attempt kept, not only blanket ones",
         "simcore.py",
-        "if blanket and (self.booking_seq, self.copy_seq) == before:",
-        "if (self.booking_seq, self.copy_seq) == before:",
+        "if blanket and self.booking_seq == before:",
+        "if self.booking_seq == before:",
         (BLANKET_ONLY + "[rmdg-critical]", BLANKET_ONLY + "[rmdg]", BLANKET_ONLY + "[standard]",
          "tests/test_properties.py::test_selection_matches_full_attempts"),
     ),

@@ -6,6 +6,7 @@ import io
 import re
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,8 @@ from cgrlab.cli import main
 from cgrlab.constellation import IslConstraints, WalkerParams, generate_contact_plan
 from cgrlab.contactplan import make_demo_plan, parse_contact_plan, serialize_contact_plan
 from cgrlab.routesearch import build_contact_graph, routes_to_csv, yen_plus
+from cgrlab.simcore import run_simulation
+from cgrlab.traffic import read_tasks
 
 
 TASK_HEADER = "bundle_id,source,dest,size_mb,priority,critical,t_gen,t_exp\n"
@@ -537,6 +540,30 @@ class TestSimulateAndCompare:
         assert code == 0
         rows = list(csv.DictReader((outdir / "bundles_standard_1.csv").open()))
         assert rows[0]["outcome"] == "delivered"
+
+    def test_metrics_file_is_written_in_chunks(self, tmp_path, capsys, monkeypatch):
+        # the expiry keeps the run sampling 200,001 seconds, about 6 MB of
+        # metrics text, which the CLI writes without joining it
+        monkeypatch.delenv("CGRLAB_OUT", raising=False)
+        tasks = tmp_path / "tasks.csv"
+        tasks.write_text(TASK_HEADER + "1,A,F,1,1,0,0,200000\n")
+        outdir = tmp_path / "run"
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(
+                capsys,
+                "simulate", "--demo-plan", "--policy", "standard",
+                "--tasks", str(tasks), "--source", "A", "--out", str(outdir),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 2_000_000
+        metrics = run_simulation(
+            make_demo_plan(), read_tasks(tasks.read_text()), "standard", seed=1
+        )
+        text = (outdir / "metrics_standard_1.csv").read_text()
+        assert text == "".join(metrics.metrics_csv_chunks())
 
     def test_tasks_with_seed_list_is_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("CGRLAB_OUT", raising=False)

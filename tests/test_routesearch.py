@@ -348,6 +348,15 @@ class TestCsv:
         assert lines[1].startswith("1,32,10,0,9,")
         assert len(lines) == len(routes) + 1
 
+    def test_route_csv_keeps_every_digit(self):
+        # written as plan lines are: whole numbers in full, others by repr
+        plan = ContactPlan.build(
+            [Contact(id=1, from_node="A", to_node="B", t_start=0, t_end=2_000_000, rate=1,
+                     owlt=1.5)],
+        )
+        routes = yen_plus(build_contact_graph(plan, "A", "B"), 1, depart=1234567.0)
+        assert routes_to_csv(routes).splitlines()[1] == "1,1234568.5,765433,1234567,1999999,1"
+
 
 def _random_plan(rng):
     n_contacts = rng.randint(1, 8)

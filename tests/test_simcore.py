@@ -886,34 +886,31 @@ class TestMetricsSeries:
         metrics = run_simulation(_one_hop_plan(), [], POLICY_STANDARD)
         assert [r.t for r in metrics.rows] == [float(s) for s in range(61)]
 
-    def test_rows_view_reads_like_a_list(self):
+    def test_rows_expand_the_runs(self):
         metrics = run_simulation(_one_hop_plan(), [_bundle(size=5.0)], POLICY_STANDARD)
         rows = metrics.rows
-        expanded = list(rows)
-        assert len(metrics.runs) < len(rows) == len(expanded) == 61
-        assert [rows[i] for i in range(len(rows))] == expanded
-        assert [rows[i] for i in range(-len(rows), 0)] == expanded
-        assert rows[11:15] == expanded[11:15] and rows[::-7] == expanded[::-7]
-        assert rows == expanded and expanded == rows and rows == metrics.rows
-        assert rows != expanded[:-1] and rows != [*expanded[:-1], expanded[0]]
-        # like a list, it does not equal a tuple of its rows
-        assert rows != tuple(expanded) and repr(rows) == f"MetricRows({expanded!r})"
-        for index in (len(rows), -len(rows) - 1):
-            with pytest.raises(IndexError):
-                rows[index]
+        assert type(rows) is list and len(metrics.runs) < len(rows) == 61
+        assert [r.t for r in rows] == [float(s) for s in range(61)]
+        assert rows == [
+            row._replace(t=first + offset)
+            for first, count, row in metrics.runs
+            for offset in range(count)
+        ]
 
     def test_long_idle_run_keeps_runs_bounded_by_its_events(self, monkeypatch):
         # delivered at t=34, the bundle's expiry at t=999999 keeps the run
-        # sampling a row per second up to it: 10**6 rows, a few dozen runs
+        # sampling a row per second up to it: 10**6 seconds, a few dozen runs
         bundle = _bundle(src="A", dst="F", ttl=999999.0)
         engine = simcore._Engine(make_demo_plan(), [bundle], POLICY_STANDARD, 0, 4, "file")
         metrics = engine.run()
-        assert len(metrics.rows) == 1_000_000 and metrics.rows[-1].t == 999999.0
+        first, count, _ = metrics.runs[-1]
+        assert sum(count for _, count, _ in metrics.runs) == 1_000_000
+        assert first + count - 1 == 999999.0
         # _emit_rows adds at most two runs per popped event, run() one more
         assert len(metrics.runs) <= 2 * engine.event_seq + 1 < 100
 
-        # the digests hash the rows in chunks, never expanding the view
-        def refuse(*args):
+        # the digests hash the rows in chunks, never expanding the runs
+        def refuse(self):
             raise AssertionError("the full row list was built")
 
         sizes = []
@@ -929,8 +926,7 @@ class TestMetricsSeries:
             def hexdigest(self):
                 return self.digest.hexdigest()
 
-        monkeypatch.setattr(simcore.MetricRows, "__iter__", refuse)
-        monkeypatch.setattr(simcore.MetricRows, "__getitem__", refuse)
+        monkeypatch.setattr(simcore.SimulationMetrics, "rows", property(refuse))
         monkeypatch.setattr(simcore, "hashlib", type("hashlib", (), {"sha256": Sha256}))
         metrics.fingerprint()
         metrics.exact_digest()

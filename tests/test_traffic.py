@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from cgrlab.forwarding import Bundle
 from cgrlab.traffic import ScenarioSpec, generate_scenario, read_tasks, write_tasks
 
 
@@ -168,6 +169,19 @@ class TestTaskCsv:
             (b.id, b.source, b.dest, b.size, b.priority, b.critical, b.t_gen, b.t_exp)
             for b in again
         ]
+
+    def test_roundtrip_keeps_every_digit(self):
+        bundles = [
+            Bundle(id=1, source="A", dest="B", size=1.2345678, priority=1, critical=False,
+                   t_gen=123456.5, t_exp=123480.25),
+            Bundle(id=2, source="A", dest="B", size=1.0, priority=2, critical=True,
+                   t_gen=0.0, t_exp=999999.5),
+        ]
+        text = write_tasks(bundles)
+        assert text.splitlines()[1:] == [
+            "1,A,B,1.2345678,1,0,123456.5,123480.25", "2,A,B,1,2,1,0,999999.5"
+        ]
+        assert read_tasks(text) == bundles
 
     def test_missing_field_names_line_and_field(self):
         text = "bundle_id,source,size_mb,priority,critical,t_gen,t_exp\n1,A,1,1,0,0,40\n"
